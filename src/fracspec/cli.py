@@ -12,6 +12,7 @@ pool; each command writes its files once, at the end.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -78,10 +79,13 @@ class RunConfig:
 
 def _coerce(key: str, value: str):
     value = value.strip()
-    if key in ("n_min", "n_max", "m", "grid_points"):
-        return int(value)
-    if key == "alpha":
-        return float(value)
+    try:
+        if key in ("n_min", "n_max", "m", "grid_points"):
+            return int(value)
+        if key == "alpha":
+            return float(value)
+    except ValueError:
+        raise UsageError(f"config value for {key} is not a number: {value!r}") from None
     if key == "methods":
         return tuple(p.strip() for p in value.split(",") if p.strip())
     if key in ("variant", "reference", "output_dir"):
@@ -135,7 +139,8 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _validated_order(cfg: RunConfig) -> FractionalOrder:
+def _validated_order(cfg: RunConfig, nystrom: bool) -> FractionalOrder:
+    """The run's order; nystrom says whether the command runs that solver."""
     if cfg.variant not in ("rl-bridge", "caputo"):
         raise UsageError(f"unknown variant: {cfg.variant}")
     if not cfg.methods:
@@ -154,9 +159,15 @@ def _validated_order(cfg: RunConfig) -> FractionalOrder:
     if cfg.reference not in ("nystrom", "integro"):
         raise UsageError(f"unknown reference method: {cfg.reference}")
     try:
-        return FractionalOrder(cfg.alpha, Variant(cfg.variant))
+        order = FractionalOrder(cfg.alpha, Variant(cfg.variant))
     except FracspecError as e:
         raise UsageError(str(e)) from e
+    if nystrom and order.alpha <= 0.5:
+        # only caputo gets here: the kernel diagonal needs alpha > 1/2
+        raise UsageError(
+            f"the Nystrom solver requires alpha > 1/2, got {order.alpha}"
+        )
+    return order
 
 
 def _write_text(path: str, text: str) -> None:
@@ -264,7 +275,7 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    order = _validated_order(cfg)
+    order = _validated_order(cfg, nystrom="nystrom" in cfg.methods)
     spectrum_csv, integro_csv, failures = _build_spectrum(cfg, order)
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "spectrum.csv")
@@ -285,7 +296,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
-    order = _validated_order(cfg)
+    order = _validated_order(cfg, nystrom=True)
     if order.variant is not Variant.RL_BRIDGE:
         raise UsageError("eigenfunction profiles are for the rl-bridge variant")
     if "nystrom" not in cfg.methods:
@@ -346,7 +357,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
 
 
 def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
-    order = _validated_order(cfg)
+    order = _validated_order(cfg, nystrom=True)
     results = []
 
     def run(name, fn):
@@ -391,6 +402,7 @@ def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
         rel = abs(v - target) / target
         return rel < 0.01, f"|f_20(1)| = {v:.6f} vs sqrt(2a) = {target:.6f} ({rel:.2%})"
 
+    @functools.cache  # orthonormality and mercer_trace share one solve
     def bridge_spectrum():
         return discretize_and_solve(
             KernelSpec(order, KernelKind.BRIDGE)
@@ -399,10 +411,8 @@ def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
             build_grid(cfg.m),
         )
 
-    state = {}
-
     def check_orthonormality():
-        sp = state.setdefault("spectrum", bridge_spectrum())
+        sp = bridge_spectrum()
         F = sp.vectors[:, :10]
         G = F.T @ (sp.grid.weights[:, None] * F)
         dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
@@ -421,7 +431,7 @@ def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
         return ok, f"asymmetry {sym:.3e}, min Gram eigenvalue {neg:.3e}"
 
     def check_mercer():
-        sp = state.setdefault("spectrum", bridge_spectrum())
+        sp = bridge_spectrum()
         gap = mercer_trace_gap(sp)
         return gap <= 0.01, f"trace gap {gap:.3e} (m={cfg.m})"
 
@@ -460,7 +470,7 @@ def _cache_counts(path: str) -> dict:
 
 
 def cmd_cache(cfg: RunConfig, action: str) -> int:
-    order = _validated_order(cfg)
+    order = _validated_order(cfg, nystrom=False)
     if order.variant is not Variant.RL_BRIDGE:
         raise UsageError("cache holds rl-bridge phase data; use --variant rl-bridge")
     d = cache_dir()

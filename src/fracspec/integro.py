@@ -25,6 +25,13 @@ infinity, so the system is solved on a dyadically refined grid over
 negligible). Fixed-point iteration contracts for every rho used here;
 non-contraction raises rather than looping.
 
+The principal-value weight behind g0 and h0 is the costly part of the
+system data, and each rho needs it exactly once: solve_pqr samples g0 and
+h0 in one PV sweep, and the PQRSolution carries that kernel data (g0, -h0
+and the weights times e^{-rho t}) so the continuations at -+i, secular and
+reconstruct_f_exact sample nothing again. refine_rho evaluates each rho of
+its scan and of Brent's iterates once.
+
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
 over the half line, normalized to unit L2 norm on (0,1).
@@ -46,9 +53,8 @@ from .phase import (
     _as_order,
     _sin_theta0_minus_api,
     b_alpha,
-    g0,
+    g0_h0,
     gamma0,
-    h0,
     theta0,
     xc0,
 )
@@ -106,12 +112,18 @@ class PQRSolution:
     p, q, r have shape (2, N) over the grid nodes. converged means the
     sup-norm update of every family fell below 1e-12 within the iteration
     cap; iterations is the largest count used and residuals the final
-    per-family updates (p, q, r order).
+    per-family updates (p, q, r order). gv, hv and e are the kernel data the
+    system was solved with: the (1,2) and (2,1) blocks g0 and -h0 of M and
+    the weights times e^{-rho t}, all on the grid; the continuation reads
+    them instead of sampling g0 and h0 again.
     """
 
     rho: float
     grid: np.ndarray
     weights: np.ndarray
+    gv: np.ndarray
+    hv: np.ndarray
+    e: np.ndarray
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
@@ -129,8 +141,8 @@ def _system_data(rho: float, table: PhaseTable, grid=None):
         t, w = build_pqr_grid(rho)
     else:
         t, w = grid
-    gv = g0(t, table)
-    hv = -h0(t, table)  # (2,1) block of M
+    gv, h = g0_h0(t, table)
+    hv = -h  # (2,1) block of M
     e = w * np.exp(-rho * t)
     D = 1.0 / (t[None, :] + t[:, None])
     W1 = D * (e * gv)[None, :] / np.pi  # maps f2 samples to (A f)_1
@@ -187,6 +199,9 @@ def solve_pqr(rho: float, table: PhaseTable) -> PQRSolution:
         rho=float(rho),
         grid=t,
         weights=w,
+        gv=gv,
+        hv=hv,
+        e=e,
         p=f[0],
         q=f[1],
         r=f[2],
@@ -196,38 +211,31 @@ def solve_pqr(rho: float, table: PhaseTable) -> PQRSolution:
     )
 
 
-def _extend_kernel(sol: PQRSolution, table: PhaseTable, z):
-    t, w = sol.grid, sol.weights
-    gv = g0(t, table)
-    hv = -h0(t, table)  # same (2,1) block as _system_data
-    e = w * np.exp(-sol.rho * t)
-    ker = e / (t[None, :] + np.asarray(z)[:, None]) / np.pi
-    return ker * gv[None, :], ker * hv[None, :]
-
-
-def _extend_batch(sol: PQRSolution, table: PhaseTable, z):
+def _extend_batch(sol: PQRSolution, z):
     """Continuation of p, q, r at points z (array); returns three (2, M)."""
-    kg, kh = _extend_kernel(sol, table, z)
     zz = np.asarray(z)
+    ker = sol.e / (sol.grid[None, :] + zz[:, None]) / np.pi
+    kg, kh = ker * sol.gv[None, :], ker * sol.hv[None, :]
     p = np.stack([kg @ sol.p[1] + 1.0, kh @ sol.p[0]])
     q = np.stack([kg @ sol.q[1], kh @ sol.q[0] + 1.0])
     r = np.stack([kg @ sol.r[1], kh @ sol.r[0] + zz])
     return p, q, r
 
 
-def analytic_extend(sol: PQRSolution, z, table: PhaseTable):
+def analytic_extend(sol: PQRSolution, z, table: PhaseTable | None = None):
     """Evaluate the continuations of p, q, r at one point z off (-inf, 0].
 
     On (-inf, 0] the kernel 1/(tau + z) hits the integration range, so the
     formula does not define a continuation there. Values at conjugate points
     are conjugate (all grid data is real); at a grid node the continuation
-    reproduces the grid value.
+    reproduces the grid value. The kernel data come from sol, so table is
+    not used; it is accepted for callers that pass it.
     """
     zc = complex(z)
     if zc.imag == 0.0 and zc.real <= 0.0:
         raise DomainError("continuation undefined on (-inf, 0]")
     zz = np.asarray([zc])
-    p, q, r = _extend_batch(sol, table, zz)
+    p, q, r = _extend_batch(sol, zz)
     return p[:, 0], q[:, 0], r[:, 0]
 
 
@@ -265,8 +273,10 @@ def secular(rho: float, table: PhaseTable, solution: PQRSolution | None = None):
     if solution is not None and solution.rho != float(rho):
         raise DomainError("supplied solution was computed at a different rho")
     sol = solution if solution is not None else solve_pqr(rho, table)
-    pm, qm, rm = analytic_extend(sol, -1j, table)
-    pp, qp, rp = analytic_extend(sol, 1j, table)
+    # one point per call: a two-row product rounds differently from two
+    # one-row products, which moves the last digits of condition_residual
+    pm, qm, rm = analytic_extend(sol, -1j)
+    pp, qp, rp = analytic_extend(sol, 1j)
     x_i = xc0(1j, table)
     x_mi = xc0(-1j, table)
     X = x_i / (rho * 1j)
@@ -325,8 +335,22 @@ def refine_rho(
     lo = max(rho0 - np.pi / 2.0, 1e-3)
     hi = rho0 + np.pi / 2.0
 
+    # brentq re-evaluates the bracket ends of the scan, and the root it
+    # returns is its best iterate, in practice the rho of smallest
+    # |condition| seen. Each rho is evaluated once; only that best value
+    # keeps its solution, so memory stays flat. Any other root is re-solved.
+    normalized = {}
+    best = None
+
     def fn(r):
-        return secular(r, table).normalized
+        nonlocal best
+        key = float(r)
+        if key not in normalized:
+            sv = secular(key, table)
+            normalized[key] = sv.normalized
+            if best is None or abs(sv.normalized) < abs(best.normalized):
+                best = sv
+        return normalized[key]
 
     rs = np.linspace(lo, hi, scan_points)
     vals = np.array([fn(r) for r in rs])
@@ -340,7 +364,7 @@ def refine_rho(
     mids = 0.5 * (rs[flips] + rs[flips + 1])
     i = int(flips[np.argmin(np.abs(mids - rho0))])
     root = brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
-    sv = secular(float(root), table)
+    sv = best if best.rho == root else secular(root, table)
     if abs(sv.condition) >= 1e-10 * abs(sv.xi) * abs(sv.eta):
         raise AccuracyError(
             f"root at rho={root:.12g} fails the residual contract:"
@@ -388,7 +412,7 @@ def reconstruct_f_exact(x, rho: float, table: PhaseTable):
     # stays within tolerance on the kept range.
     keep = (tau > 1e-10) & (tau < 1e12)
     tau, wt = tau[keep], wt[keep]
-    P, Q, R = _extend_batch(sol, table, tau)
+    P, Q, R = _extend_batch(sol, tau)
     psi0 = P[0] + c1 * rho * bal * Q[0] - c1 * rho * R[0]
     psi1 = P[1] + c1 * rho * bal * Q[1] - c1 * rho * R[1]
 
@@ -398,7 +422,7 @@ def reconstruct_f_exact(x, rho: float, table: PhaseTable):
     s_api = np.sin(a * np.pi)
 
     # residue term: Psi0 at the pole rho*i via the continuation at -i
-    pm, qm, rm = analytic_extend(sol, -1j, table)
+    pm, qm, rm = analytic_extend(sol, -1j)
     psi0_pole = pm[0] + c1 * rho * bal * qm[0] - c1 * rho * rm[0]
     amp = (
         (1.0 / 1j)

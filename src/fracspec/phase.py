@@ -4,7 +4,8 @@ This module holds the closed-form functions attached to the eigenvalue
 problem's Hilbert boundary value structure: the phase theta0, the modulus
 gamma0, the constant b_alpha = cot(pi/(2 alpha)), the Cauchy-integral
 function X_c0 evaluated by double-exponential quadrature, the principal-value
-weight behind g0/h0, and g0/h0 themselves.
+weight behind g0/h0, and g0/h0 themselves (g0_h0 gives both from one
+sweep of the PV weight, the costly part).
 
 Everything is scale-free: the frequency rho never enters any function here,
 and the signatures enforce that structurally.
@@ -37,6 +38,7 @@ __all__ = [
     "pv_weight",
     "g0",
     "h0",
+    "g0_h0",
     "cache_dir",
     "save_cache",
     "load_cache",
@@ -302,8 +304,7 @@ def g0(t, table: PhaseTable):
     if np.isscalar(t):
         tv = float(t)
         return tv**a * np.sin(theta0(tv, table.order)) * pv_weight(tv, table)
-    tt = _check_positive(t)
-    return tt**a * np.sin(theta0(tt, table.order)) * pv_weight(tt, table)
+    return g0_h0(t, table)[0]
 
 
 def h0(t, table: PhaseTable):
@@ -314,8 +315,20 @@ def h0(t, table: PhaseTable):
         return -(tv ** (-a)) * float(_sin_theta0_minus_api(tv, a)) * pv_weight(
             tv, table
         )
+    return g0_h0(t, table)[1]
+
+
+def g0_h0(t, table: PhaseTable):
+    """(g0(t), h0(t)) on an array of t > 0 from one PV weight sweep.
+
+    The array paths of g0 and h0 take their values from here.
+    """
+    a = table.alpha
     tt = _check_positive(t)
-    return -(tt ** (-a)) * _sin_theta0_minus_api(tt, a) * pv_weight(tt, table)
+    pv = pv_weight(tt, table)
+    g = tt**a * np.sin(theta0(tt, table.order)) * pv
+    h = -(tt ** (-a)) * _sin_theta0_minus_api(tt, a) * pv
+    return g, h
 
 
 # -- disk cache ----------------------------------------------------------

@@ -173,12 +173,27 @@ class TestEigenfunction:
 
 
 class TestValidate:
-    def test_all_pass(self, capsys):
+    def test_all_pass(self, capsys, monkeypatch):
+        import fracspec.nystrom as nystrom
+
+        solves = []
+        solve = nystrom.discretize_and_solve
+
+        def counted(spec, grid, **kw):
+            solves.append((spec.alpha.alpha, spec.kind, grid.m))
+            return solve(spec, grid, **kw)
+
+        # the cli calls it directly, caputo_endpoint_value through nystrom
+        monkeypatch.setattr("fracspec.cli.discretize_and_solve", counted)
+        monkeypatch.setattr(nystrom, "discretize_and_solve", counted)
         rc = main(["validate", "--alpha", "0.75", "--m", "600"])
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 7
         assert "FAIL" not in out
+        # orthonormality and mercer_trace share the one m = 600 solve
+        assert solves.count((0.75, nystrom.KernelKind.BRIDGE, 600)) == 1
+        assert len(solves) == 6
 
     def test_typo_kernel_fails_degeneration(self, capsys):
         rc = main(["validate", "--alpha", "0.75", "--m", "400", "--typo-kernel"])
@@ -246,6 +261,13 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         assert main(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("line", ["m = abc", "alpha = 0.7x", "n-max = 2.5"])
+    def test_non_numeric_value(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        assert "usage error:" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -260,11 +282,21 @@ class TestUsageErrors:
             ["spectrum", "--alpha", "0.75", "--n-min", "5", "--n-max", "2"],
             ["spectrum", "--alpha", "0.75", "--m", "1"],
             ["eigenfunction", "--n", "0", "--alpha", "0.75"],
+            ["spectrum", "--variant", "caputo", "--alpha", "0.4"],
+            ["validate", "--variant", "caputo", "--alpha", "0.5"],
         ],
     )
     def test_exit_two(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "usage error:" in capsys.readouterr().err
+
+    def test_caputo_low_alpha_asymptotics(self, tmp_path):
+        # no Nystrom solve, so alpha <= 1/2 is fine for the asymptotics
+        argv = ["spectrum", "--variant", "caputo", "--alpha", "0.4",
+                "--n-max", "5", "--methods", "asym1,asym2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, rows = _rows(tmp_path / "spectrum.csv")
+        assert len(rows) == 5
 
     def test_help_exits_zero(self):
         assert main(["-h"]) == 0

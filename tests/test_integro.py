@@ -132,6 +132,69 @@ class TestExtension:
                 analytic_extend(sol, z, table075)
 
 
+class TestKernelData:
+    """solve_pqr samples g0/h0 once; continuation and secular reuse them."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        sweeps = []
+        exponent = fs.PhaseTable._pv_exponent
+        monkeypatch.setattr(
+            fs.PhaseTable,
+            "_pv_exponent",
+            lambda self, t: sweeps.append(t.size) or exponent(self, t),
+        )
+        return sweeps
+
+    def test_stored_kernel_data(self, table075):
+        sol = solve_pqr(28.0, table075)
+        t = sol.grid
+        assert np.array_equal(sol.gv, fs.g0(t, table075))
+        assert np.array_equal(sol.hv, -fs.h0(t, table075))
+        assert np.array_equal(sol.e, sol.weights * np.exp(-28.0 * t))
+
+    def test_one_sweep_per_solve(self, table075, monkeypatch):
+        sweeps = self._count_sweeps(monkeypatch)
+        sol = solve_pqr(28.0, table075)
+        assert sweeps == [sol.grid.size]
+        sweeps.clear()
+        secular(28.0, table075, solution=sol)
+        analytic_extend(sol, 0.3 + 0.2j, table075)
+        assert sweeps == []
+
+    def test_secular_continues_at_plus_minus_i(self, table075, monkeypatch):
+        sol = solve_pqr(28.0, table075)
+        used = []
+
+        def spy(s, z, table=None):
+            out = analytic_extend(s, z, table)
+            used.append((complex(z), out))
+            return out
+
+        monkeypatch.setattr("fracspec.integro.analytic_extend", spy)
+        secular(28.0, table075, solution=sol)
+        assert [z for z, _ in used] == [-1j, 1j]
+        for z, out in used:
+            for got, want in zip(out, analytic_extend(sol, z, table075)):
+                assert np.array_equal(got, want)
+
+    def test_continuation_matches_fresh_kernel(self, table075):
+        # the stored data give the continuation bit for bit as a kernel
+        # sampled afresh from g0 and h0 does
+        rho = 28.0
+        sol = solve_pqr(rho, table075)
+        t = sol.grid
+        e = sol.weights * np.exp(-rho * t)
+        for z in (-1j, 1j):
+            ker = e / (t[None, :] + np.asarray([z])[:, None]) / np.pi
+            kg = ker * fs.g0(t, table075)[None, :]
+            kh = ker * -fs.h0(t, table075)[None, :]
+            p, q, r = analytic_extend(sol, z, table075)
+            assert np.array_equal(p, [(kg @ sol.p[1] + 1.0)[0], (kh @ sol.p[0])[0]])
+            assert np.array_equal(q, [(kg @ sol.q[1])[0], (kh @ sol.q[0] + 1.0)[0]])
+            assert np.array_equal(r, [(kg @ sol.r[1])[0], (kh @ sol.r[0] + z)[0]])
+
+
 class TestSecular:
     def test_large_rho_model(self, table075):
         # xi conj(eta) approaches the explicit oscillatory model at 1/rho rate
@@ -184,6 +247,21 @@ class TestRefine:
             for n in sorted(roots075)
         ]
         assert gaps[-1] < gaps[0]
+
+    def test_each_rho_evaluated_once(self, table075, monkeypatch):
+        # the scan's bracket ends and brentq's last iterate are reused
+        seen = []
+        original = secular
+
+        def spy(rho, table, solution=None):
+            seen.append(float(rho))
+            return original(rho, table, solution)
+
+        monkeypatch.setattr("fracspec.integro.secular", spy)
+        root = refine_rho(3, 0.75, table=table075)
+        assert len(seen) == len(set(seen))
+        assert root.rho in seen
+        assert root.value.rho == root.rho
 
     def test_variant_and_alpha_guards(self, table075):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import fracspec as fs
 from fracspec.errors import AccuracyError, DomainError
-from fracspec.phase import cache_records
+from fracspec.phase import _sin_theta0_minus_api, cache_records, g0_h0
 
 ALPHAS = (0.55, 0.65, 0.75, 0.85, 0.95)
 
@@ -189,6 +189,29 @@ class TestG0H0:
     def test_vanishes_at_both_ends(self, table075):
         assert abs(fs.g0(1e-8, table075)) < 1e-5
         assert abs(fs.g0(1e8, table075)) < 1e-5
+
+    def test_pair_from_one_sweep(self, table075, monkeypatch):
+        # one PV sweep gives both, bit for bit as their defining products
+        t = np.geomspace(1e-6, 1e6, 80)
+        a = table075.alpha
+        pv = fs.pv_weight(t, table075)
+        g = t**a * np.sin(fs.theta0(t, table075.order)) * pv
+        h = -(t ** (-a)) * _sin_theta0_minus_api(t, a) * pv
+        sweeps = []
+        exponent = fs.PhaseTable._pv_exponent
+        monkeypatch.setattr(
+            fs.PhaseTable,
+            "_pv_exponent",
+            lambda self, tt: sweeps.append(tt.size) or exponent(self, tt),
+        )
+        pair = g0_h0(t, table075)
+        assert sweeps == [t.size]
+        assert np.array_equal(pair[0], g)
+        assert np.array_equal(pair[1], h)
+
+    def test_pair_rejects_nonpositive(self, table075):
+        with pytest.raises(DomainError):
+            g0_h0(np.array([0.5, 0.0]), table075)
 
 
 class TestCache:
