@@ -6,12 +6,14 @@ plot), validate (invariant suite), cache (phase-data persistence).
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files are deterministic for a fixed configuration: floats
 %.12e, comma-separated, LF endings. Per-n root refinements run in a thread
-pool; each command writes its files once, at the end.
+pool; each command writes its files once, at the end, each through a
+temporary file that then replaces the target.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -171,8 +173,20 @@ def _validated_order(cfg: RunConfig, nystrom: bool) -> FractionalOrder:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write text to path atomically: a failed write leaves path as it was.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces path in one os.replace.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _fmt(v) -> str:
@@ -318,7 +332,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
     f_exact = None
     if exact:
         root = refine_rho(n, order, table)
-        f_exact = reconstruct_f_exact(x, root.rho, table)
+        f_exact = reconstruct_f_exact(x, root.rho, table, root.value)
 
     header = "x,f_nystrom,f_asym_nolayers,f_asym_layers"
     if f_exact is not None:

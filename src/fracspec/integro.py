@@ -379,13 +379,16 @@ def c_ratio(rho: float, table: PhaseTable) -> float:
     return float(-np.real(sv.xi / sv.eta))
 
 
-def reconstruct_f_exact(x, rho: float, table: PhaseTable):
+def reconstruct_f_exact(
+    x, rho: float, table: PhaseTable, value: SecularValue | None = None
+):
     """Eigenfunction values at x from the integral representation.
 
     Intended for rho already refined by refine_rho; at non-eigenvalue rho
     the formula still evaluates but satisfies no boundary condition. The
     result has unit L2 norm on (0,1) and is positive on its first
-    quarter-oscillation.
+    quarter-oscillation. The secular value already computed at this rho
+    (RefinedRoot.value) can be passed to skip the solve.
 
     One oscillatory term (the residue at the poles +-i rho) plus two real
     half-line integrals carrying the boundary layers at 1 and at 0. The
@@ -399,8 +402,10 @@ def reconstruct_f_exact(x, rho: float, table: PhaseTable):
     if np.any((xx < 0) | (xx > 1)):
         raise DomainError("x must lie in [0, 1]")
 
-    sol = solve_pqr(rho, table)
-    sv = secular(rho, table, solution=sol)
+    if value is not None and value.rho != float(rho):
+        raise DomainError("supplied value was computed at a different rho")
+    sv = value if value is not None else secular(rho, table)
+    sol = sv.solution
     c1 = float(-np.real(sv.xi / sv.eta))
     bal = b_alpha(table.order)
 

@@ -19,6 +19,10 @@ Nystrom scheme: B = sqrt(w) K sqrt(w) + diag(S - Q) where S(x_i) is the
 exact row integral of the kernel and Q its quadrature approximation. The
 correction compensates the |x-y|^{2a-1} diagonal kink, which otherwise
 limits Gauss-Legendre convergence far below the tolerances wanted here.
+The matrix K(x_i, x_j) comes from one closed-form evaluation on the upper
+triangle, mirrored (K depends on (x, y) only through min and max), plus,
+for the bridge kernel, the rank-one term built from the one m-vector
+K(x_i, 1), which the row integral S reuses.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 """
@@ -136,10 +140,7 @@ def kernel_bridge(x, y, alpha):
     scalar = np.isscalar(x) and np.isscalar(y)
     xx = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
-    k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
-    out = _kernel_raw(xx, yy, a) - _kernel_raw(xx, 1.0, a) * _kernel_raw(
-        1.0, yy, a
-    ) / k11
+    out = _kernel_of_kind(xx, yy, a, KernelKind.BRIDGE)
     return float(out) if scalar else out
 
 
@@ -149,17 +150,17 @@ def _row_integral_rl(x, a: float):
     return x**a * sps.hyp2f1(-a, 1.0, 1 + a, x) / (a * a * sps.gamma(a) ** 2)
 
 
-def _row_integral_bridge(x, a: float):
+def _row_integral_bridge(x, a: float, kx1=None):
     # int_0^1 K(y,1) dy = K(1,1) (2a-1)/(2a^2), so the rank-one part
-    # integrates to K(x,1) (2a-1)/(2a^2)
-    return _row_integral_rl(x, a) - _kernel_raw(np.asarray(x, dtype=float), 1.0, a) * (
-        2 * a - 1
-    ) / (2 * a * a)
+    # integrates to K(x,1) (2a-1)/(2a^2); kx1 is K(x,1) if already evaluated
+    if kx1 is None:
+        kx1 = _kernel_raw(np.asarray(x, dtype=float), 1.0, a)
+    return _row_integral_rl(x, a) - kx1 * (2 * a - 1) / (2 * a * a)
 
 
-def _row_integral(x, a: float, kind: KernelKind):
+def _row_integral(x, a: float, kind: KernelKind, kx1=None):
     if kind is KernelKind.BRIDGE:
-        return _row_integral_bridge(x, a)
+        return _row_integral_bridge(x, a, kx1)
     return _row_integral_rl(x, a)
 
 
@@ -170,6 +171,25 @@ def _kernel_of_kind(x, y, a: float, kind: KernelKind):
             1.0, y, a
         ) / k11
     return _kernel_raw(x, y, a)
+
+
+def _kernel_matrix(x, a: float, kx1=None):
+    """K(x_i, x_j) on the nodes x, minus kx1_i kx1_j / K(1,1) if kx1 is given.
+
+    kx1 = K(x, 1) is the column of the bridge kernel's rank-one term. The
+    closed form is evaluated once on the upper triangle and mirrored:
+    _kernel_raw depends on (x, y) only through min and max, and the
+    rank-one product keeps the operation order of _kernel_of_kind, so the
+    matrix equals _kernel_of_kind on the full meshgrid bit for bit.
+    """
+    m = x.size
+    i, j = np.triu_indices(m)
+    K = np.empty((m, m))
+    K[i, j] = K[j, i] = _kernel_raw(x[i], x[j], a)
+    if kx1 is not None:
+        k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
+        K -= kx1[:, None] * kx1[None, :] / k11
+    return K
 
 
 @dataclass(frozen=True)
@@ -230,10 +250,12 @@ def discretize_and_solve(
     if a <= 0.5:
         raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
     x, w = grid.nodes, grid.weights
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    # K(x, 1): the bridge's rank-one column, shared by K and the row integral
+    kx1 = _kernel_raw(x, 1.0, a) if spec.kind is KernelKind.BRIDGE else None
     if _kernel is None:
-        K = _kernel_of_kind(X, Y, a, spec.kind)
+        K = _kernel_matrix(x, a, kx1)
     else:
+        X, Y = np.meshgrid(x, x, indexing="ij")
         K = _kernel(X, Y, a)
         if spec.kind is KernelKind.BRIDGE:
             k1 = _kernel(x, np.ones_like(x), a)
@@ -243,7 +265,7 @@ def discretize_and_solve(
             )
     if not np.all(np.isfinite(K)):
         raise ConvergenceError("kernel produced non-finite matrix entries")
-    S = _row_integral(x, a, spec.kind)
+    S = _row_integral(x, a, spec.kind, kx1)
     Q = K @ w
     sw = np.sqrt(w)
     B = sw[:, None] * K * sw[None, :] + np.diag(S - Q)

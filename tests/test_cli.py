@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from fracspec.cli import main
+import fracspec.integro
+from fracspec.cli import _write_text, main
 from fracspec.errors import BracketError
 
 HEADER = (
@@ -146,7 +147,15 @@ class TestEigenfunction:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "f_asym_layers - f_nystrom" in svg
 
-    def test_exact_column(self, tmp_path):
+    def test_exact_column(self, tmp_path, monkeypatch):
+        solve = fracspec.integro.solve_pqr
+        rhos = []
+
+        def counting(rho, table):
+            rhos.append(float(rho))
+            return solve(rho, table)
+
+        monkeypatch.setattr(fracspec.integro, "solve_pqr", counting)
         rc = main(
             [
                 "eigenfunction",
@@ -163,6 +172,8 @@ class TestEigenfunction:
         assert header.endswith(",f_exact")
         data = np.array([[float(v) for v in r] for r in rows])
         assert np.max(np.abs(data[:, 4] - data[:, 1])) < 1e-2
+        # the reconstruction reuses the refined root's solution
+        assert len(rhos) == len(set(rhos))
 
     def test_caputo_rejected(self, tmp_path):
         rc = main(
@@ -170,6 +181,26 @@ class TestEigenfunction:
              "--alpha", "0.75", "--out", str(tmp_path)]
         )
         assert rc == 2
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("fail", ["write", "replace"])
+    def test_failure_keeps_target(self, tmp_path, monkeypatch, fail):
+        target = tmp_path / "spectrum.csv"
+        target.write_bytes(b"old\n")
+        text = "new\n"
+        if fail == "write":
+            text = "new\ud800\n"  # a lone surrogate cannot be encoded
+        else:
+
+            def refuse(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises((UnicodeEncodeError, OSError)):
+            _write_text(str(target), text)
+        assert _read(target) == "old\n"
+        assert os.listdir(tmp_path) == ["spectrum.csv"]
 
 
 class TestValidate:

@@ -335,6 +335,26 @@ class TestReconstruct:
             g = -g
         assert np.max(np.abs(f - g)) < 5e-4
 
+    def test_value_skips_the_solve(self, roots075, table075, monkeypatch):
+        root = roots075[10]
+        x = np.linspace(0.0, 1.0, 101)
+        want = reconstruct_f_exact(x, root.rho, table075)
+        calls = []
+
+        def counting(rho, table):
+            calls.append(rho)
+            return solve_pqr(rho, table)
+
+        monkeypatch.setattr("fracspec.integro.solve_pqr", counting)
+        got = reconstruct_f_exact(x, root.rho, table075, root.value)
+        assert calls == []
+        assert np.array_equal(got, want)
+
+    def test_value_at_other_rho_rejected(self, roots075, table075):
+        root = roots075[10]
+        with pytest.raises(DomainError):
+            reconstruct_f_exact(np.array([0.5]), root.rho + 1e-3, table075, root.value)
+
     def test_domain_check(self, roots075, table075):
         with pytest.raises(DomainError):
             reconstruct_f_exact(np.array([-0.1, 0.5]), roots075[10].rho, table075)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as spgamma
 
 import fracspec as fs
+from fracspec import nystrom
 from fracspec.errors import ConvergenceError, DomainError
 from fracspec.nystrom import (
     KernelKind,
@@ -21,6 +22,9 @@ from fracspec.nystrom import (
     kernel_K,
     kernel_typo,
     mercer_trace_gap,
+    _kernel_matrix,
+    _kernel_of_kind,
+    _kernel_raw,
 )
 
 
@@ -111,6 +115,35 @@ class TestKernel:
         assert kernel_K(c * x, c * y, a) == pytest.approx(
             c ** (2 * a - 1) * kernel_K(x, y, a), rel=1e-9
         )
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("a", [0.51, 0.75, 0.97, 1.0])
+    @pytest.mark.parametrize("nodes", ["m2", "m3", "m40", "m200", "near"])
+    def test_equals_meshgrid_oracle(self, nodes, a, kind):
+        if nodes == "near":
+            # pairs closer than 1e-8 relative take the connection formula
+            x = np.array([0.2, 0.5, 0.5 * (1 + 5e-9), 0.5 * (1 + 2e-8), 0.9])
+        else:
+            x = build_grid(int(nodes[1:])).nodes
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
+        assert np.array_equal(_kernel_matrix(x, a, kx1), _kernel_of_kind(X, Y, a, kind))
+
+    def test_bridge_solve_evaluates_triangle_and_one_column(self, order075, monkeypatch):
+        raw = nystrom._kernel_raw
+        points = []
+
+        def counting(x, y, a):
+            points.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+            return raw(x, y, a)
+
+        monkeypatch.setattr(nystrom, "_kernel_raw", counting)
+        m = 40
+        discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(m))
+        # the upper triangle, the column K(x, 1) and K(1, 1)
+        assert sum(points) <= m * (m + 1) // 2 + m + 1
 
 
 class TestRowIntegral:
