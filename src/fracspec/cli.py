@@ -169,6 +169,11 @@ def _validated_order(cfg: RunConfig, nystrom: bool) -> FractionalOrder:
         raise UsageError(
             f"the Nystrom solver requires alpha > 1/2, got {order.alpha}"
         )
+    if "integro" in cfg.methods and order.alpha == 1.0:
+        raise UsageError(
+            "integro refinement requires alpha < 1; at alpha = 1 the roots"
+            " are exact (rho_n = pi n) and asym2 gives them"
+        )
     return order
 
 
@@ -317,6 +322,11 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
         raise UsageError("eigenfunction needs nystrom among methods (reference)")
     if n < 1:
         raise UsageError("n must be >= 1")
+    if exact and order.alpha == 1.0:
+        raise UsageError(
+            "--exact requires alpha < 1; at alpha = 1 the eigenfunctions are"
+            " exact sines and f_asym_nolayers gives them"
+        )
 
     x = np.linspace(0.0, 1.0, cfg.grid_points)
     spectrum = discretize_and_solve(

@@ -10,9 +10,10 @@ frequency rho only enters through e^{-rho tau} and explicit prefactors):
 with three inhomogeneous solutions p = Ap + (1,0), q = Aq + (0,1),
 r = Ar + (0,t). Their analytic continuations at t = -+i combine into two
 boundary functionals xi, eta; rho is an eigenvalue's signature exactly when
-Im(xi conj(eta)) = 0. Roots are isolated by scanning the normalized
-condition over a bracket around the two-term asymptotic value and polished
-by Brent's method.
+Im(xi conj(eta)) = 0. Roots are isolated by sampling the normalized
+condition on a grid around the two-term asymptotic value, visiting its
+intervals nearest-first and stopping at the first sign change, and are
+polished by Brent's method.
 
 Since h0 = -g0 exactly, both off-diagonal blocks of M carry g0. With h0 in
 place of -h0 the first-order corrections from xi and eta cancel in the
@@ -30,7 +31,8 @@ system data, and each rho needs it exactly once: solve_pqr samples g0 and
 h0 in one PV sweep, and the PQRSolution carries that kernel data (g0, -h0
 and the weights times e^{-rho t}) so the continuations at -+i, secular and
 reconstruct_f_exact sample nothing again. refine_rho evaluates each rho of
-its scan and of Brent's iterates once.
+its bracket search and of Brent's iterates once; a root typically takes six
+or seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
@@ -315,9 +317,14 @@ def refine_rho(
 ) -> RefinedRoot:
     """Refine rho_n from the two-term asymptote by a bracketed root solve.
 
-    Scans the normalized condition on [rho_n - pi/2, rho_n + pi/2]; a sign
-    change is required and reported honestly: none found raises
-    BracketError (no root is guessed). The polished root must satisfy
+    The normalized condition is sampled at scan_points equispaced nodes of
+    [rho_n - pi/2, rho_n + pi/2]. The intervals between them are visited
+    nearest-first: by the distance of their midpoints from rho_n, the lower
+    interval first at equal distance. The first interval whose ends differ
+    in sign is the bracket that Brent's method polishes, so only the nodes
+    up to it are evaluated; it is the sign change nearest to rho_n. When no
+    interval changes sign, BracketError is raised after every node has been
+    evaluated (no root is guessed). The polished root must satisfy
     |Im(xi conj(eta))| < 1e-10 |xi||eta| or AccuracyError is raised.
     """
     order = _as_order(alpha)
@@ -335,10 +342,11 @@ def refine_rho(
     lo = max(rho0 - np.pi / 2.0, 1e-3)
     hi = rho0 + np.pi / 2.0
 
-    # brentq re-evaluates the bracket ends of the scan, and the root it
-    # returns is its best iterate, in practice the rho of smallest
-    # |condition| seen. Each rho is evaluated once; only that best value
-    # keeps its solution, so memory stays flat. Any other root is re-solved.
+    # the bracket search visits each node from two intervals, brentq
+    # re-evaluates the bracket ends, and the root it returns is its best
+    # iterate, in practice the rho of smallest |condition| seen. Each rho is
+    # evaluated once; only that best value keeps its solution, so memory
+    # stays flat. Any other root is re-solved.
     normalized = {}
     best = None
 
@@ -353,16 +361,16 @@ def refine_rho(
         return normalized[key]
 
     rs = np.linspace(lo, hi, scan_points)
-    vals = np.array([fn(r) for r in rs])
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if flips.size == 0:
+    mids = 0.5 * (rs[:-1] + rs[1:])
+    # a stable sort puts the lower of two equidistant intervals first
+    for i in np.argsort(np.abs(mids - rho0), kind="stable"):
+        if np.sign(fn(rs[i])) * np.sign(fn(rs[i + 1])) < 0:
+            break
+    else:
         raise BracketError(
             f"no sign change of the secular condition in [{lo:.6g}, {hi:.6g}]"
             f" for n={n}, alpha={order.alpha:g} ({scan_points} samples)"
         )
-    mids = 0.5 * (rs[flips] + rs[flips + 1])
-    i = int(flips[np.argmin(np.abs(mids - rho0))])
     root = brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
     sv = best if best.rho == root else secular(root, table)
     if abs(sv.condition) >= 1e-10 * abs(sv.xi) * abs(sv.eta):

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracspec.integro
 from fracspec.cli import _write_text, main
@@ -315,6 +317,8 @@ class TestUsageErrors:
             ["eigenfunction", "--n", "0", "--alpha", "0.75"],
             ["spectrum", "--variant", "caputo", "--alpha", "0.4"],
             ["validate", "--variant", "caputo", "--alpha", "0.5"],
+            ["spectrum", "--alpha", "1", "--methods", "asym2,integro"],
+            ["eigenfunction", "--alpha", "1", "--exact"],
         ],
     )
     def test_exit_two(self, argv, tmp_path, capsys):
@@ -329,8 +333,79 @@ class TestUsageErrors:
         _, rows = _rows(tmp_path / "spectrum.csv")
         assert len(rows) == 5
 
+    def test_alpha_one_points_to_asym2(self, tmp_path, capsys):
+        argv = ["spectrum", "--alpha", "1", "--methods", "asym2,integro",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "asym2" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_help_exits_zero(self):
         assert main(["-h"]) == 0
 
     def test_no_subcommand_errors(self):
         assert main([]) != 0
+
+
+# Cheap argvs only: every draw passes --methods from a list without nystrom
+# and integro, so no solver runs and n stays small. Valid values are drawn
+# more often than bad ones, so that some draws also get through to a run.
+def _mostly(good, bad):
+    return st.sampled_from(good * 3 + bad)
+
+
+_SMALL_INT = _mostly(["1", "2", "5"], ["0", "-3", "2.5", "x", ""])
+_FLAGS = {
+    "--alpha": _mostly(
+        ["0.75", "0.6", "0.9", "1"],
+        ["0.5", "0.3", "0", "-1", "1.5", "nan", "inf", "abc"],
+    ),
+    "--variant": _mostly(["rl-bridge", "caputo"], ["bogus"]),
+    "--n-min": _SMALL_INT,
+    "--n-max": _SMALL_INT,
+    "--reference": _mostly(["nystrom", "integro"], ["bogus"]),
+    "--grid-points": _mostly(["11", "101"], ["2", "x"]),
+}
+_CONFIG_VALUES = {
+    "alpha": st.text(alphabet="0123456789.-+eainfx ", max_size=6),
+    "variant": _mostly(["rl-bridge", "caputo"], ["bogus", ""]),
+    "methods": st.text(alphabet="asym12nytroigbu, ", max_size=12),
+    "reference": _mostly(["nystrom", "integro"], [""]),
+    "n-min": _SMALL_INT,
+    "n-max": _SMALL_INT,
+    "m": _mostly(["2", "500"], ["1", "abc"]),
+    "bogus": st.just("1"),
+}
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
+        lambda key: _CONFIG_VALUES[key].map(lambda v: f"{key} = {v}")
+    ),
+    st.sampled_from(["", "# comment", "no equals sign", "= 5"]),
+)
+
+
+class TestFuzzMain:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=_mostly(["spectrum"], ["bogus"]),
+        methods=_mostly(
+            ["asym1", "asym2", "asym1,asym2"], ["", ",", "bogus", "nystrom,bogus"]
+        ),
+        flags=st.dictionaries(st.sampled_from(sorted(_FLAGS)), st.none()).flatmap(
+            lambda d: st.fixed_dictionaries({k: _FLAGS[k] for k in d})
+        ),
+        config=st.none() | st.lists(_CONFIG_LINE, max_size=3),
+        extra=_mostly([[]], [["--bogus-flag"], ["stray"]]),
+    )
+    def test_exit_code_documented(
+        self, tmp_path_factory, command, methods, flags, config, extra
+    ):
+        out = tmp_path_factory.getbasetemp() / "fuzz"
+        argv = [command, "--methods", methods, "--out", str(out), *extra]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        if config is not None:
+            path = out.parent / "fuzz.cfg"
+            path.write_text("\n".join(config) + "\n")
+            argv += ["--config", str(path)]
+        assert main(argv) in (0, 1, 2, 3)

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import fracspec as fs
-from fracspec.errors import DomainError
+from fracspec.asymptotics import Order
+from fracspec.errors import BracketError, DomainError
 from fracspec.integro import (
     analytic_extend,
     apply_A,
@@ -262,6 +266,98 @@ class TestRefine:
         assert len(seen) == len(set(seen))
         assert root.rho in seen
         assert root.value.rho == root.rho
+
+    @staticmethod
+    def _scan_nodes(n, order):
+        # the 33 nodes of refine_rho's default scan around the asymptote
+        rho0 = fs.rho_asymptotic(n, order, Order.SECOND)
+        lo = max(rho0 - np.pi / 2.0, 1e-3)
+        return rho0, np.linspace(lo, rho0 + np.pi / 2.0, 33)
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75])
+    def test_matches_full_scan_oracle(self, alpha, monkeypatch):
+        # oracle: evaluate all 33 nodes, then take the sign change whose
+        # midpoint is nearest the asymptote (argmin: lowest index on ties)
+        order = fs.FractionalOrder(alpha)
+        table = fs.PhaseTable(order)
+        intervals = []
+
+        def spy_brentq(f, a, b, **kw):
+            intervals.append((a, b))
+            return brentq(f, a, b, **kw)
+
+        monkeypatch.setattr("fracspec.integro.brentq", spy_brentq)
+        for n in (1, 2, 5, 10, 20):
+            rho0, rs = self._scan_nodes(n, order)
+            cache = {}
+
+            def normalized(r):
+                if r not in cache:
+                    cache[r] = secular(r, table).normalized
+                return cache[r]
+
+            sign = np.sign([normalized(float(r)) for r in rs])
+            flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+            mids = 0.5 * (rs[flips] + rs[flips + 1])
+            i = int(flips[np.argmin(np.abs(mids - rho0))])
+            want = brentq(normalized, rs[i], rs[i + 1], xtol=1e-13)
+
+            root = refine_rho(n, order, table)
+            assert intervals.pop() == (rs[i], rs[i + 1])
+            assert root.bracket == (rs[0], rs[-1])
+            assert root.rho == want
+
+    def test_few_secular_calls_per_root(self, table075, monkeypatch):
+        # the full scan made 37 calls per root (33 nodes plus the polish)
+        calls = []
+        original = secular
+
+        def spy(rho, table, solution=None):
+            calls.append(rho)
+            return original(rho, table, solution)
+
+        monkeypatch.setattr("fracspec.integro.secular", spy)
+        for n in (1, 3, 10, 30):
+            calls.clear()
+            refine_rho(n, 0.75, table=table075)
+            assert len(calls) <= 10
+
+    def test_no_sign_change_evaluates_every_node(self, table075, monkeypatch):
+        seen = []
+
+        def positive(rho, table, solution=None):
+            seen.append(rho)
+            return SimpleNamespace(rho=rho, normalized=1.0)
+
+        monkeypatch.setattr("fracspec.integro.secular", positive)
+        with pytest.raises(BracketError):
+            refine_rho(3, 0.75, table=table075)
+        assert len(seen) == len(set(seen)) == 33
+
+    def test_equidistant_sign_changes_take_the_lower(self, table075, monkeypatch):
+        order = table075.order
+        rho0, rs = self._scan_nodes(3, order)
+        dist = np.abs(0.5 * (rs[:-1] + rs[1:]) - rho0)
+        # intervals j and 31 - j lie symmetrically about the centre node;
+        # take the nearest pair whose midpoints are equally far from rho0
+        j = next(k for k in range(15, -1, -1) if dist[k] == dist[31 - k])
+        inside = (rs[j + 1], rs[31 - j])
+
+        def two_flips(rho, table, solution=None):
+            sign = 1.0 if inside[0] <= rho <= inside[1] else -1.0
+            return SimpleNamespace(rho=rho, normalized=sign)
+
+        class Chosen(Exception):
+            pass
+
+        def record(f, a, b, **kw):
+            raise Chosen(a, b)
+
+        monkeypatch.setattr("fracspec.integro.secular", two_flips)
+        monkeypatch.setattr("fracspec.integro.brentq", record)
+        with pytest.raises(Chosen) as chosen:
+            refine_rho(3, order, table=table075)
+        assert chosen.value.args == (rs[j], rs[j + 1])
 
     def test_variant_and_alpha_guards(self, table075):
         with pytest.raises(DomainError):

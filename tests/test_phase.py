@@ -164,6 +164,49 @@ class TestPvWeight:
             fs.pv_weight(0.0, table075)
 
 
+def _pv_exponent_unblocked(table, t):
+    # one full-size sweep over all t: the reference for the blocked sweep
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a = table.alpha
+    sig, w, sigc = table._sig, table._wsig, table._sigc
+    c = np.cos(a * np.pi)
+    s2 = np.sin(a * np.pi)
+    tt = t[:, None] ** (2 * a)
+    lo = np.log(sig)
+
+    def dtheta(tau_pow, t_pow, diff):
+        return -np.arctan(s2 * diff / ((tau_pow - c) * (t_pow - c) + s2 * s2))
+
+    d_hi = -tt * np.expm1(-2 * a * lo)[None, :]
+    tau_hi = tt * sig[None, :] ** (-2 * a)
+    d_lo = -tt * np.expm1(2 * a * lo)[None, :]
+    tau_lo = tt * sig[None, :] ** (2 * a)
+    num = dtheta(tau_hi, tt, d_hi) - dtheta(tau_lo, tt, d_lo)
+    q = w * num / (sigc * (1.0 + sig))
+    fine = q.sum(axis=-1)
+    coarse = 2.0 * q[:, table._evenpv].sum(axis=-1)
+    return -(2.0 / np.pi) * fine, (2.0 / np.pi) * np.abs(fine - coarse)
+
+
+class TestPvSweep:
+    @pytest.mark.parametrize("alpha", [0.51, 0.75, 0.99])
+    def test_blocked_equals_unblocked(self, alpha):
+        # block edges at 32 rows; 33 and 65 leave a one-row tail
+        table = fs.PhaseTable(fs.FractionalOrder(alpha))
+        rng = np.random.default_rng(7)
+        for size in (1, 31, 32, 33, 34, 65, 240, 2220):
+            t = np.geomspace(1e-8, 1e8, size) * rng.uniform(0.5, 2.0, size)
+            expo, err = table._pv_exponent(t)
+            want_expo, want_err = _pv_exponent_unblocked(table, t)
+            assert np.array_equal(expo, want_expo), size
+            assert np.array_equal(err, want_err), size
+
+    def test_array_accuracy_contract(self):
+        strict = fs.PhaseTable(fs.FractionalOrder(0.75), tol=1e-30)
+        with pytest.raises(AccuracyError):
+            fs.pv_weight(np.geomspace(0.1, 10.0, 70), strict)
+
+
 class TestG0H0:
     def test_g0_frozen(self, table075):
         assert fs.g0(0.5, table075) == pytest.approx(-0.2469575045443444, abs=1e-12)
