@@ -62,13 +62,10 @@ from .phase import (
     PhaseTable,
     Variant,
     b_alpha,
-    cache_dir,
     g0,
     gamma0,
     h0,
-    load_cache,
     pv_weight,
-    save_cache,
     theta0,
     xc0,
 )
@@ -102,7 +99,6 @@ __all__ = [
     "build_grid",
     "build_pqr_grid",
     "c_ratio",
-    "cache_dir",
     "caputo_endpoint_value",
     "discretize_and_solve",
     "dump_integro_csv",
@@ -116,13 +112,11 @@ __all__ = [
     "kernel_bridge",
     "lambda_asymptotic",
     "lambda_two_term",
-    "load_cache",
     "mercer_trace_gap",
     "pv_weight",
     "reconstruct_f_exact",
     "refine_rho",
     "rho_asymptotic",
-    "save_cache",
     "secular",
     "solve_pqr",
     "theta0",

@@ -119,7 +119,6 @@ class AsymptoticEigenpair:
 class EigenfunctionApprox:
     pair: AsymptoticEigenpair
     include_layers: bool = True
-    layer_quadrature_order: int = 6
 
     def __call__(self, x, table: PhaseTable):
         return eigenfunction_asymptotic(
@@ -172,12 +171,7 @@ def upsilon1(t, table: PhaseTable):
 
 
 def _layer_samples(table: PhaseTable, which: Layer, level: int):
-    """Upsilon_j sampled on the half-line grid, memoized on the table."""
-    key = ("layer", which.value, level)
-    with table._lock:
-        hit = table._aux.get(key)
-    if hit is not None:
-        return hit
+    """Nodes t and weighted samples w Upsilon_j(t) on the half-line grid."""
     t, w = half_line_grid(level)
     # drop the rule's extreme nodes: the densities vanish like t^{2a} at 0
     # and t^{-1-a} (Upsilon0) / t^{-2a} (Upsilon1) at infinity, so the
@@ -186,10 +180,7 @@ def _layer_samples(table: PhaseTable, which: Layer, level: int):
     keep = (t > 1e-10) & (t < 1e12)
     t, w = t[keep], w[keep]
     ups = upsilon0(t, table) if which is Layer.AT_ZERO else upsilon1(t, table)
-    entry = (t, w * ups, w * np.abs(ups))
-    with table._lock:
-        table._aux.setdefault(key, entry)
-    return entry
+    return t, w * ups
 
 
 def boundary_layer(x, rho: float, which: Layer, table: PhaseTable, level: int = 6):
@@ -200,7 +191,7 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable, level: int = 
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    t, wu, _ = _layer_samples(table, which, level)
+    t, wu = _layer_samples(table, which, level)
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     d = xx if which is Layer.AT_ZERO else 1.0 - xx

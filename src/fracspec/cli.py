@@ -1,13 +1,14 @@
 """Command line harness around the solver modules.
 
 Subcommands: spectrum (eigenvalue tables), eigenfunction (profiles + error
-plot), validate (invariant suite), cache (phase-data persistence).
+plot), validate (invariant suite).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files are deterministic for a fixed configuration: floats
 %.12e, comma-separated, LF endings. Per-n root refinements run in a thread
-pool; each command writes its files once, at the end, each through a
-temporary file that then replaces the target.
+pool that shares one PhaseTable (read-only, so no lock); each command
+writes its files once, at the end, each through a temporary file that then
+replaces the target.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,10 +29,9 @@ from .asymptotics import (
     eigenfunction_asymptotic,
     lambda_asymptotic,
     lambda_two_term,
-    rho_asymptotic,
 )
 from .errors import FracspecError
-from .integro import PhaseTable, refine_rho, reconstruct_f_exact
+from .integro import PhaseTable, dump_integro_csv, refine_rho, reconstruct_f_exact
 from .nystrom import (
     KernelKind,
     KernelSpec,
@@ -39,20 +40,9 @@ from .nystrom import (
     discretize_and_solve,
     eigenfunction_at,
     kernel_K,
-    kernel_typo,
     mercer_trace_gap,
 )
-from .phase import (
-    FractionalOrder,
-    Variant,
-    _cache_path,
-    cache_dir,
-    cache_records,
-    load_cache,
-    pv_weight,
-    save_cache,
-    xc0,
-)
+from .phase import FractionalOrder, Variant, xc0
 from .quadrature import gauss_legendre_01
 from .svg import svg_line_chart
 
@@ -198,13 +188,6 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.12e}"
 
 
-def _new_table(order: FractionalOrder) -> PhaseTable:
-    table = PhaseTable(order)
-    if cache_dir() is not None:
-        load_cache(table)
-    return table
-
-
 # -- spectrum --------------------------------------------------------------
 
 
@@ -232,7 +215,7 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
     roots = {}
     failures = []
     if "integro" in cfg.methods:
-        table = _new_table(order)
+        table = PhaseTable(order)
         workers = min(8, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {n: pool.submit(refine_rho, n, order, table) for n in ns}
@@ -279,17 +262,9 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
 
     integro_csv = None
     if "integro" in cfg.methods:
-        rows = ["n,rho_refined,rho_asym2,condition_residual,iterations"]
-        for n in ns:
-            rt = roots.get(n)
-            if rt is None:
-                continue
-            r2 = rho_asymptotic(n, order, Order.SECOND)
-            rows.append(
-                f"{n},{rt.rho:.12e},{r2:.12e},"
-                f"{rt.condition_residual:.12e},{rt.iterations}"
-            )
-        integro_csv = "\n".join(rows) + "\n"
+        buf = io.StringIO()
+        dump_integro_csv(roots.values(), order, buf)  # roots are in n order
+        integro_csv = buf.getvalue()
     return spectrum_csv, integro_csv, failures
 
 
@@ -336,7 +311,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
         raise FracspecError(f"n={n} exceeds the {spectrum.mu.size} computed modes")
     f_ny = eigenfunction_at(spectrum, n, x)
 
-    table = _new_table(order)
+    table = PhaseTable(order)
     f_nolayers = eigenfunction_asymptotic(n, x, order, include_layers=False)
     f_layers = eigenfunction_asymptotic(n, x, order, include_layers=True, table=table)
     f_exact = None
@@ -380,7 +355,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
 # -- validate --------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     order = _validated_order(cfg, nystrom=True)
     results = []
 
@@ -401,19 +376,14 @@ def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
         return worst < 1e-8, f"max deviation {worst:.3e} (5 alphas)"
 
     def check_alpha1():
-        kern = kernel_typo if typo_kernel else None
         one = FractionalOrder(1.0)
-        sp_b = discretize_and_solve(
-            KernelSpec(one, KernelKind.BRIDGE), build_grid(800), _kernel=kern
-        )
+        sp_b = discretize_and_solve(KernelSpec(one, KernelKind.BRIDGE), build_grid(800))
         ns = np.arange(1, 21)
         worst_b = float(
             np.max(np.abs(sp_b.lam[:20] / (np.pi * ns) ** 2 - 1.0))
         )
         one_c = FractionalOrder(1.0, Variant.CAPUTO)
-        sp_r = discretize_and_solve(
-            KernelSpec(one_c, KernelKind.RL), build_grid(800), _kernel=kern
-        )
+        sp_r = discretize_and_solve(KernelSpec(one_c, KernelKind.RL), build_grid(800))
         worst_r = float(
             np.max(np.abs(sp_r.rho[:20] / (np.pi * ns - np.pi / 2) - 1.0))
         )
@@ -479,76 +449,6 @@ def cmd_validate(cfg: RunConfig, typo_kernel: bool = False) -> int:
     return 0 if ok else 1
 
 
-# -- cache -----------------------------------------------------------------
-
-
-def _cache_counts(path: str) -> dict:
-    counts = {"theta0": 0, "xc0": 0, "pv": 0}
-    with open(path) as fh:
-        for line in fh:
-            for kind in counts:
-                if f" kind={kind} " in line:
-                    counts[kind] += 1
-                    break
-    return counts
-
-
-def cmd_cache(cfg: RunConfig, action: str) -> int:
-    order = _validated_order(cfg, nystrom=False)
-    if order.variant is not Variant.RL_BRIDGE:
-        raise UsageError("cache holds rl-bridge phase data; use --variant rl-bridge")
-    d = cache_dir()
-    if action in ("stat", "clear") and d is None:
-        print("no cache directory configured (FRACSPEC_CACHE_DIR unset)")
-        return 0
-    if action == "stat":
-        files = sorted(
-            f for f in os.listdir(d) if f.startswith("phase_") and f.endswith(".txt")
-        ) if os.path.isdir(d) else []
-        if not files:
-            print("cache empty (0 entries)")
-            return 0
-        for name in files:
-            c = _cache_counts(os.path.join(d, name))
-            total = sum(c.values())
-            print(
-                f"{name}: theta0={c['theta0']} xc0={c['xc0']} pv={c['pv']}"
-                f" (total {total})"
-            )
-        return 0
-    if action == "clear":
-        removed = 0
-        if os.path.isdir(d):
-            for name in os.listdir(d):
-                if name.startswith("phase_") and name.endswith(".txt"):
-                    os.remove(os.path.join(d, name))
-                    removed += 1
-        print(f"removed {removed} cache file(s)")
-        return 0
-    # build
-    if d is None:
-        raise UsageError("cache build requires FRACSPEC_CACHE_DIR to be set")
-    table = PhaseTable(order)
-    xc0(1j, table)
-    xc0(-1j, table)
-    for t in np.geomspace(1e-3, 1e3, 33):
-        pv_weight(float(t), table)
-    path = _cache_path(order.alpha, d)
-    old = None
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            old = fh.read()
-    written = save_cache(table, d)
-    with open(written, "rb") as fh:
-        new = fh.read()
-    n = len(cache_records(table))
-    if old == new:
-        print(f"cache hit: {written} unchanged ({n} records)")
-    else:
-        print(f"wrote {written} ({n} records)")
-    return 0
-
-
 # -- entry point -----------------------------------------------------------
 
 
@@ -584,15 +484,6 @@ def main(argv=None) -> int:
     )
     vp = sub.add_parser("validate", help="run the invariant suite")
     _add_common(vp)
-    vp.add_argument(
-        "--typo-kernel",
-        dest="typo_kernel",
-        action="store_true",
-        help="debug: use the literal misprinted kernel form",
-    )
-    cp = sub.add_parser("cache", help="manage the phase-data cache")
-    cp.add_argument("action", choices=("build", "clear", "stat"))
-    _add_common(cp)
 
     try:
         args = parser.parse_args(argv)
@@ -605,9 +496,7 @@ def main(argv=None) -> int:
             return cmd_spectrum(cfg)
         if args.command == "eigenfunction":
             return cmd_eigenfunction(cfg, args.n, exact=args.exact)
-        if args.command == "validate":
-            return cmd_validate(cfg, typo_kernel=args.typo_kernel)
-        return cmd_cache(cfg, args.action)
+        return cmd_validate(cfg)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

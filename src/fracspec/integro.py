@@ -49,7 +49,6 @@ from scipy.optimize import brentq
 from .asymptotics import Order, rho_asymptotic
 from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
 from .phase import (
-    FractionalOrder,
     PhaseTable,
     Variant,
     _as_order,
@@ -224,14 +223,13 @@ def _extend_batch(sol: PQRSolution, z):
     return p, q, r
 
 
-def analytic_extend(sol: PQRSolution, z, table: PhaseTable | None = None):
+def analytic_extend(sol: PQRSolution, z):
     """Evaluate the continuations of p, q, r at one point z off (-inf, 0].
 
     On (-inf, 0] the kernel 1/(tau + z) hits the integration range, so the
     formula does not define a continuation there. Values at conjugate points
     are conjugate (all grid data is real); at a grid node the continuation
-    reproduces the grid value. The kernel data come from sol, so table is
-    not used; it is accepted for callers that pass it.
+    reproduces the grid value. The kernel data come from sol.
     """
     zc = complex(z)
     if zc.imag == 0.0 and zc.real <= 0.0:

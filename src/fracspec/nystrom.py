@@ -22,7 +22,9 @@ limits Gauss-Legendre convergence far below the tolerances wanted here.
 The matrix K(x_i, x_j) comes from one closed-form evaluation on the upper
 triangle, mirrored (K depends on (x, y) only through min and max), plus,
 for the bridge kernel, the rank-one term built from the one m-vector
-K(x_i, 1), which the row integral S reuses.
+K(x_i, 1), which the row integral S reuses. This is the solver's only
+kernel path. Scaling by sqrt(w) rounds mirrored entries differently, so
+B is symmetrized once more before the eigensolve.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 """
@@ -37,7 +39,7 @@ from scipy import special as sps
 from scipy.linalg import eigh
 
 from .errors import ConvergenceError, DomainError
-from .phase import FractionalOrder, Variant, _as_order
+from .phase import FractionalOrder, Variant
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
 __all__ = [
@@ -234,17 +236,12 @@ class DiscreteSpectrum:
         return self.lam ** (1.0 / (2.0 * self.spec.alpha.alpha))
 
 
-def discretize_and_solve(
-    spec: KernelSpec, grid: NystromGrid, _kernel=None
-) -> DiscreteSpectrum:
+def discretize_and_solve(spec: KernelSpec, grid: NystromGrid) -> DiscreteSpectrum:
     """Assemble the corrected symmetric Nystrom matrix and diagonalize.
 
     Eigenvalues below -1e-10 * mu_1 raise (the operator is positive
     semidefinite; such values mean the discretization broke); tiny negative
     or zero values are clamped and excluded from the returned spectrum.
-
-    ``_kernel`` overrides the kernel evaluation (debug hook used by the
-    CLI's typo-kernel mode); it receives (x, y, alpha_float).
     """
     a = spec.alpha.alpha
     if a <= 0.5:
@@ -252,23 +249,15 @@ def discretize_and_solve(
     x, w = grid.nodes, grid.weights
     # K(x, 1): the bridge's rank-one column, shared by K and the row integral
     kx1 = _kernel_raw(x, 1.0, a) if spec.kind is KernelKind.BRIDGE else None
-    if _kernel is None:
-        K = _kernel_matrix(x, a, kx1)
-    else:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        K = _kernel(X, Y, a)
-        if spec.kind is KernelKind.BRIDGE:
-            k1 = _kernel(x, np.ones_like(x), a)
-            k1t = _kernel(np.ones_like(x), x, a)
-            K = K - np.outer(k1, k1t) / _kernel(
-                np.asarray(1.0), np.asarray(1.0), a
-            )
+    K = _kernel_matrix(x, a, kx1)
     if not np.all(np.isfinite(K)):
         raise ConvergenceError("kernel produced non-finite matrix entries")
     S = _row_integral(x, a, spec.kind, kx1)
     Q = K @ w
     sw = np.sqrt(w)
     B = sw[:, None] * K * sw[None, :] + np.diag(S - Q)
+    # not a no-op: (sw_i K_ij) sw_j and (sw_j K_ji) sw_i round differently,
+    # and eigh reads only the lower triangle
     B = 0.5 * (B + B.T)
     mu, V = eigh(B)
     mu = mu[::-1]
@@ -371,12 +360,11 @@ def dump_spectrum_csv(spectrum: DiscreteSpectrum, fh) -> None:
 
 
 def kernel_typo(x, y, alpha):
-    """The literal misprinted kernel form (debug only).
+    """The literal misprinted kernel form, kept as a reference only.
 
     Evaluates (x-y)^{a-1} (y^a - (y-min)^a)/(a Gamma(a)^2) via
     exp((a-1) ln(x-y)), which is NaN for x < y and ill-defined on the
-    diagonal: feeding it to the solver fails loudly rather than
-    plausibly.
+    diagonal; no solver path uses it.
     """
     a = _alpha_of(alpha)
     xx = np.asarray(x, dtype=float)

@@ -10,16 +10,15 @@ sweep of the PV weight, the costly part).
 Everything is scale-free: the frequency rho never enters any function here,
 and the signatures enforce that structurally.
 
-A PhaseTable bundles the quadrature data for one alpha. Its transform_cache
-memoizes point evaluations of X_c0 and the PV weight; the cache can be
-persisted to FRACSPEC_CACHE_DIR as flat text (see save_cache / load_cache).
+A PhaseTable bundles the quadrature data for one alpha. It holds no state
+that evaluations change, so threads can share one table. xc0, pv_weight, g0
+and h0 each evaluate through one vectorized path; a scalar argument is
+evaluated as a one-element array and unwrapped at the end.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,9 +38,6 @@ __all__ = [
     "g0",
     "h0",
     "g0_h0",
-    "cache_dir",
-    "save_cache",
-    "load_cache",
 ]
 
 _PV_ROWS = 32  # t rows per PV sweep block: 32 x 401 doubles, about 100 KB
@@ -133,7 +129,7 @@ def _sin_theta0_minus_api(t, a):
 
 
 class PhaseTable:
-    """Quadrature data for one alpha: nodes, phase samples, transform cache.
+    """Quadrature data for one alpha: nodes and phase samples, read-only.
 
     The Cauchy integral over (0, inf) is split as t = u^2 on (0,1] and
     t = 1/s on [1, inf); both pieces use one tanh-sinh rule. Tanh-sinh levels
@@ -189,10 +185,6 @@ class PhaseTable:
         idx = np.argsort(nodes)
         self.nodes = nodes[idx]
         self.theta0_values = values[idx]
-
-        self.transform_cache: dict = {}
-        self._lock = threading.Lock()
-        self._aux: dict = {}  # derived sample arrays (layer integrands etc.)
 
     # -- Cauchy transform ------------------------------------------------
 
@@ -251,190 +243,64 @@ class PhaseTable:
         return -(2.0 / np.pi) * fine, (2.0 / np.pi) * np.abs(fine - coarse)
 
 
-def _on_cut(z) -> bool:
-    z = complex(z)
-    return z.imag == 0.0 and z.real >= 0.0
+def _check_tol(err, table: PhaseTable, what: str) -> None:
+    if err.size and float(err.max()) > table.tol:
+        raise AccuracyError(
+            f"{what} quadrature error estimate {float(err.max()):.3e} > tol"
+        )
 
 
 def xc0(z, table: PhaseTable):
     """X_c0(z) = exp((1/pi) int_0^inf theta0(t)/(t - z) dt), z off [0, inf).
 
-    Scalar complex arguments are memoized in the table's transform_cache
-    (repeat calls are bit-identical); array arguments take a vectorized
-    uncached path. Raises AccuracyError when the quadrature's internal error
-    estimate exceeds the table tolerance.
+    An array argument keeps its dtype (a real array of negative points is
+    evaluated in real arithmetic); a scalar is evaluated as complex(z) and
+    returned as a complex whose imaginary part is +0.0 where X_c0 is real.
+    Raises AccuracyError when the quadrature's internal error estimate
+    exceeds the table tolerance.
     """
-    if isinstance(z, np.ndarray):
-        if np.any((z.imag == 0.0) & (z.real >= 0.0)):
-            raise DomainError("xc0 is undefined on the cut [0, inf)")
-        val, err = table._cauchy(z)
-        if err.size and float(err.max()) > table.tol:
-            raise AccuracyError(
-                f"xc0 quadrature error estimate {float(err.max()):.3e} > tol"
-            )
-        return np.exp(val)
-
-    zc = complex(z)
-    if _on_cut(zc):
+    scalar = np.isscalar(z)
+    zz = np.asarray([complex(z)]) if scalar else np.asarray(z)
+    if np.any((zz.imag == 0.0) & (zz.real >= 0.0)):
         raise DomainError("xc0 is undefined on the cut [0, inf)")
-    key = ("xc0", (zc.real, zc.imag))
-    with table._lock:
-        hit = table.transform_cache.get(key)
-    if hit is not None:
-        return hit
-    val, err = table._cauchy(np.asarray(zc))
-    if float(err) > table.tol:
-        raise AccuracyError(f"xc0 quadrature error estimate {float(err):.3e} > tol")
-    out = complex(np.exp(val))
-    if out.imag == 0.0:
-        out = complex(out.real, 0.0)
-    with table._lock:
-        table.transform_cache.setdefault(key, out)
-    return out
+    val, err = table._cauchy(zz)
+    _check_tol(err, table, "xc0")
+    out = np.exp(val)
+    if not scalar:
+        return out
+    out = complex(out[0])
+    return complex(out.real, 0.0) if out.imag == 0.0 else out
 
 
 def pv_weight(t, table: PhaseTable):
     """exp(-(2t/pi) PV int theta0(tau)/(tau^2 - t^2) dtau), for t > 0."""
-    arr = isinstance(t, np.ndarray)
     tt = _check_positive(t)
-    if arr:
-        expo, err = table._pv_exponent(tt)
-        if err.size and float(err.max()) > table.tol:
-            raise AccuracyError(
-                f"pv quadrature error estimate {float(err.max()):.3e} > tol"
-            )
-        return np.exp(expo)
-    tv = float(tt)
-    key = ("pv", tv)
-    with table._lock:
-        hit = table.transform_cache.get(key)
-    if hit is not None:
-        return hit
-    expo, err = table._pv_exponent(tv)
-    if float(err[0]) > table.tol:
-        raise AccuracyError(f"pv quadrature error estimate {float(err[0]):.3e} > tol")
-    out = float(np.exp(expo[0]))
-    with table._lock:
-        table.transform_cache.setdefault(key, out)
-    return out
+    expo, err = table._pv_exponent(tt)
+    _check_tol(err, table, "pv")
+    w = np.exp(expo)
+    return float(w[0]) if np.isscalar(t) else w
 
 
 def g0(t, table: PhaseTable):
     """g0(t) = t^alpha sin(theta0(t)) pv_weight(t); negative on (0, inf)."""
-    a = table.alpha
-    if np.isscalar(t):
-        tv = float(t)
-        return tv**a * np.sin(theta0(tv, table.order)) * pv_weight(tv, table)
-    return g0_h0(t, table)[0]
+    g = g0_h0(t, table)[0]
+    return float(g[0]) if np.isscalar(t) else g
 
 
 def h0(t, table: PhaseTable):
     """h0(t) = -t^{-alpha} sin(theta0(t) - alpha pi) pv_weight(t)."""
-    a = table.alpha
-    if np.isscalar(t):
-        tv = float(t)
-        return -(tv ** (-a)) * float(_sin_theta0_minus_api(tv, a)) * pv_weight(
-            tv, table
-        )
-    return g0_h0(t, table)[1]
+    h = g0_h0(t, table)[1]
+    return float(h[0]) if np.isscalar(t) else h
 
 
 def g0_h0(t, table: PhaseTable):
     """(g0(t), h0(t)) on an array of t > 0 from one PV weight sweep.
 
-    The array paths of g0 and h0 take their values from here.
+    g0 and h0 take their values from here.
     """
     a = table.alpha
-    tt = _check_positive(t)
+    tt = np.atleast_1d(_check_positive(t))
     pv = pv_weight(tt, table)
     g = tt**a * np.sin(theta0(tt, table.order)) * pv
     h = -(tt ** (-a)) * _sin_theta0_minus_api(tt, a) * pv
     return g, h
-
-
-# -- disk cache ----------------------------------------------------------
-
-
-def cache_dir() -> str | None:
-    """Cache directory from FRACSPEC_CACHE_DIR, or None (no persistence)."""
-    d = os.environ.get("FRACSPEC_CACHE_DIR", "").strip()
-    return d or None
-
-
-def _g17(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _cache_path(alpha: float, directory: str) -> str:
-    return os.path.join(directory, f"phase_{_g17(alpha)}.txt")
-
-
-def cache_records(table: PhaseTable) -> list[str]:
-    """All cache records of a table in deterministic order."""
-    a = _g17(table.alpha)
-    lines = [
-        f"alpha={a} kind=theta0 key={_g17(t)} value={_g17(v)}"
-        for t, v in zip(table.nodes, table.theta0_values)
-    ]
-    with table._lock:
-        items = sorted(table.transform_cache.items(), key=lambda kv: kv[0])
-    for (kind, key), value in items:
-        if kind == "xc0":
-            lines.append(
-                f"alpha={a} kind=xc0 key={_g17(key[0])},{_g17(key[1])}"
-                f" value={_g17(value.real)},{_g17(value.imag)}"
-            )
-        elif kind == "pv":
-            lines.append(f"alpha={a} kind=pv key={_g17(key)} value={_g17(value)}")
-    return lines
-
-
-def save_cache(table: PhaseTable, directory: str | None = None) -> str | None:
-    """Write the table's records to the cache directory; returns the path.
-
-    Returns None (writes nothing) when no directory is configured.
-    """
-    directory = directory or cache_dir()
-    if directory is None:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = _cache_path(table.alpha, directory)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(cache_records(table)) + "\n")
-    return path
-
-
-def load_cache(table: PhaseTable, directory: str | None = None) -> int:
-    """Populate the transform_cache from disk; returns records loaded."""
-    directory = directory or cache_dir()
-    if directory is None:
-        return 0
-    path = _cache_path(table.alpha, directory)
-    if not os.path.exists(path):
-        return 0
-    want_alpha = _g17(table.alpha)
-    n = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = dict(part.split("=", 1) for part in line.split(" "))
-            if fields.get("alpha") != want_alpha:
-                continue
-            kind = fields.get("kind")
-            key = fields.get("key", "")
-            value = fields.get("value", "")
-            if kind == "xc0":
-                kr, ki = (float(x) for x in key.split(","))
-                vr, vi = (float(x) for x in value.split(","))
-                with table._lock:
-                    table.transform_cache[("xc0", (kr, ki))] = complex(vr, vi)
-                n += 1
-            elif kind == "pv":
-                with table._lock:
-                    table.transform_cache[("pv", float(key))] = float(value)
-                n += 1
-            elif kind == "theta0":
-                n += 1  # table nodes are rebuilt, record only counted
-    return n

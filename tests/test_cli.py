@@ -228,44 +228,6 @@ class TestValidate:
         assert solves.count((0.75, nystrom.KernelKind.BRIDGE, 600)) == 1
         assert len(solves) == 6
 
-    def test_typo_kernel_fails_degeneration(self, capsys):
-        rc = main(["validate", "--alpha", "0.75", "--m", "400", "--typo-kernel"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "FAIL alpha1_degeneration" in out
-
-
-class TestCache:
-    def test_cycle(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACSPEC_CACHE_DIR", str(tmp_path))
-        assert main(["cache", "build", "--alpha", "0.75"]) == 0
-        first = capsys.readouterr().out
-        assert "wrote" in first and "records" in first
-
-        assert main(["cache", "build", "--alpha", "0.75"]) == 0
-        second = capsys.readouterr().out
-        assert "cache hit" in second
-
-        assert main(["cache", "stat"]) == 0
-        stat = capsys.readouterr().out
-        assert "phase_0.75.txt" in stat and "xc0=2" in stat and "pv=33" in stat
-
-        assert main(["cache", "clear"]) == 0
-        assert "removed 1" in capsys.readouterr().out
-        assert main(["cache", "stat"]) == 0
-        assert "cache empty" in capsys.readouterr().out
-
-    def test_without_directory(self, monkeypatch, capsys):
-        monkeypatch.delenv("FRACSPEC_CACHE_DIR", raising=False)
-        assert main(["cache", "stat"]) == 0
-        assert "no cache directory" in capsys.readouterr().out
-        assert main(["cache", "build"]) == 2
-
-    def test_caputo_rejected(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FRACSPEC_CACHE_DIR", str(tmp_path))
-        assert main(["cache", "stat", "--variant", "caputo",
-                     "--alpha", "0.75"]) == 2
-
 
 class TestConfig:
     def test_file_and_flag_precedence(self, tmp_path):
@@ -319,11 +281,17 @@ class TestUsageErrors:
             ["validate", "--variant", "caputo", "--alpha", "0.5"],
             ["spectrum", "--alpha", "1", "--methods", "asym2,integro"],
             ["eigenfunction", "--alpha", "1", "--exact"],
+            ["cache", "stat"],
+            ["validate", "--alpha", "0.75", "--typo-kernel"],
         ],
     )
     def test_exit_two(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert "usage error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # argparse rejects the removed subcommand and flag itself
+        removed = argv[0] == "cache" or "--typo-kernel" in argv
+        assert ("fracspec: error:" if removed else "usage error:") in err
 
     def test_caputo_low_alpha_asymptotics(self, tmp_path):
         # no Nystrom solve, so alpha <= 1/2 is fine for the asymptotics

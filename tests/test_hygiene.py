@@ -1,0 +1,43 @@
+"""Source hygiene checks that need no linter: the standard library's ast only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fracspec
+
+SOURCES = sorted(Path(fracspec.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in used | exported
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_check_flags_an_unused_import():
+    tree = ast.parse("import os\nfrom x import y, z as w\n__all__ = ['y']\n")
+    assert _unused_imports(tree) == ["os (line 1)", "w (line 2)"]

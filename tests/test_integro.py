@@ -115,7 +115,7 @@ class TestExtension:
         sol = solve_pqr(28.0, table075)
         for j in (5, 120, 200):
             z = complex(sol.grid[j])
-            p, q, r = analytic_extend(sol, z, table075)
+            p, q, r = analytic_extend(sol, z)
             assert p[0] == pytest.approx(sol.p[0, j], abs=1e-11)
             assert q[1] == pytest.approx(sol.q[1, j], abs=1e-11)
             assert r[1] == pytest.approx(sol.r[1, j], abs=1e-11)
@@ -123,8 +123,8 @@ class TestExtension:
     def test_conjugate_symmetry(self, table075):
         sol = solve_pqr(28.0, table075)
         z = 0.4 + 0.9j
-        pa, qa, ra = analytic_extend(sol, z, table075)
-        pb, qb, rb = analytic_extend(sol, np.conj(z), table075)
+        pa, qa, ra = analytic_extend(sol, z)
+        pb, qb, rb = analytic_extend(sol, np.conj(z))
         assert pa[0] == pytest.approx(np.conj(pb[0]), abs=1e-13)
         assert qa[1] == pytest.approx(np.conj(qb[1]), abs=1e-13)
         assert ra[1] == pytest.approx(np.conj(rb[1]), abs=1e-13)
@@ -133,7 +133,7 @@ class TestExtension:
         sol = solve_pqr(28.0, table075)
         for z in (0.0, -1.0, complex(-3.0, 0.0)):
             with pytest.raises(DomainError):
-                analytic_extend(sol, z, table075)
+                analytic_extend(sol, z)
 
 
 class TestKernelData:
@@ -163,15 +163,15 @@ class TestKernelData:
         assert sweeps == [sol.grid.size]
         sweeps.clear()
         secular(28.0, table075, solution=sol)
-        analytic_extend(sol, 0.3 + 0.2j, table075)
+        analytic_extend(sol, 0.3 + 0.2j)
         assert sweeps == []
 
     def test_secular_continues_at_plus_minus_i(self, table075, monkeypatch):
         sol = solve_pqr(28.0, table075)
         used = []
 
-        def spy(s, z, table=None):
-            out = analytic_extend(s, z, table)
+        def spy(s, z):
+            out = analytic_extend(s, z)
             used.append((complex(z), out))
             return out
 
@@ -179,7 +179,7 @@ class TestKernelData:
         secular(28.0, table075, solution=sol)
         assert [z for z, _ in used] == [-1j, 1j]
         for z, out in used:
-            for got, want in zip(out, analytic_extend(sol, z, table075)):
+            for got, want in zip(out, analytic_extend(sol, z)):
                 assert np.array_equal(got, want)
 
     def test_continuation_matches_fresh_kernel(self, table075):
@@ -193,7 +193,7 @@ class TestKernelData:
             ker = e / (t[None, :] + np.asarray([z])[:, None]) / np.pi
             kg = ker * fs.g0(t, table075)[None, :]
             kh = ker * -fs.h0(t, table075)[None, :]
-            p, q, r = analytic_extend(sol, z, table075)
+            p, q, r = analytic_extend(sol, z)
             assert np.array_equal(p, [(kg @ sol.p[1] + 1.0)[0], (kh @ sol.p[0])[0]])
             assert np.array_equal(q, [(kg @ sol.q[1])[0], (kh @ sol.q[0] + 1.0)[0]])
             assert np.array_equal(r, [(kg @ sol.r[1])[0], (kh @ sol.r[0] + z)[0]])
