@@ -56,6 +56,13 @@ class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argparse's own rejections as UsageError, like every other."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass
 class RunConfig:
     alpha: float = 0.75
@@ -467,7 +474,7 @@ def _add_common(sp) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracspec",
         description="Fractional boundary value eigenproblem toolkit",
     )
@@ -486,11 +493,10 @@ def main(argv=None) -> int:
     _add_common(vp)
 
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # --help
+            return int(e.code or 0)
         cfg = _config_from_args(args)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)

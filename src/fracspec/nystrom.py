@@ -6,13 +6,20 @@ the Riemann-Liouville covariance kernel
     K(x,y) = (1/Gamma(a)^2) int_0^{min(x,y)} (x-t)^{a-1} (y-t)^{a-1} dt
 
 (caputo variant) and its bridge modification K - K(.,1)K(1,.)/K(1,1)
-(rl-bridge variant). K has the closed form
+(rl-bridge variant). With lo = min(x,y), hi = max(x,y), R = lo/hi and
+d = hi - lo, K has the closed form d^{2a-1} (R^a / a) 2F1(a, 2a; 1+a; R)
+/ Gamma(a)^2. The identity 2F1(p, 1-q; p+1; z) = p z^{-p} B_z(p, q) (DLMF
+8.17.8) and the recurrence q B_z(p, q) = (p+q) B_z(p, q+1) - z^p (1-z)^q
+turn it into one regularized incomplete beta I_R:
 
-    K(x,y) = d^{2a-1} (R^a / a) 2F1(a, 2a; 1+a; R) / Gamma(a)^2,
+    K(x,y) = [hi^{a-1} lo^a - c d^{2a-1} I_R(a, 2-2a)] / ((2a-1) Gamma(a)^2),
 
-R = min/max, d = |x-y|, with diagonal x^{2a-1}/((2a-1)Gamma(a)^2); near the
-diagonal a connection-formula rewrite avoids the hypergeometric's loss of
-accuracy as its argument approaches 1.
+c = (1-a) B(a, 2-2a). The one expression holds on the diagonal (R = 1,
+d = 0 give x^{2a-1}/((2a-1) Gamma(a)^2)) and next to it, where the
+hypergeometric series at argument near 1 would lose digits. At a = 1/2 the
+expression is 0/0; there K = (2/pi) artanh(sqrt(R)), evaluated as
+(2/pi) ln((sqrt(hi) + sqrt(lo)) / sqrt(d)) to keep its digits near the
+diagonal.
 
 The discretization is the singularity-subtracted (corrected) symmetric
 Nystrom scheme: B = sqrt(w) K sqrt(w) + diag(S - Q) where S(x_i) is the
@@ -57,9 +64,6 @@ __all__ = [
     "dump_spectrum_csv",
 ]
 
-_NEAR_DIAG = 1e-8  # switch to the connection formula when d/max < this
-
-
 class KernelKind(Enum):
     RL = "rl"
     BRIDGE = "bridge"
@@ -89,32 +93,20 @@ def _kernel_raw(x, y, a: float):
         return np.minimum(x, y)
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    ga2 = sps.gamma(a) ** 2
-    pos = hi > 0.0
-    R = np.where(pos, lo / np.where(pos, hi, 1.0), 0.0)
     d = hi - lo
-    on_diag = d == 0.0
-    rel = np.where(on_diag, 1.0, np.where(pos, d / np.where(pos, hi, 1.0), 1.0))
-    near = (~on_diag) & (rel < _NEAR_DIAG)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        F = sps.hyp2f1(a, 2 * a, 1 + a, np.where(on_diag | near, 0.0, R))
-        off = d ** (2 * a - 1) * R**a / a * F / ga2
-    diag = np.where(lo > 0, lo, 1.0) ** (2 * a - 1) / ((2 * a - 1) * ga2)
-    out = np.where(on_diag, diag, off)
-
-    if np.any(near):
-        # 2F1 connection at unit argument: exact rewrite in powers of d/hi
-        c1 = sps.gamma(1 + a) * sps.gamma(1 - 2 * a) / sps.gamma(1 - a)
-        c2 = sps.gamma(1 + a) * sps.gamma(2 * a - 1) / (sps.gamma(a) * sps.gamma(2 * a))
-        dn = np.where(near, d, 1.0)
-        hin = np.where(near, hi, 1.0)
-        Rn = np.where(near, R, 0.5)
-        Fn = sps.hyp2f1(1.0, 1 - a, 2 - 2 * a, dn / hin)
-        kn = (c1 * dn ** (2 * a - 1) + c2 * Rn**a * hin ** (2 * a - 1) * Fn) / (
-            a * ga2
-        )
-        out = np.where(near, kn, out)
+    # lo = 0 (0/0, 0^(a-1)) is masked below; for a <= 1/2 the diagonal is
+    # infinite, and kernel_K rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a == 0.5:
+            # (2/pi) artanh(sqrt(lo/hi)), written with d to keep its digits
+            # next to the diagonal
+            out = (2.0 / np.pi) * np.log((np.sqrt(hi) + np.sqrt(lo)) / np.sqrt(d))
+        else:
+            b = 2.0 - 2.0 * a
+            c = (1.0 - a) * sps.beta(a, b)
+            ib = sps.betainc(a, b, lo / hi)
+            out = hi ** (a - 1.0) * lo**a - c * d ** (2.0 * a - 1.0) * ib
+            out /= (2.0 * a - 1.0) * sps.gamma(a) ** 2
     return np.where(lo <= 0, 0.0, out)
 
 
@@ -166,12 +158,13 @@ def _row_integral(x, a: float, kind: KernelKind, kx1=None):
     return _row_integral_rl(x, a)
 
 
-def _kernel_of_kind(x, y, a: float, kind: KernelKind):
+def _kernel_of_kind(x, y, a: float, kind: KernelKind, kx1=None):
+    # kx1 is K(x, 1) if already evaluated (bridge only)
     if kind is KernelKind.BRIDGE:
+        if kx1 is None:
+            kx1 = _kernel_raw(x, 1.0, a)
         k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
-        return _kernel_raw(x, y, a) - _kernel_raw(x, 1.0, a) * _kernel_raw(
-            1.0, y, a
-        ) / k11
+        return _kernel_raw(x, y, a) - kx1 * _kernel_raw(1.0, y, a) / k11
     return _kernel_raw(x, y, a)
 
 
@@ -301,8 +294,11 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     xg, w = spectrum.grid.nodes, spectrum.grid.weights
     f = spectrum.vectors[:, k - 1]
-    Kxy = _kernel_of_kind(xx[:, None], xg[None, :], a, kind)
-    S = _row_integral(xx, a, kind)
+    xc = xx[:, None]
+    # K(x, 1): the bridge's rank-one column, shared by Kxy and the row integral
+    kx1 = _kernel_raw(xc, 1.0, a) if kind is KernelKind.BRIDGE else None
+    Kxy = _kernel_of_kind(xc, xg[None, :], a, kind, kx1)
+    S = _row_integral(xc, a, kind, kx1)[:, 0]
     Q = Kxy @ w
     val = (Kxy @ (w * f)) / (spectrum.mu[k - 1] - S + Q)
     return float(val[0]) if scalar else val

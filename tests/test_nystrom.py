@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -59,18 +60,57 @@ class TestKernel:
                 want = x ** (2 * a - 1) / ((2 * a - 1) * spgamma(a) ** 2)
                 assert kernel_K(x, x, a) == pytest.approx(want, rel=1e-13)
 
-    def test_near_diagonal_branches(self):
-        # the direct series loses digits as y -> x; the connection-formula
-        # branch that takes over below relative distance 1e-8 does not
+    def test_near_diagonal(self):
+        # one incomplete-beta form holds at every distance from the diagonal
         mp.mp.dps = 30
         try:
             x, a = 0.5, 0.75
-            for rel, tol in ((2e-8, 1e-7), (5e-9, 1e-12), (1e-10, 1e-12)):
+            for rel, tol in ((2e-8, 1e-12), (5e-9, 1e-12), (1e-10, 1e-12)):
                 y = x * (1 + rel)
                 want = _kernel_oracle(x, y, a)
                 assert kernel_K(x, y, a) == pytest.approx(want, rel=tol)
         finally:
             mp.mp.dps = 15
+
+    @pytest.mark.parametrize(
+        "a, tol",
+        [(0.501, 1e-12), (0.51, 1e-13), (0.55, 1e-14)]
+        + [(a, 5e-15) for a in (0.6, 0.75, 0.75125, 0.9, 0.97, 0.99, 0.999)],
+    )
+    def test_against_mpmath_closed_form(self, a, tol):
+        # Gauss-node pairs with the diagonal, near-diagonal pairs at relative
+        # distance 1e-9 and 1e-12, and pairs with min(x, y) = 1e-12; the two
+        # terms of the incomplete-beta form cancel as a -> 1/2, hence the
+        # looser bounds there
+        g = build_grid(24).nodes
+        i, j = np.triu_indices(g.size)
+        x = np.concatenate([g[i], g, g, np.full(g.size, 1e-12)])
+        y = np.concatenate([g[j], g * (1 + 1e-9), g * (1 + 1e-12), g])
+        with mp.workdps(40):
+            am = mp.mpf(a)
+            ga2 = mp.gamma(am) ** 2
+            want = []
+            for xv, yv in zip(x, y):
+                lo, hi = mp.mpf(min(xv, yv)), mp.mpf(max(xv, yv))
+                if lo == hi:
+                    k = hi ** (2 * am - 1) / ((2 * am - 1) * ga2)
+                else:
+                    R = lo / hi
+                    F = mp.hyp2f1(am, 2 * am, 1 + am, R)
+                    k = (hi - lo) ** (2 * am - 1) * R**am / am * F / ga2
+                want.append(float(k))
+        rel = np.abs(_kernel_raw(x, y, a) / np.array(want) - 1)
+        assert rel.max() < tol
+
+    def test_alpha_half_off_diagonal(self):
+        # K = (2/pi) artanh(sqrt(min/max)); the general form is 0/0 here
+        pts = [(0.3, 0.7), (0.9, 0.2), (1.0, 0.6), (0.5, 0.5 * (1 + 1e-9))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [kernel_K(x, y, 0.5) for x, y in pts]
+        with mp.workdps(30):
+            want = [_kernel_oracle(x, y, 0.5) for x, y in pts]
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_alpha_one_is_min(self):
         x = np.array([0.2, 0.5, 0.9])[:, None]
@@ -123,7 +163,8 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("nodes", ["m2", "m3", "m40", "m200", "near"])
     def test_equals_meshgrid_oracle(self, nodes, a, kind):
         if nodes == "near":
-            # pairs closer than 1e-8 relative take the connection formula
+            # pairs closer than 1e-8 relative, where a hypergeometric series
+            # in min/max would lose digits
             x = np.array([0.2, 0.5, 0.5 * (1 + 5e-9), 0.5 * (1 + 2e-8), 0.9])
         else:
             x = build_grid(int(nodes[1:])).nodes
