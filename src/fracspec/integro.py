@@ -13,7 +13,7 @@ boundary functionals xi, eta; rho is an eigenvalue's signature exactly when
 Im(xi conj(eta)) = 0. Roots are isolated by sampling the normalized
 condition on a grid around the two-term asymptotic value, visiting its
 intervals nearest-first and stopping at the first sign change, and are
-polished by Brent's method.
+polished by _brentq, scipy's Brent solver ported with bit-identical roots.
 
 Since h0 = -g0 exactly, both off-diagonal blocks of M carry g0. With h0 in
 place of -h0 the first-order corrections from xi and eta cancel in the
@@ -41,10 +41,10 @@ over the half line, normalized to unit L2 norm on (0,1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .asymptotics import Order, rho_asymptotic
 from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
@@ -310,6 +310,55 @@ class RefinedRoot:
         return self.value.solution.iterations
 
 
+def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """Brent's method (Brent 1973, ch. 4): scipy's brentq.c ported step for step.
+
+    A NaN value of f or too many iterations raise ConvergenceError, ends of
+    equal sign BracketError.
+    """
+    def fx(x):
+        if math.isnan(v := float(f(x))):
+            raise ConvergenceError(f"the function value at x={x!r} is NaN")
+        return v
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # C's signbit
+        raise BracketError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre and fcur and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects, like C's +-inf or NaN from a division by 0
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    den = dblk * dpre * (fblk - fpre)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+            except ZeroDivisionError:
+                pass
+        good = 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre))  # C's MIN
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def refine_rho(
     n: int, alpha, table: PhaseTable | None = None, scan_points: int = 33
 ) -> RefinedRoot:
@@ -319,9 +368,10 @@ def refine_rho(
     [rho_n - pi/2, rho_n + pi/2]. The intervals between them are visited
     nearest-first: by the distance of their midpoints from rho_n, the lower
     interval first at equal distance. The first interval whose ends differ
-    in sign is the bracket that Brent's method polishes, so only the nodes
-    up to it are evaluated; it is the sign change nearest to rho_n. When no
-    interval changes sign, BracketError is raised after every node has been
+    in sign is the bracket that _brentq polishes (Brent's method, ported
+    from scipy with bit-identical roots), so only the nodes up to it are
+    evaluated; it is the sign change nearest to rho_n. When no interval
+    changes sign, BracketError is raised after every node has been
     evaluated (no root is guessed). The polished root must satisfy
     |Im(xi conj(eta))| < 1e-10 |xi||eta| or AccuracyError is raised.
     """
@@ -340,7 +390,7 @@ def refine_rho(
     lo = max(rho0 - np.pi / 2.0, 1e-3)
     hi = rho0 + np.pi / 2.0
 
-    # the bracket search visits each node from two intervals, brentq
+    # the bracket search visits each node from two intervals, _brentq
     # re-evaluates the bracket ends, and the root it returns is its best
     # iterate, in practice the rho of smallest |condition| seen. Each rho is
     # evaluated once; only that best value keeps its solution, so memory
@@ -369,7 +419,7 @@ def refine_rho(
             f"no sign change of the secular condition in [{lo:.6g}, {hi:.6g}]"
             f" for n={n}, alpha={order.alpha:g} ({scan_points} samples)"
         )
-    root = brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
+    root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
     sv = best if best.rho == root else secular(root, table)
     if abs(sv.condition) >= 1e-10 * abs(sv.xi) * abs(sv.eta):
         raise AccuracyError(

@@ -1,4 +1,7 @@
+import math
 import os
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +125,42 @@ class TestSpectrum:
         # the spectrum file is still written, with empty integro cells
         _, rows = _rows(tmp_path / "high" / "spectrum.csv")
         assert all(r[4] == "" for r in rows)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("nan", "the function value at x=.* is NaN"),
+         ("maxiter", "Brent's method did not converge in 1 iterations")],
+        ids=["nan", "maxiter"],
+    )
+    def test_failed_polish_is_reported(self, fault, message, tmp_path,
+                                       monkeypatch, capsys):
+        # a NaN condition inside Brent's loop, or too few iterations, is a
+        # ConvergenceError: reported per n with exit 3, never a traceback
+        port, real = fracspec.integro._brentq, fracspec.integro.secular
+        polishing = []
+        limit = {"maxiter": 1} if fault == "maxiter" else {}
+
+        def enter(f, a, b, **kw):
+            polishing.append((a, b))
+            return port(f, a, b, **kw, **limit)
+
+        def secular(rho, table, solution=None):
+            if polishing and fault == "nan":
+                return SimpleNamespace(rho=rho, normalized=math.nan)
+            return real(rho, table, solution)
+
+        monkeypatch.setattr(fracspec.integro, "_brentq", enter)
+        monkeypatch.setattr(fracspec.integro, "secular", secular)
+        rc = main(["spectrum", "--alpha", "0.75", "--n-min", "3", "--n-max", "3",
+                   "--methods", "asym2,integro", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert polishing
+        assert re.search(
+            rf"^integro refinement failed at n=3: ConvergenceError: {message}$",
+            err, re.M,
+        )
+        assert "Traceback" not in err
 
 
 class TestEigenfunction:

@@ -1,6 +1,9 @@
-"""Source hygiene checks that need no linter: the standard library's ast only."""
+"""Source hygiene checks that need no linter: unused imports and import cost."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,18 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import os\nfrom x import y, z as w\n__all__ = ['y']\n")
     assert _unused_imports(tree) == ["os (line 1)", "w (line 2)"]
+
+
+def test_import_loads_no_optimizer():
+    # Brent's method is ported into integro, so importing the package and
+    # its CLI loads only scipy.special and scipy.linalg; scipy.optimize
+    # would drag in scipy.sparse and scipy.spatial, about 0.2 s and 17 MB
+    code = "import sys, fracspec, fracspec.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(fracspec.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded = set(out.stdout.split())
+    assert "fracspec.cli" in loaded
+    assert loaded.isdisjoint({"scipy.optimize", "scipy.sparse", "scipy.spatial"})

@@ -1,13 +1,17 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import fracspec as fs
 from fracspec.asymptotics import Order
-from fracspec.errors import BracketError, DomainError
+from fracspec.errors import BracketError, ConvergenceError, DomainError
 from fracspec.integro import (
+    _brentq,
     analytic_extend,
     apply_A,
     build_pqr_grid,
@@ -253,7 +257,7 @@ class TestRefine:
         assert gaps[-1] < gaps[0]
 
     def test_each_rho_evaluated_once(self, table075, monkeypatch):
-        # the scan's bracket ends and brentq's last iterate are reused
+        # the scan's bracket ends and _brentq's last iterate are reused
         seen = []
         original = secular
 
@@ -277,16 +281,17 @@ class TestRefine:
     @pytest.mark.parametrize("alpha", [0.6, 0.75])
     def test_matches_full_scan_oracle(self, alpha, monkeypatch):
         # oracle: evaluate all 33 nodes, then take the sign change whose
-        # midpoint is nearest the asymptote (argmin: lowest index on ties)
+        # midpoint is nearest the asymptote (argmin: lowest index on ties),
+        # and polish it with scipy's brentq; refine_rho runs the port
         order = fs.FractionalOrder(alpha)
         table = fs.PhaseTable(order)
         intervals = []
 
         def spy_brentq(f, a, b, **kw):
             intervals.append((a, b))
-            return brentq(f, a, b, **kw)
+            return _brentq(f, a, b, **kw)  # imported before the patch
 
-        monkeypatch.setattr("fracspec.integro.brentq", spy_brentq)
+        monkeypatch.setattr("fracspec.integro._brentq", spy_brentq)
         for n in (1, 2, 5, 10, 20):
             rho0, rs = self._scan_nodes(n, order)
             cache = {}
@@ -354,7 +359,7 @@ class TestRefine:
             raise Chosen(a, b)
 
         monkeypatch.setattr("fracspec.integro.secular", two_flips)
-        monkeypatch.setattr("fracspec.integro.brentq", record)
+        monkeypatch.setattr("fracspec.integro._brentq", record)
         with pytest.raises(Chosen) as chosen:
             refine_rho(3, order, table=table075)
         assert chosen.value.args == (rs[j], rs[j + 1])
@@ -366,6 +371,87 @@ class TestRefine:
             refine_rho(5, 1.0)
         with pytest.raises(DomainError):
             refine_rho(0, 0.75, table=table075)
+
+
+def _polish(solver, f, a, b, **kw):
+    """Root or outcome of one solve, and the points passed to f."""
+    points = []
+
+    def spy(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(spy, a, b, **kw), points
+    except BracketError:
+        return "signs", points
+    except ConvergenceError as e:
+        return ("nan" if "is NaN" in str(e) else "maxiter"), points
+    except RuntimeError:  # scipy: no convergence
+        return "maxiter", points
+    except ValueError as e:  # scipy: a NaN value or equal signs at the ends
+        return ("nan" if "is NaN" in str(e) else "signs"), points
+
+
+# root r, scale s; the tiny and huge scales underflow and overflow inside
+# the interpolation, which is where a port is most likely to drift
+_FAMILIES = {
+    "cubic": lambda r, s: lambda x: s * (x - r) ** 3,
+    "sine": lambda r, s: lambda x: s * math.sin(3.0 * (x - r)),
+    "step": lambda r, s: lambda x: s if x > r else -s,
+    "atan": lambda r, s: lambda x: s * math.atan(50.0 * (x - r)),
+    "exp": lambda r, s: lambda x: s * (math.exp(x) - math.exp(r)),
+    "nan": lambda r, s: lambda x: math.nan if 0 < x - r < 0.5 else s * (x - r),
+}
+
+
+class TestBrentq:
+    """_brentq against scipy.optimize.brentq, the code it ports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_FAMILIES)),
+        scale=st.sampled_from([1.0, -1.0, 3e-9, 1e-320, -1e-300, 1e300]),
+        r=st.floats(-4.0, 4.0),
+        ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        root_at=st.sampled_from([None, 0, 1]),
+        xtol=st.sampled_from([1e-13, 2e-12, 1e-6, 5e-324]) | st.floats(1e-300, 1.0),
+        maxiter=st.integers(0, 6) | st.just(100),
+    )
+    def test_matches_scipy(self, family, scale, r, ends, root_at, xtol, maxiter):
+        if root_at is not None:  # an exact zero at that end
+            r = ends[root_at]
+        f = _FAMILIES[family](r, scale)
+        kw = dict(xtol=xtol, maxiter=maxiter)
+        want, want_points = _polish(brentq, f, *ends, **kw)
+        got, got_points = _polish(_brentq, f, *ends, **kw)
+        assert got_points == want_points
+        assert got == want
+        assert type(got) is type(want)
+
+    @pytest.mark.parametrize("ends", [(0.5, 2.0), (-1.0, 0.5)])
+    def test_exact_zero_at_an_end(self, ends):
+        got = _polish(_brentq, lambda x: x - 0.5, *ends, xtol=1e-13)
+        assert got == _polish(brentq, lambda x: x - 0.5, *ends, xtol=1e-13)
+        assert got == (0.5, list(ends))
+
+    def test_nan_names_x(self):
+        def f(x):
+            return math.nan if x < 1.0 else x - 1.5
+
+        with pytest.raises(ConvergenceError, match=r"at x=0\.25 is NaN"):
+            _brentq(f, 0.25, 2.0, xtol=1e-13)
+        with pytest.raises(ValueError, match="is NaN"):
+            brentq(f, 0.25, 2.0, xtol=1e-13)
+
+    def test_maxiter_exhausted(self):
+        with pytest.raises(ConvergenceError, match="did not converge in 2"):
+            _brentq(math.sin, 2.0, 4.0, xtol=1e-13, maxiter=2)
+        with pytest.raises(RuntimeError):
+            brentq(math.sin, 2.0, 4.0, xtol=1e-13, maxiter=2)
+        assert _brentq(math.sin, 2.0, 4.0, xtol=1e-13) == brentq(
+            math.sin, 2.0, 4.0, xtol=1e-13
+        )
 
 
 class TestCoefficientRatio:
