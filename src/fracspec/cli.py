@@ -211,7 +211,9 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
     lam_ny = {}
     if "nystrom" in cfg.methods:
         kind = KernelKind.BRIDGE if rl_bridge else KernelKind.RL
-        spectrum = discretize_and_solve(KernelSpec(order, kind), build_grid(cfg.m))
+        spectrum = discretize_and_solve(
+            KernelSpec(order, kind), build_grid(cfg.m), n_vectors=0
+        )
         if cfg.n_max > spectrum.mu.size:
             raise FracspecError(
                 f"n_max={cfg.n_max} exceeds the {spectrum.mu.size} computed modes"
@@ -312,7 +314,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
 
     x = np.linspace(0.0, 1.0, cfg.grid_points)
     spectrum = discretize_and_solve(
-        KernelSpec(order, KernelKind.BRIDGE), build_grid(cfg.m)
+        KernelSpec(order, KernelKind.BRIDGE), build_grid(cfg.m), n_vectors=n
     )
     if n > spectrum.mu.size:
         raise FracspecError(f"n={n} exceeds the {spectrum.mu.size} computed modes")
@@ -384,13 +386,17 @@ def cmd_validate(cfg: RunConfig) -> int:
 
     def check_alpha1():
         one = FractionalOrder(1.0)
-        sp_b = discretize_and_solve(KernelSpec(one, KernelKind.BRIDGE), build_grid(800))
+        sp_b = discretize_and_solve(
+            KernelSpec(one, KernelKind.BRIDGE), build_grid(800), n_vectors=0
+        )
         ns = np.arange(1, 21)
         worst_b = float(
             np.max(np.abs(sp_b.lam[:20] / (np.pi * ns) ** 2 - 1.0))
         )
         one_c = FractionalOrder(1.0, Variant.CAPUTO)
-        sp_r = discretize_and_solve(KernelSpec(one_c, KernelKind.RL), build_grid(800))
+        sp_r = discretize_and_solve(
+            KernelSpec(one_c, KernelKind.RL), build_grid(800), n_vectors=0
+        )
         worst_r = float(
             np.max(np.abs(sp_r.rho[:20] / (np.pi * ns - np.pi / 2) - 1.0))
         )
@@ -410,6 +416,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             if order.variant is Variant.RL_BRIDGE
             else KernelSpec(order, KernelKind.RL),
             build_grid(cfg.m),
+            n_vectors=10,  # orthonormality; mercer reads only mu
         )
 
     def check_orthonormality():

@@ -31,7 +31,8 @@ triangle, mirrored (K depends on (x, y) only through min and max), plus,
 for the bridge kernel, the rank-one term built from the one m-vector
 K(x_i, 1), which the row integral S reuses. This is the solver's only
 kernel path. Scaling by sqrt(w) rounds mirrored entries differently, so
-B is symmetrized once more before the eigensolve.
+B is symmetrized once more before the eigensolve. All eigenvalues come from
+a values-only solve, eigenvectors only for the leading modes a caller reads.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 """
@@ -43,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import special as sps
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
 from .errors import ConvergenceError, DomainError
 from .phase import FractionalOrder, Variant
@@ -212,8 +213,8 @@ def build_grid(m: int) -> NystromGrid:
 
 @dataclass(frozen=True)
 class DiscreteSpectrum:
-    """Eigenvalues mu (descending, positive) of the integral operator and
-    eigenfunction node values, orthonormal in the weighted inner product."""
+    """All eigenvalues mu (descending, positive) of the integral operator and
+    node values of the leading r eigenfunctions, weighted-orthonormal."""
 
     mu: np.ndarray
     vectors: np.ndarray  # shape (m, r): column k-1 samples eigenfunction k
@@ -229,16 +230,9 @@ class DiscreteSpectrum:
         return self.lam ** (1.0 / (2.0 * self.spec.alpha.alpha))
 
 
-def discretize_and_solve(spec: KernelSpec, grid: NystromGrid) -> DiscreteSpectrum:
-    """Assemble the corrected symmetric Nystrom matrix and diagonalize.
-
-    Eigenvalues below -1e-10 * mu_1 raise (the operator is positive
-    semidefinite; such values mean the discretization broke); tiny negative
-    or zero values are clamped and excluded from the returned spectrum.
-    """
+def _nystrom_matrix(spec: KernelSpec, grid: NystromGrid) -> np.ndarray:
+    """The corrected symmetric Nystrom matrix B = sqrt(w) K sqrt(w) + diag(S - Q)."""
     a = spec.alpha.alpha
-    if a <= 0.5:
-        raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
     x, w = grid.nodes, grid.weights
     # K(x, 1): the bridge's rank-one column, shared by K and the row integral
     kx1 = _kernel_raw(x, 1.0, a) if spec.kind is KernelKind.BRIDGE else None
@@ -248,27 +242,51 @@ def discretize_and_solve(spec: KernelSpec, grid: NystromGrid) -> DiscreteSpectru
     S = _row_integral(x, a, spec.kind, kx1)
     Q = K @ w
     sw = np.sqrt(w)
-    B = sw[:, None] * K * sw[None, :] + np.diag(S - Q)
+    # B is built in K's memory, rounding as (sw_i K_ij) sw_j + (S - Q)_i
+    K *= sw[:, None]
+    K *= sw[None, :]
+    K[np.diag_indices(grid.m)] += S - Q
     # not a no-op: (sw_i K_ij) sw_j and (sw_j K_ji) sw_i round differently,
-    # and eigh reads only the lower triangle
-    B = 0.5 * (B + B.T)
-    mu, V = eigh(B)
-    mu = mu[::-1]
-    V = V[:, ::-1]
+    # and the eigensolvers read only the lower triangle
+    K += K.T
+    K *= 0.5
+    return K
+
+
+def discretize_and_solve(
+    spec: KernelSpec, grid: NystromGrid, n_vectors: int | None = None
+) -> DiscreteSpectrum:
+    """Assemble the corrected symmetric Nystrom matrix and diagonalize.
+
+    All eigenvalues come from a values-only solve, eigenvectors only for
+    the leading n_vectors modes (every kept mode if None). Eigenvalues below
+    -1e-10 * mu_1 raise (the operator is positive semidefinite; such values
+    mean the discretization broke); tiny negative or zero values are
+    clamped and excluded from the returned spectrum.
+    """
+    a = spec.alpha.alpha
+    if a <= 0.5:
+        raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
+    if n_vectors is not None and n_vectors < 0:
+        raise DomainError("n_vectors must be >= 0")
+    B = _nystrom_matrix(spec, grid)
+    mu = eigvalsh(B)[::-1]
     if mu[0] <= 0:
         raise ConvergenceError("no positive eigenvalues; discretization broke")
     if mu[-1] < -1e-10 * mu[0]:
         raise ConvergenceError(
             f"negative eigenvalue {mu[-1]:.3e} beyond PSD tolerance"
         )
-    keep = mu > 0
-    mu = mu[keep]
-    F = V[:, keep] / sw[:, None]  # de-scaled node values, weighted-orthonormal
+    mu = mu[mu > 0]  # a prefix: mu is descending
+    r = mu.size if n_vectors is None else min(n_vectors, mu.size)
+    x, w, m = grid.nodes, grid.weights, grid.m
+    V = eigh(B, subset_by_index=[m - r, m - 1])[1] if r else np.empty((m, 0))
+    F = V[:, ::-1] / np.sqrt(w)[:, None]  # de-scaled, weighted-orthonormal
 
     # sign convention: positive on the first quarter-oscillation near x=0
-    lam = 1.0 / mu
+    lam = 1.0 / mu[:r]
     rho = lam ** (1.0 / (2.0 * a))
-    for k in range(F.shape[1]):
+    for k in range(r):
         win = x < min(float(np.pi / (2.0 * rho[k])), 1.0)
         s = float(w[win] @ F[win, k]) if win.any() else float(F[0, k])
         if s < 0:
@@ -313,7 +331,7 @@ def caputo_endpoint_value(alpha, n: int, m: int) -> float:
         else FractionalOrder(a, Variant.CAPUTO)
     )
     spec = KernelSpec(order, KernelKind.RL)
-    spectrum = discretize_and_solve(spec, build_grid(m))
+    spectrum = discretize_and_solve(spec, build_grid(m), n_vectors=n)
     return abs(eigenfunction_at(spectrum, n, 1.0))
 
 

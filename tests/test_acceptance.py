@@ -34,7 +34,9 @@ def _verdict(idx, name, ok, detail):
 @pytest.fixture(scope="module")
 def caputo2000():
     order = fs.FractionalOrder(0.75, fs.Variant.CAPUTO)
-    return discretize_and_solve(KernelSpec(order, KernelKind.RL), build_grid(2000))
+    # test 5 reads f_20, the highest mode any user reads
+    spec = KernelSpec(order, KernelKind.RL)
+    return discretize_and_solve(spec, build_grid(2000), n_vectors=20)
 
 
 def test_1_transform_anchor():

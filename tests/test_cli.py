@@ -268,6 +268,52 @@ class TestValidate:
         assert len(solves) == 6
 
 
+
+class TestEigenvectorSolves:
+    """Each command computes eigenvectors only for the modes it reads."""
+
+    @pytest.fixture
+    def subsets(self, monkeypatch):
+        import fracspec.nystrom as nystrom
+
+        calls = []
+        real = nystrom.eigh
+
+        def spy(B, **kw):
+            calls.append(kw.get("subset_by_index"))
+            return real(B, **kw)
+
+        monkeypatch.setattr(nystrom, "eigh", spy)
+        return calls
+
+    def test_spectrum_solves_values_only(self, subsets, tmp_path):
+        rc = main(["spectrum", "--n-max", "5", "--m", "200",
+                   "--methods", "asym1,asym2,nystrom", "--out", str(tmp_path)])
+        assert rc == 0
+        assert subsets == []
+
+    def test_validate(self, subsets, capsys):
+        assert main(["validate", "--alpha", "0.75", "--m", "300"]) == 0
+        # caputo_endpoint reads f_20, orthonormality the first 10 modes
+        assert subsets == [[280, 299], [290, 299]]
+
+    def test_eigenfunction(self, subsets, tmp_path):
+        rc = main(["eigenfunction", "--n", "10", "--m", "200",
+                   "--grid-points", "21", "--out", str(tmp_path)])
+        assert rc == 0
+        assert subsets == [[190, 199]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eigenfunction", "--n", "50", "--m", "20"],
+         ["spectrum", "--n-max", "30", "--m", "20", "--methods", "nystrom"]],
+        ids=["eigenfunction", "spectrum"],
+    )
+    def test_more_modes_than_grid(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "exceeds the 20 computed modes" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

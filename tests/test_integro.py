@@ -508,7 +508,7 @@ class TestReconstruct:
         table = fs.PhaseTable(order)
         root = refine_rho(8, order, table=table)
         spectrum = discretize_and_solve(
-            KernelSpec(order, KernelKind.BRIDGE), build_grid(1200)
+            KernelSpec(order, KernelKind.BRIDGE), build_grid(1200), n_vectors=8
         )
         x = np.linspace(0.0, 1.0, 201)
         f = reconstruct_f_exact(x, root.rho, table)

@@ -38,12 +38,15 @@ def _kernel_oracle(x, y, a):
 
 @pytest.fixture(scope="module")
 def bridge400(order075):
-    return discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(400))
+    # test_sign_rule reads the first 12 modes, no user reads more
+    spec = KernelSpec(order075, KernelKind.BRIDGE)
+    return discretize_and_solve(spec, build_grid(400), n_vectors=12)
 
 
 @pytest.fixture(scope="module")
 def rl400(order075):
-    return discretize_and_solve(KernelSpec(order075, KernelKind.RL), build_grid(400))
+    spec = KernelSpec(order075, KernelKind.RL)
+    return discretize_and_solve(spec, build_grid(400), n_vectors=0)  # mu only
 
 
 class TestKernel:
@@ -287,6 +290,58 @@ class TestSolve:
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
         with pytest.raises(DomainError):
             discretize_and_solve(KernelSpec(o, KernelKind.RL), build_grid(20))
+
+
+
+class TestPartialSolve:
+    """mu and the requested eigenvectors against numpy's LAPACK drivers."""
+
+    @pytest.mark.parametrize("m", [64, 300])
+    @pytest.mark.parametrize("a", [0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("kind", [KernelKind.BRIDGE, KernelKind.RL])
+    def test_against_numpy(self, kind, a, m):
+        spec = KernelSpec(fs.FractionalOrder(a), kind)
+        grid = build_grid(m)
+        B = nystrom._nystrom_matrix(spec, grid)
+        sp = discretize_and_solve(spec, grid, n_vectors=7)
+        want = np.linalg.eigvalsh(B)[::-1]
+        assert sp.mu.size == np.count_nonzero(want > 0)
+        assert np.max(np.abs(sp.mu - want[: sp.mu.size])) <= 1e-13 * want[0]
+        V = np.linalg.eigh(B)[1][:, ::-1][:, :7]
+        got = sp.vectors * np.sqrt(grid.weights)[:, None]
+        assert got.shape == (m, 7)
+        got *= np.sign(np.sum(got * V, axis=0))
+        assert np.max(np.abs(got - V)) < 1e-12
+
+    def test_vector_count(self, order075):
+        spec = KernelSpec(order075, KernelKind.BRIDGE)
+        full = discretize_and_solve(spec, build_grid(64))
+        assert full.vectors.shape == (64, full.mu.size)
+        for n_vectors, r in ((0, 0), (5, 5), (10**6, full.mu.size)):
+            sp = discretize_and_solve(spec, build_grid(64), n_vectors=n_vectors)
+            assert sp.vectors.shape == (64, r)
+            assert np.array_equal(sp.mu, full.mu)
+            # a subset solve may round differently from the full one
+            assert np.max(np.abs(sp.vectors - full.vectors[:, :r]), initial=0) < 1e-12
+
+    @pytest.mark.parametrize("n_vectors", [0, 3, None])
+    def test_negative_eigenvalue_raises(self, order075, monkeypatch, n_vectors):
+        real = nystrom.eigvalsh
+
+        def negative_last(B):
+            ev = real(B)  # ascending
+            ev[0] = -1e-6 * ev[-1]
+            return ev
+
+        monkeypatch.setattr(nystrom, "eigvalsh", negative_last)
+        spec = KernelSpec(order075, KernelKind.RL)
+        with pytest.raises(ConvergenceError, match="beyond PSD tolerance"):
+            discretize_and_solve(spec, build_grid(40), n_vectors=n_vectors)
+
+    def test_negative_n_vectors(self, order075):
+        spec = KernelSpec(order075, KernelKind.RL)
+        with pytest.raises(DomainError):
+            discretize_and_solve(spec, build_grid(20), n_vectors=-1)
 
 
 class TestEigenfunctionAt:
