@@ -21,6 +21,15 @@ expression is 0/0; there K = (2/pi) artanh(sqrt(R)), evaluated as
 (2/pi) ln((sqrt(hi) + sqrt(lo)) / sqrt(d)) to keep its digits near the
 diagonal.
 
+The special functions need numpy and math alone. I_x(a, b) is the power
+series x^a sum_k (1-b)_k/k! x^k/(a+k) / B(a, b) (DLMF 8.17.7-8.17.8) for
+x <= 1/2 and its reflection 1 - I_{1-x}(b, a) (DLMF 8.17.20) above, each
+cut where the term at 1/2 drops below 2^-60 and evaluated by Horner on the
+whole array; the kernel passes 1 - R as d/hi, which keeps the digits next
+to the diagonal. B and Gamma come from math.gamma. The row integral
+int_0^1 K(x,y) dy reuses the same I_x(a, 2-2a), and the Mercer tail's
+Hurwitz zeta is an Euler-Maclaurin sum.
+
 The discretization is the singularity-subtracted (corrected) symmetric
 Nystrom scheme: B = sqrt(w) K sqrt(w) + diag(S - Q) where S(x_i) is the
 exact row integral of the kernel and Q its quadrature approximation. The
@@ -31,20 +40,21 @@ triangle, mirrored (K depends on (x, y) only through min and max), plus,
 for the bridge kernel, the rank-one term built from the one m-vector
 K(x_i, 1), which the row integral S reuses. This is the solver's only
 kernel path. Scaling by sqrt(w) rounds mirrored entries differently, so
-B is symmetrized once more before the eigensolve. All eigenvalues come from
-a values-only solve, eigenvectors only for the leading modes a caller reads.
+B is symmetrized once more before the eigensolve, which is one LAPACK call:
+the values-only eigvalsh when a caller reads no eigenvector, otherwise one
+full eigh whose leading columns are kept.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special as sps
-from scipy.linalg import eigh, eigvalsh
+from numpy.linalg import eigh, eigvalsh
 
 from .errors import ConvergenceError, DomainError
 from .phase import FractionalOrder, Variant
@@ -87,6 +97,49 @@ def _alpha_of(alpha) -> float:
     return float(alpha)
 
 
+def _beta(a: float, b: float) -> float:
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+def _series(z, p: float, q: float):
+    # sum_k (1-q)_k / k! z^k / (p+k) by Horner on the array z <= 1/2, cut
+    # where the term at z = 1/2 drops below 2^-60; for 0 < q <= 2 the terms
+    # after it shrink at least by 1/2 each, so the tail is below 2^-59
+    coef = []
+    poch = 1.0  # (1-q)_k / k!
+    while True:
+        k = len(coef)
+        coef.append(poch / (p + k))
+        if abs(coef[-1]) * 0.5**k < 2.0**-60:
+            break
+        poch *= (k + 1 - q) / (k + 1)
+    acc = np.full(z.shape, coef.pop())
+    for c in reversed(coef):
+        acc *= z
+        acc += c
+    return acc
+
+
+def _betainc(a: float, b: float, x, xc):
+    """The regularized incomplete beta I_x(a, b) for scalar a, b > 0.
+
+    xc must be 1 - x exactly, computed by the caller from quantities that
+    keep its digits. For x <= 1/2, I = x^a S(a, b, x) / B(a, b) with
+    S(p, q, z) = sum_k (1-q)_k / k! z^k / (p+k) (DLMF 8.17.7); above 1/2
+    the reflection I = 1 - xc^b S(b, a, xc) / B(a, b) (DLMF 8.17.20), so
+    the series argument never exceeds 1/2.
+    """
+    beta = _beta(a, b)
+    out = np.empty(x.shape)
+    low = x <= 0.5
+    z = x[low]
+    out[low] = z**a * _series(z, a, b) / beta
+    high = ~low  # NaN x (0/0 in the kernel) lands here and stays NaN
+    z = xc[high]
+    out[high] = 1.0 - z**b * _series(z, b, a) / beta
+    return out
+
+
 def _kernel_raw(x, y, a: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -104,10 +157,11 @@ def _kernel_raw(x, y, a: float):
             out = (2.0 / np.pi) * np.log((np.sqrt(hi) + np.sqrt(lo)) / np.sqrt(d))
         else:
             b = 2.0 - 2.0 * a
-            c = (1.0 - a) * sps.beta(a, b)
-            ib = sps.betainc(a, b, lo / hi)
+            c = (1.0 - a) * _beta(a, b)
+            # 1 - lo/hi passed as d/hi keeps its digits next to the diagonal
+            ib = _betainc(a, b, lo / hi, d / hi)
             out = hi ** (a - 1.0) * lo**a - c * d ** (2.0 * a - 1.0) * ib
-            out /= (2.0 * a - 1.0) * sps.gamma(a) ** 2
+            out /= (2.0 * a - 1.0) * math.gamma(a) ** 2
     return np.where(lo <= 0, 0.0, out)
 
 
@@ -140,9 +194,19 @@ def kernel_bridge(x, y, alpha):
 
 
 def _row_integral_rl(x, a: float):
-    # int_0^1 K(x,y) dy = x^a 2F1(-a, 1; 1+a; x) / (a^2 Gamma(a)^2)
+    # int_0^1 K(x,y) dy = J(x) / (a Gamma(a)^2) with J = int_0^x (x-t)^{a-1}
+    # (1-t)^a dt = (1-x)^{2a} B_x(a, -2a); two steps of q B_z(p, q) =
+    # (p+q) B_z(p, q+1) - z^p (1-z)^q reach the kernel's I_x(a, 2-2a)
     x = np.asarray(x, dtype=float)
-    return x**a * sps.hyp2f1(-a, 1.0, 1 + a, x) / (a * a * sps.gamma(a) ** 2)
+    if a == 1.0:
+        return x - x * x / 2
+    b = 2.0 - 2.0 * a
+    c = (1.0 - a) * _beta(a, b)
+    xa = x**a
+    # 1 - x is exact where _betainc reads it (x > 1/2)
+    ib = _betainc(a, b, x, 1.0 - x)
+    J = xa / (2 * a) + (xa * (1 - x) - c * (1 - x) ** (2 * a) * ib) / (2 * (2 * a - 1))
+    return J / (a * math.gamma(a) ** 2)
 
 
 def _row_integral_bridge(x, a: float, kx1=None):
@@ -258,11 +322,12 @@ def discretize_and_solve(
 ) -> DiscreteSpectrum:
     """Assemble the corrected symmetric Nystrom matrix and diagonalize.
 
-    All eigenvalues come from a values-only solve, eigenvectors only for
-    the leading n_vectors modes (every kept mode if None). Eigenvalues below
-    -1e-10 * mu_1 raise (the operator is positive semidefinite; such values
-    mean the discretization broke); tiny negative or zero values are
-    clamped and excluded from the returned spectrum.
+    n_vectors = 0 takes a values-only solve; otherwise one full solve
+    returns the eigenvalues with the leading n_vectors eigenvectors (every
+    kept mode if None). Eigenvalues below -1e-10 * mu_1 raise (the operator
+    is positive semidefinite; such values mean the discretization broke);
+    tiny negative or zero values are clamped and excluded from the returned
+    spectrum.
     """
     a = spec.alpha.alpha
     if a <= 0.5:
@@ -270,7 +335,10 @@ def discretize_and_solve(
     if n_vectors is not None and n_vectors < 0:
         raise DomainError("n_vectors must be >= 0")
     B = _nystrom_matrix(spec, grid)
-    mu = eigvalsh(B)[::-1]
+    x, w, m = grid.nodes, grid.weights, grid.m
+    # one LAPACK call: values only, or every pair (ascending)
+    ev, V = (eigvalsh(B), np.empty((m, 0))) if n_vectors == 0 else eigh(B)
+    mu = ev[::-1]
     if mu[0] <= 0:
         raise ConvergenceError("no positive eigenvalues; discretization broke")
     if mu[-1] < -1e-10 * mu[0]:
@@ -279,8 +347,7 @@ def discretize_and_solve(
         )
     mu = mu[mu > 0]  # a prefix: mu is descending
     r = mu.size if n_vectors is None else min(n_vectors, mu.size)
-    x, w, m = grid.nodes, grid.weights, grid.m
-    V = eigh(B, subset_by_index=[m - r, m - 1])[1] if r else np.empty((m, 0))
+    V = V[:, V.shape[1] - r :]
     F = V[:, ::-1] / np.sqrt(w)[:, None]  # de-scaled, weighted-orthonormal
 
     # sign convention: positive on the first quarter-oscillation near x=0
@@ -335,6 +402,28 @@ def caputo_endpoint_value(alpha, n: int, m: int) -> float:
     return abs(eigenfunction_at(spectrum, n, 1.0))
 
 
+# B_2, B_4, ..., B_16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _hurwitz_zeta(s: float, q: float) -> float:
+    """sum_{k>=0} (q+k)^-s for s > 1, q > 0, by Euler-Maclaurin.
+
+    Twelve head terms, the integral and half-term of the rest, and the
+    B_2..B_16 corrections at w = q + 12; for q >= 1/2 and s <= 2 the first
+    omitted correction is below 1e-19 relative.
+    """
+    head = 12
+    w = q + head
+    total = math.fsum((q + k) ** -s for k in range(head))
+    total += w ** (1 - s) / (s - 1) + 0.5 * w**-s
+    t = s * w ** (-s - 1) / 2  # (s)_{2j-1} w^{-s-2j+1} / (2j)!, j = 1
+    for j, b2j in enumerate(_BERNOULLI, start=1):
+        total += b2j * t
+        t *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2) * w * w)
+    return total
+
+
 def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> float:
     """Relative gap between the spectral sum and the diagonal integral.
 
@@ -346,7 +435,7 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     ~1e-5. Default n_head = min(200, m // 4).
     """
     a = spectrum.spec.alpha.alpha
-    trace_rl = 1.0 / (2 * a * (2 * a - 1) * sps.gamma(a) ** 2)
+    trace_rl = 1.0 / (2 * a * (2 * a - 1) * math.gamma(a) ** 2)
     if spectrum.spec.kind is KernelKind.BRIDGE:
         u, w, _ = tanh_sinh_rule(6)
         k1 = _kernel_raw(u, 1.0, a)
@@ -359,7 +448,7 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     if n_head is None:
         n_head = min(200, spectrum.grid.m // 4)
     n_head = max(1, min(int(n_head), spectrum.mu.size))
-    tail = np.pi ** (-2 * a) * sps.zeta(2 * a, n_head + 1 + shift / np.pi)
+    tail = np.pi ** (-2 * a) * _hurwitz_zeta(2 * a, n_head + 1 + shift / np.pi)
     total = float(spectrum.mu[:n_head].sum()) + float(tail)
     return abs(total - trace) / trace
 
@@ -386,5 +475,5 @@ def kernel_typo(x, y, alpha):
     lo = np.minimum(xx, yy)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pref = np.exp((a - 1.0) * np.log(xx - yy))
-        out = pref * (yy**a - (yy - lo) ** a) / (a * sps.gamma(a) ** 2)
+        out = pref * (yy**a - (yy - lo) ** a) / (a * math.gamma(a) ** 2)
     return out

@@ -273,35 +273,42 @@ class TestEigenvectorSolves:
     """Each command computes eigenvectors only for the modes it reads."""
 
     @pytest.fixture
-    def subsets(self, monkeypatch):
+    def solves(self, monkeypatch):
         import fracspec.nystrom as nystrom
 
         calls = []
-        real = nystrom.eigh
 
-        def spy(B, **kw):
-            calls.append(kw.get("subset_by_index"))
-            return real(B, **kw)
+        def spy(name):
+            real = getattr(nystrom, name)
 
-        monkeypatch.setattr(nystrom, "eigh", spy)
+            def solve(B):
+                calls.append((name, B.shape[0]))
+                return real(B)
+
+            return solve
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(nystrom, name, spy(name))
         return calls
 
-    def test_spectrum_solves_values_only(self, subsets, tmp_path):
+    def test_spectrum_solves_values_only(self, solves, tmp_path):
         rc = main(["spectrum", "--n-max", "5", "--m", "200",
                    "--methods", "asym1,asym2,nystrom", "--out", str(tmp_path)])
         assert rc == 0
-        assert subsets == []
+        assert solves == [("eigvalsh", 200)]
 
-    def test_validate(self, subsets, capsys):
+    def test_validate(self, solves, capsys):
         assert main(["validate", "--alpha", "0.75", "--m", "300"]) == 0
-        # caputo_endpoint reads f_20, orthonormality the first 10 modes
-        assert subsets == [[280, 299], [290, 299]]
+        # caputo_endpoint reads f_20 and orthonormality the first 10 modes,
+        # one eigh each; every other solve reads values only
+        assert [s for s in solves if s[0] == "eigh"] == [("eigh", 300)] * 2
+        assert ("eigvalsh", 800) in solves
 
-    def test_eigenfunction(self, subsets, tmp_path):
+    def test_eigenfunction(self, solves, tmp_path):
         rc = main(["eigenfunction", "--n", "10", "--m", "200",
                    "--grid-points", "21", "--out", str(tmp_path)])
         assert rc == 0
-        assert subsets == [[190, 199]]
+        assert solves == [("eigh", 200)]
 
     @pytest.mark.parametrize(
         "argv",
