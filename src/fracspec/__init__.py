@@ -51,7 +51,6 @@ from .nystrom import (
     build_grid,
     caputo_endpoint_value,
     discretize_and_solve,
-    dump_spectrum_csv,
     eigenfunction_at,
     kernel_K,
     kernel_bridge,
@@ -102,7 +101,6 @@ __all__ = [
     "caputo_endpoint_value",
     "discretize_and_solve",
     "dump_integro_csv",
-    "dump_spectrum_csv",
     "eigenfunction_asymptotic",
     "eigenfunction_at",
     "g0",

@@ -119,20 +119,11 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             setattr(cfg, key, value)
-    flag_map = {
-        "alpha": "alpha",
-        "variant": "variant",
-        "n_min": "n_min",
-        "n_max": "n_max",
-        "m": "m",
-        "grid_points": "grid_points",
-        "out": "output_dir",
-        "reference": "reference",
-    }
-    for flag, field_name in flag_map.items():
+    for flag in ("alpha", "variant", "n_min", "n_max", "m", "grid_points", "out",
+                 "reference"):
         v = getattr(args, flag, None)
         if v is not None:
-            setattr(cfg, field_name, v)
+            setattr(cfg, _KEY_ALIASES.get(flag, flag), v)
     if getattr(args, "methods", None) is not None:
         cfg.methods = tuple(p.strip() for p in args.methods.split(",") if p.strip())
     return cfg
@@ -323,26 +314,19 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
     table = PhaseTable(order)
     f_nolayers = eigenfunction_asymptotic(n, x, order, include_layers=False)
     f_layers = eigenfunction_asymptotic(n, x, order, include_layers=True, table=table)
-    f_exact = None
     if exact:
         root = refine_rho(n, order, table)
         f_exact = reconstruct_f_exact(x, root.rho, table, root.value)
 
-    header = "x,f_nystrom,f_asym_nolayers,f_asym_layers"
-    if f_exact is not None:
-        header += ",f_exact"
-    lines = [header]
-    for i in range(x.size):
-        row = f"{x[i]:.12e},{f_ny[i]:.12e},{f_nolayers[i]:.12e},{f_layers[i]:.12e}"
-        if f_exact is not None:
-            row += f",{f_exact[i]:.12e}"
-        lines.append(row)
+    header = "x,f_nystrom,f_asym_nolayers,f_asym_layers" + (",f_exact" if exact else "")
+    cols = [x, f_ny, f_nolayers, f_layers] + ([f_exact] if exact else [])
+    lines = [header] + [",".join(f"{c[i]:.12e}" for c in cols) for i in range(x.size)]
 
     series = [
         ("f_asym_nolayers - f_nystrom", x, f_nolayers - f_ny, "#d62728"),
         ("f_asym_layers - f_nystrom", x, f_layers - f_ny, "#1f77b4"),
     ]
-    if f_exact is not None:
+    if exact:
         series.append(("f_exact - f_nystrom", x, f_exact - f_ny, "#2ca02c"))
     svg = svg_line_chart(
         series,
@@ -411,10 +395,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
     @functools.cache  # orthonormality and mercer_trace share one solve
     def bridge_spectrum():
+        rl_bridge = order.variant is Variant.RL_BRIDGE
         return discretize_and_solve(
-            KernelSpec(order, KernelKind.BRIDGE)
-            if order.variant is Variant.RL_BRIDGE
-            else KernelSpec(order, KernelKind.RL),
+            KernelSpec(order, KernelKind.BRIDGE if rl_bridge else KernelKind.RL),
             build_grid(cfg.m),
             n_vectors=10,  # orthonormality; mercer reads only mu
         )

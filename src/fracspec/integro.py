@@ -21,18 +21,21 @@ condition and the roots stay on the two-term asymptote; with -h0 they match
 the Nystrom eigenvalues to the Nystrom solver's own discretization error.
 
 g0 and h0 both vanish like t^alpha at 0 and decay like t^{-alpha} at
-infinity, so the system is solved on a dyadically refined grid over
-(0, T] with T = 40/rho (the kernel's own decay makes the tail beyond T
-negligible). Fixed-point iteration contracts for every rho used here;
-non-contraction raises rather than looping.
+infinity, so the system is solved on 40 octaves below T, the least power
+of two >= 40/rho (the kernel's own decay makes the tail negligible), each
+carrying one 6-node Gauss pattern scaled by a power of two: a node depends
+on its octave only, never on rho. Fixed-point iteration contracts for
+every rho used here; non-contraction raises rather than looping.
 
 The principal-value weight behind g0 and h0 is the costly part of the
-system data, and each rho needs it exactly once: solve_pqr samples g0 and
-h0 in one PV sweep, and the PQRSolution carries that kernel data (g0, -h0
-and the weights times e^{-rho t}) so the continuations at -+i, secular and
-reconstruct_f_exact sample nothing again. refine_rho evaluates each rho of
-its bracket search and of Brent's iterates once; a root typically takes six
-or seven evaluations.
+system data, and each root needs it exactly once: refine_rho samples g0
+and h0 in one PV sweep over the octaves of every rho in its bracket, and
+each evaluation slices its 240 nodes from there, bit for bit the values a
+standalone solve_pqr samples in its own sweep. The PQRSolution carries the
+kernel data (g0, -h0 and the weights times e^{-rho t}) so the
+continuations at -+i, secular and reconstruct_f_exact sample nothing
+again. refine_rho evaluates each rho of its bracket search and of Brent's
+iterates once; a root typically takes six or seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
@@ -78,32 +81,45 @@ __all__ = [
 
 _T_OVER_RHO = 40.0  # truncation: e^{-rho tau} < 5e-18 past tau = 40/rho
 _OCTAVES = 40  # dyadic refinement toward 0; cutoff error ~ (T 2^-40)^{1+a}
+_PER_OCTAVE = 6  # Gauss nodes per octave
 _STOP = 1e-12
 _MAX_ITER = 100
 
 
-def build_pqr_grid(rho: float, octaves: int = _OCTAVES, per_octave: int = 6):
-    """Composite Gauss rule on (0, 40/rho], dyadically refined toward 0.
+def _top_exponent(rho: float) -> int:
+    """E such that T = 2^E is the least power of two >= 40/rho."""
+    m, e = math.frexp(_T_OVER_RHO / rho)
+    return e - 1 if m == 0.5 else e
 
-    Returns (nodes, weights), strictly increasing nodes.
-    """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    t_max = _T_OVER_RHO / rho
-    xg, wg = gauss_legendre_01(per_octave)
-    nodes = []
-    weights = []
-    hi = t_max
-    for _ in range(octaves):
-        lo = hi / 2.0
-        nodes.append(lo + (hi - lo) * xg)
-        weights.append((hi - lo) * wg)
-        hi = lo
-    t = np.concatenate(nodes[::-1])
-    w = np.concatenate(weights[::-1])
+
+def _octave_rule(lo: int, hi: int):
+    """Gauss rule on the octaves [2^k, 2^(k+1)], lo <= k < hi, read-only."""
+    xg, wg = gauss_legendre_01(_PER_OCTAVE)
+    k = np.arange(lo, hi)[:, None]
+    t = np.ldexp(1.0 + xg, k).ravel()
+    w = np.ldexp(wg, k).ravel()
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
+
+
+def build_pqr_grid(rho: float):
+    """Composite Gauss rule on (0, T], dyadically refined toward 0.
+
+    T = 2^ceil(log2(40/rho)), so 40/rho <= T < 80/rho. Returns (nodes,
+    weights), strictly increasing nodes.
+    """
+    if rho <= 0:
+        raise DomainError("rho must be positive")
+    top = _top_exponent(rho)
+    return _octave_rule(top - _OCTAVES, top)
+
+
+def _sample_octaves(lo: float, hi: float, table: PhaseTable):
+    """(k0, t, w, g0, h0) over octaves k0, ... of every rho in [lo, hi]."""
+    k0 = _top_exponent(hi) - _OCTAVES
+    t, w = _octave_rule(k0, _top_exponent(lo))
+    return (k0, t, w, *g0_h0(t, table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +153,17 @@ class PQRSolution:
         return max(self.residuals)
 
 
-def _system_data(rho: float, table: PhaseTable, grid=None):
-    if grid is None:
-        t, w = build_pqr_grid(rho)
+def _system_data(rho: float, table: PhaseTable, grid=None, samples=None):
+    if samples is not None:  # the window of build_pqr_grid(rho), sliced
+        k0, *arrays = samples
+        i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
+        j = i + _OCTAVES * _PER_OCTAVE
+        if i < 0 or j > arrays[0].size:
+            raise DomainError(f"rho={rho:g} lies outside the sampled octaves")
+        t, w, gv, h = (x[i:j] for x in arrays)
     else:
-        t, w = grid
-    gv, h = g0_h0(t, table)
+        t, w = build_pqr_grid(rho) if grid is None else grid
+        gv, h = g0_h0(t, table)
     hv = -h  # (2,1) block of M
     e = w * np.exp(-rho * t)
     D = 1.0 / (t[None, :] + t[:, None])
@@ -160,16 +181,17 @@ def apply_A(f, rho: float, table: PhaseTable, grid=None):
     return np.stack([W1 @ f[1], W2 @ f[0]])
 
 
-def solve_pqr(rho: float, table: PhaseTable) -> PQRSolution:
+def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     """Solve the three fixed-point systems on the dyadic grid.
 
     Stops when every family's sup-norm update is below 1e-12 (or after 100
     sweeps, reported via converged=False); raises ConvergenceError if the
-    updates grow instead of contracting.
+    updates grow instead of contracting. refine_rho passes its bracket's
+    g0/h0 samples as _samples; the values are the same as sampled here.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    t, w, gv, hv, e, W1, W2 = _system_data(rho, table)
+    t, w, gv, hv, e, W1, W2 = _system_data(rho, table, samples=_samples)
     n = t.size
     b = np.zeros((3, 2, n))
     b[0, 0] = 1.0  # p
@@ -257,7 +279,9 @@ class SecularValue:
         return self.condition / (abs(self.xi) * abs(self.eta))
 
 
-def secular(rho: float, table: PhaseTable, solution: PQRSolution | None = None):
+def secular(
+    rho: float, table: PhaseTable, solution: PQRSolution | None = None, *, _samples=None
+):
     """Assemble xi and eta from the continuations at -+i.
 
     xi  = X(rho i) p1(-i) + rho^-a e^{-rho i} Y(-rho i) p2(i)
@@ -267,12 +291,12 @@ def secular(rho: float, table: PhaseTable, solution: PQRSolution | None = None):
     with X(rho i) = X_c0(i)/(rho i), Y(-rho i) = (rho i)^{a-1} X_c0(-i) and
     b = b_alpha. Im(xi conj(eta)) vanishes exactly at eigenvalue signatures
     rho = lambda^{1/(2a)}. A solution already computed at this rho can be
-    passed to skip the solve.
+    passed to skip the solve; _samples is handed on to solve_pqr.
     """
     a = table.alpha
     if solution is not None and solution.rho != float(rho):
         raise DomainError("supplied solution was computed at a different rho")
-    sol = solution if solution is not None else solve_pqr(rho, table)
+    sol = solution if solution is not None else solve_pqr(rho, table, _samples=_samples)
     # one point per call: a two-row product rounds differently from two
     # one-row products, which moves the last digits of condition_residual
     pm, qm, rm = analytic_extend(sol, -1j)
@@ -390,6 +414,7 @@ def refine_rho(
     lo = max(rho0 - np.pi / 2.0, 1e-3)
     hi = rho0 + np.pi / 2.0
 
+    samples = _sample_octaves(lo, hi, table)  # every evaluation slices these
     # the bracket search visits each node from two intervals, _brentq
     # re-evaluates the bracket ends, and the root it returns is its best
     # iterate, in practice the rho of smallest |condition| seen. Each rho is
@@ -402,7 +427,7 @@ def refine_rho(
         nonlocal best
         key = float(r)
         if key not in normalized:
-            sv = secular(key, table)
+            sv = secular(key, table, _samples=samples)
             normalized[key] = sv.normalized
             if best is None or abs(sv.normalized) < abs(best.normalized):
                 best = sv
@@ -420,7 +445,7 @@ def refine_rho(
             f" for n={n}, alpha={order.alpha:g} ({scan_points} samples)"
         )
     root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
-    sv = best if best.rho == root else secular(root, table)
+    sv = best if best.rho == root else secular(root, table, _samples=samples)
     if abs(sv.condition) >= 1e-10 * abs(sv.xi) * abs(sv.eta):
         raise AccuracyError(
             f"root at rho={root:.12g} fails the residual contract:"

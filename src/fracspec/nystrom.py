@@ -72,7 +72,6 @@ __all__ = [
     "eigenfunction_at",
     "caputo_endpoint_value",
     "mercer_trace_gap",
-    "dump_spectrum_csv",
 ]
 
 class KernelKind(Enum):
@@ -451,15 +450,6 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     tail = np.pi ** (-2 * a) * _hurwitz_zeta(2 * a, n_head + 1 + shift / np.pi)
     total = float(spectrum.mu[:n_head].sum()) + float(tail)
     return abs(total - trace) / trace
-
-
-def dump_spectrum_csv(spectrum: DiscreteSpectrum, fh) -> None:
-    """Write `k,mu,lambda,rho` rows with %.12e floats to a text stream."""
-    fh.write("k,mu,lambda,rho\n")
-    lam = spectrum.lam
-    rho = spectrum.rho
-    for i, m in enumerate(spectrum.mu):
-        fh.write(f"{i + 1},{m:.12e},{lam[i]:.12e},{rho[i]:.12e}\n")
 
 
 def kernel_typo(x, y, alpha):

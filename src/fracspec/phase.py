@@ -257,7 +257,10 @@ def xc0(z, table: PhaseTable):
     evaluated in real arithmetic); a scalar is evaluated as complex(z) and
     returned as a complex whose imaginary part is +0.0 where X_c0 is real.
     Raises AccuracyError when the quadrature's internal error estimate
-    exceeds the table tolerance.
+    exceeds the table tolerance. Measured at a in {0.55, 0.75, 0.9, 0.99},
+    it stays below 1e-10 on Re z <= 0 for 1e-5 <= |z| <= 1e12, and exceeds
+    it on the imaginary axis below |z| = 9.9e-6 and near the cut (at
+    arg z = pi/4 below |z| = 1e-2).
     """
     scalar = np.isscalar(z)
     zz = np.asarray([complex(z)]) if scalar else np.asarray(z)

@@ -144,10 +144,10 @@ class TestSpectrum:
             polishing.append((a, b))
             return port(f, a, b, **kw, **limit)
 
-        def secular(rho, table, solution=None):
+        def secular(rho, table, solution=None, **kw):
             if polishing and fault == "nan":
                 return SimpleNamespace(rho=rho, normalized=math.nan)
-            return real(rho, table, solution)
+            return real(rho, table, solution, **kw)
 
         monkeypatch.setattr(fracspec.integro, "_brentq", enter)
         monkeypatch.setattr(fracspec.integro, "secular", secular)
@@ -192,9 +192,9 @@ class TestEigenfunction:
         solve = fracspec.integro.solve_pqr
         rhos = []
 
-        def counting(rho, table):
+        def counting(rho, table, **kw):
             rhos.append(float(rho))
-            return solve(rho, table)
+            return solve(rho, table, **kw)
 
         monkeypatch.setattr(fracspec.integro, "solve_pqr", counting)
         rc = main(

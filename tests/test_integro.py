@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import fracspec as fs
+from fracspec import integro
 from fracspec.asymptotics import Order
 from fracspec.errors import BracketError, ConvergenceError, DomainError
 from fracspec.integro import (
@@ -45,14 +46,32 @@ def _leading_deviation(sol):
 
 class TestGridAndOperator:
     def test_grid_shape(self):
+        # 40 octaves of 6 nodes below T = 2, the least power of two >= 40/25
         t, w = build_pqr_grid(25.0)
         assert t.size == w.size == 240
         assert np.all(np.diff(t) > 0)
         assert np.all(w > 0)
-        t_max = 40.0 / 25.0
-        assert t_max / 2 < t[-1] < t_max
+        assert 1.0 < t[-1] < 2.0
         assert t[0] < 1e-11
         assert not t.flags.writeable
+
+    @pytest.mark.parametrize("rho", [20.0, 40.0 / 3.0, 5.0, 0.7, 1e3])
+    def test_top_edge(self, rho):
+        t, w = build_pqr_grid(rho)
+        top = 2.0 ** math.ceil(math.log2(40.0 / rho))
+        assert 40.0 / rho <= top < 80.0 / rho
+        assert top / 2 < t[-1] < top
+        assert top * 2.0**-40 < t[0] < top * 2.0**-39
+        assert w.sum() == pytest.approx(top, rel=1e-11)
+
+    def test_nodes_are_scaled_pattern(self):
+        # a node depends on its octave only, never on rho
+        t1, w1 = build_pqr_grid(25.0)
+        t2, w2 = build_pqr_grid(25.0 / 2.0**3)
+        assert np.array_equal(t1[6:], t1[:-6] * 2.0)
+        assert np.array_equal(w1[6:], w1[:-6] * 2.0)
+        assert np.array_equal(t2[:-18], t1[18:])
+        assert np.array_equal(w2[:-18], w1[18:])
 
     def test_grid_rejects_nonpositive_rho(self):
         with pytest.raises(DomainError):
@@ -202,6 +221,24 @@ class TestKernelData:
             assert np.array_equal(q, [(kg @ sol.q[1])[0], (kh @ sol.q[0] + 1.0)[0]])
             assert np.array_equal(r, [(kg @ sol.r[1])[0], (kh @ sol.r[0] + z)[0]])
 
+    def test_bracket_samples_match_standalone(self, table075):
+        # the n = 3 bracket straddles rho = 10, where T drops from 8 to 4:
+        # its evaluations take two different windows of the shared samples,
+        # and every value agrees bit for bit with a sweep of its own grid
+        lo, hi = refine_rho(3, 0.75, table=table075).bracket
+        samples = integro._sample_octaves(lo, hi, table075)
+        for rho in (lo, 10.0, hi):
+            shared = secular(rho, table075, _samples=samples)
+            alone = secular(rho, table075)
+            assert shared.xi == alone.xi and shared.eta == alone.eta
+            for name in ("grid", "weights", "gv", "hv", "e", "p", "q", "r"):
+                got = getattr(shared.solution, name)
+                assert np.array_equal(got, getattr(alone.solution, name))
+        # a rho whose window is not sampled is refused, never mis-sliced
+        for rho in (lo / 4.0, 2.0 * hi):
+            with pytest.raises(DomainError):
+                solve_pqr(rho, table075, _samples=samples)
+
 
 class TestSecular:
     def test_large_rho_model(self, table075):
@@ -261,9 +298,9 @@ class TestRefine:
         seen = []
         original = secular
 
-        def spy(rho, table, solution=None):
+        def spy(rho, table, solution=None, **kw):
             seen.append(float(rho))
-            return original(rho, table, solution)
+            return original(rho, table, solution, **kw)
 
         monkeypatch.setattr("fracspec.integro.secular", spy)
         root = refine_rho(3, 0.75, table=table075)
@@ -317,9 +354,9 @@ class TestRefine:
         calls = []
         original = secular
 
-        def spy(rho, table, solution=None):
+        def spy(rho, table, solution=None, **kw):
             calls.append(rho)
-            return original(rho, table, solution)
+            return original(rho, table, solution, **kw)
 
         monkeypatch.setattr("fracspec.integro.secular", spy)
         for n in (1, 3, 10, 30):
@@ -330,7 +367,7 @@ class TestRefine:
     def test_no_sign_change_evaluates_every_node(self, table075, monkeypatch):
         seen = []
 
-        def positive(rho, table, solution=None):
+        def positive(rho, table, solution=None, **kw):
             seen.append(rho)
             return SimpleNamespace(rho=rho, normalized=1.0)
 
@@ -348,7 +385,7 @@ class TestRefine:
         j = next(k for k in range(15, -1, -1) if dist[k] == dist[31 - k])
         inside = (rs[j + 1], rs[31 - j])
 
-        def two_flips(rho, table, solution=None):
+        def two_flips(rho, table, solution=None, **kw):
             sign = 1.0 if inside[0] <= rho <= inside[1] else -1.0
             return SimpleNamespace(rho=rho, normalized=sign)
 
@@ -363,6 +400,40 @@ class TestRefine:
         with pytest.raises(Chosen) as chosen:
             refine_rho(3, order, table=table075)
         assert chosen.value.args == (rs[j], rs[j + 1])
+
+    def test_one_sweep_per_root(self, table075, monkeypatch):
+        sweeps = []
+        original = integro.g0_h0
+
+        def spy(t, table):
+            sweeps.append(t.size)
+            return original(t, table)
+
+        monkeypatch.setattr("fracspec.integro.g0_h0", spy)
+        # one sweep over the octaves of every rho in [rho_n -+ pi/2]: all
+        # of n = 10's have T = 2, while n = 3's straddle rho = 10
+        for n, octaves in ((10, 40), (3, 41)):
+            refine_rho(n, 0.75, table=table075)
+            assert sweeps == [octaves * 6]
+            sweeps.clear()
+        sol = solve_pqr(28.0, table075)
+        assert sweeps == [sol.grid.size]
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_self_convergence(self, alpha, monkeypatch):
+        # oracle: the same roots on a finer PQR grid, T = 2^ceil(log2(80/rho))
+        # with 48 octaves of 12 nodes. Measured relative gaps: at most
+        # 4.4e-11 (a = 0.6, n = 1), below 1.5e-11 at a = 0.75 and 0.9
+        table = fs.PhaseTable(alpha)
+        ns = (1, 4, 10)
+        coarse = [refine_rho(n, alpha, table=table).rho for n in ns]
+        monkeypatch.setattr(integro, "_T_OVER_RHO", 80.0)
+        monkeypatch.setattr(integro, "_OCTAVES", 48)
+        monkeypatch.setattr(integro, "_PER_OCTAVE", 12)
+        assert build_pqr_grid(30.0)[0].size == 48 * 12
+        for n, rho in zip(ns, coarse):
+            fine = refine_rho(n, alpha, table=table).rho
+            assert abs(rho - fine) < 1e-10 * fine
 
     def test_variant_and_alpha_guards(self, table075):
         with pytest.raises(DomainError):

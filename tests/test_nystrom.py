@@ -1,4 +1,3 @@
-import io
 import warnings
 
 import mpmath as mp
@@ -17,7 +16,6 @@ from fracspec.nystrom import (
     build_grid,
     caputo_endpoint_value,
     discretize_and_solve,
-    dump_spectrum_csv,
     eigenfunction_at,
     kernel_bridge,
     kernel_K,
@@ -456,16 +454,3 @@ class TestMercer:
         a = mercer_trace_gap(bridge400, n_head=60)
         b = mercer_trace_gap(bridge400, n_head=100)
         assert abs(a - b) < 1e-3
-
-
-def test_dump_spectrum_csv(bridge400):
-    buf = io.StringIO()
-    dump_spectrum_csv(bridge400, buf)
-    lines = buf.getvalue().split("\n")
-    assert lines[0] == "k,mu,lambda,rho"
-    assert lines[-1] == ""
-    assert len(lines) == 2 + bridge400.mu.size
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(bridge400.mu[0])
-    assert "e" in first[2] and len(first[2].split("e")[0]) == 14

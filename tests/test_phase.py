@@ -134,6 +134,19 @@ class TestXc0:
         with pytest.raises(AccuracyError):
             fs.xc0(0.7 + 0.1j, strict)
 
+    @pytest.mark.parametrize("a", [0.55, 0.75, 0.9, 0.99])
+    def test_near_zero_raises(self, a):
+        # the docstring's region: the estimate exceeds 1e-10 at |z| = 1e-8
+        # on the imaginary axis (1.4e-7 at a = 0.75), is below it at 1e-5
+        # on Re z <= 0 and up to |z| = 1e12
+        table = fs.PhaseTable(fs.FractionalOrder(a))
+        for z in (1e-8j, -1e-8j, np.array([1j, 1e-8j])):
+            with pytest.raises(AccuracyError):
+                fs.xc0(z, table)
+        r = np.logspace(-5.0, 12.0, 35)[:, None]
+        z = r * np.exp(1j * np.linspace(np.pi / 2, np.pi, 9))
+        assert np.all(np.isfinite(fs.xc0(z.ravel(), table)))
+
 
 class TestPvWeight:
     def test_frozen_values(self, table075):
