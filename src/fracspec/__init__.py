@@ -10,8 +10,6 @@ serializes their comparisons.
 """
 
 from .asymptotics import (
-    AsymptoticEigenpair,
-    EigenfunctionApprox,
     Layer,
     Order,
     boundary_layer,
@@ -73,12 +71,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "AsymptoticEigenpair",
     "BracketError",
     "ConvergenceError",
     "DiscreteSpectrum",
     "DomainError",
-    "EigenfunctionApprox",
     "FracspecError",
     "FractionalOrder",
     "KernelKind",

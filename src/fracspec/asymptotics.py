@@ -15,14 +15,12 @@ endpoints; evaluation is deterministic and branch-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 from .phase import (
-    FractionalOrder,
     PhaseTable,
     Variant,
     b_alpha,
@@ -38,8 +36,6 @@ from .quadrature import half_line_grid
 __all__ = [
     "Order",
     "Layer",
-    "AsymptoticEigenpair",
-    "EigenfunctionApprox",
     "rho_asymptotic",
     "lambda_asymptotic",
     "lambda_two_term",
@@ -98,38 +94,6 @@ def lambda_two_term(n: int, alpha) -> float:
     return x ** (2 * a) + np.pi * (a - 1.0) * x ** (2 * a - 1.0)
 
 
-@dataclass(frozen=True)
-class AsymptoticEigenpair:
-    """One asymptotic eigenpair; lam == rho**(2 alpha) by construction."""
-
-    n: int
-    order: Order
-    rho: float
-    lam: float
-    alpha: FractionalOrder
-
-    @classmethod
-    def make(cls, n: int, alpha, order: Order = Order.SECOND):
-        o = _as_order(alpha)
-        rho = rho_asymptotic(n, o, order)
-        return cls(n=n, order=order, rho=rho, lam=rho ** (2.0 * o.alpha), alpha=o)
-
-
-@dataclass(frozen=True)
-class EigenfunctionApprox:
-    pair: AsymptoticEigenpair
-    include_layers: bool = True
-
-    def __call__(self, x, table: PhaseTable):
-        return eigenfunction_asymptotic(
-            self.pair.n,
-            x,
-            self.pair.alpha,
-            include_layers=self.include_layers,
-            table=table,
-        )
-
-
 def upsilon0(t, table: PhaseTable):
     """Layer density at x=0:
 
@@ -170,9 +134,9 @@ def upsilon1(t, table: PhaseTable):
     return float(val[0]) if scalar else val
 
 
-def _layer_samples(table: PhaseTable, which: Layer, level: int):
+def _layer_samples(table: PhaseTable, which: Layer):
     """Nodes t and weighted samples w Upsilon_j(t) on the half-line grid."""
-    t, w = half_line_grid(level)
+    t, w = half_line_grid()
     # drop the rule's extreme nodes: the densities vanish like t^{2a} at 0
     # and t^{-1-a} (Upsilon0) / t^{-2a} (Upsilon1) at infinity, so the
     # omitted mass is negligible while X_c0's quadrature error estimate
@@ -183,7 +147,7 @@ def _layer_samples(table: PhaseTable, which: Layer, level: int):
     return t, w * ups
 
 
-def boundary_layer(x, rho: float, which: Layer, table: PhaseTable, level: int = 6):
+def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     """int_0^inf Upsilon_j(t) exp(-rho t d) dt, d = x (AtZero) or 1-x (AtOne).
 
     d = 0 needs no special handling: the densities are integrable at both
@@ -191,7 +155,7 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable, level: int = 
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    t, wu = _layer_samples(table, which, level)
+    t, wu = _layer_samples(table, which)
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     d = xx if which is Layer.AT_ZERO else 1.0 - xx

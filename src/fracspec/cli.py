@@ -97,20 +97,22 @@ _KEY_ALIASES = {"out": "output_dir"}
 
 def load_config_file(path: str) -> dict:
     """Flat key=value text; '#' starts a comment, blank lines ignored."""
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read config file {path}: {e}") from e
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            key = _KEY_ALIASES.get(key, key)
-            out[key] = _coerce(key, value)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        key = _KEY_ALIASES.get(key, key)
+        out[key] = _coerce(key, value)
     return out
 
 
@@ -180,6 +182,18 @@ def _write_text(path: str, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _write_outputs(out_dir: str, files) -> None:
+    """Write (name, text) files under out_dir; an OSError there is a usage error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files:
+            path = os.path.join(out_dir, name)
+            _write_text(path, text)
+            print(f"wrote {path}")
+    except OSError as e:
+        raise UsageError(f"cannot write output to {out_dir}: {e}") from e
 
 
 def _fmt(v) -> str:
@@ -271,14 +285,10 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
 def cmd_spectrum(cfg: RunConfig) -> int:
     order = _validated_order(cfg, nystrom="nystrom" in cfg.methods)
     spectrum_csv, integro_csv, failures = _build_spectrum(cfg, order)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, "spectrum.csv")
-    _write_text(path, spectrum_csv)
-    print(f"wrote {path}")
+    files = [("spectrum.csv", spectrum_csv)]
     if integro_csv is not None:
-        ipath = os.path.join(cfg.output_dir, "integro.csv")
-        _write_text(ipath, integro_csv)
-        print(f"wrote {ipath}")
+        files.append(("integro.csv", integro_csv))
+    _write_outputs(cfg.output_dir, files)
     for n, msg in failures:
         print(f"integro refinement failed at n={n}: {msg}", file=sys.stderr)
     if any(n >= 3 for n, _ in failures):
@@ -335,13 +345,10 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
         ylabel="error",
     )
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    cpath = os.path.join(cfg.output_dir, f"eigenfunction_n{n}.csv")
-    spath = os.path.join(cfg.output_dir, f"eigenfunction_n{n}.svg")
-    _write_text(cpath, "\n".join(lines) + "\n")
-    _write_text(spath, svg)
-    print(f"wrote {cpath}")
-    print(f"wrote {spath}")
+    _write_outputs(cfg.output_dir, [
+        (f"eigenfunction_n{n}.csv", "\n".join(lines) + "\n"),
+        (f"eigenfunction_n{n}.svg", svg),
+    ])
     return 0
 
 

@@ -82,6 +82,7 @@ __all__ = [
 _T_OVER_RHO = 40.0  # truncation: e^{-rho tau} < 5e-18 past tau = 40/rho
 _OCTAVES = 40  # dyadic refinement toward 0; cutoff error ~ (T 2^-40)^{1+a}
 _PER_OCTAVE = 6  # Gauss nodes per octave
+_SCAN_POINTS = 33  # bracket search nodes on [rho_n - pi/2, rho_n + pi/2]
 _STOP = 1e-12
 _MAX_ITER = 100
 
@@ -153,17 +154,17 @@ class PQRSolution:
         return max(self.residuals)
 
 
-def _system_data(rho: float, table: PhaseTable, grid=None, samples=None):
-    if samples is not None:  # the window of build_pqr_grid(rho), sliced
-        k0, *arrays = samples
-        i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
-        j = i + _OCTAVES * _PER_OCTAVE
-        if i < 0 or j > arrays[0].size:
-            raise DomainError(f"rho={rho:g} lies outside the sampled octaves")
-        t, w, gv, h = (x[i:j] for x in arrays)
-    else:
-        t, w = build_pqr_grid(rho) if grid is None else grid
-        gv, h = g0_h0(t, table)
+def _system_data(rho: float, table: PhaseTable, samples=None):
+    """Kernel data on rho's 240 nodes, build_pqr_grid(rho), sliced from
+    _sample_octaves output (by default, of rho's own window)."""
+    if rho <= 0:
+        raise DomainError("rho must be positive")
+    k0, *arrays = _sample_octaves(rho, rho, table) if samples is None else samples
+    i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
+    j = i + _OCTAVES * _PER_OCTAVE
+    if i < 0 or j > arrays[0].size:
+        raise DomainError(f"rho={rho:g} lies outside the sampled octaves")
+    t, w, gv, h = (x[i:j] for x in arrays)
     hv = -h  # (2,1) block of M
     e = w * np.exp(-rho * t)
     D = 1.0 / (t[None, :] + t[:, None])
@@ -172,10 +173,10 @@ def _system_data(rho: float, table: PhaseTable, grid=None, samples=None):
     return t, w, gv, hv, e, W1, W2
 
 
-def apply_A(f, rho: float, table: PhaseTable, grid=None):
+def apply_A(f, rho: float, table: PhaseTable):
     """Apply the integral operator to samples f of shape (2, N) on the grid."""
     f = np.asarray(f, dtype=float)
-    t, w, gv, hv, e, W1, W2 = _system_data(rho, table, grid)
+    t, w, gv, hv, e, W1, W2 = _system_data(rho, table)
     if f.shape != (2, t.size):
         raise DomainError(f"f must have shape (2, {t.size})")
     return np.stack([W1 @ f[1], W2 @ f[0]])
@@ -189,8 +190,6 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     updates grow instead of contracting. refine_rho passes its bracket's
     g0/h0 samples as _samples; the values are the same as sampled here.
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
     t, w, gv, hv, e, W1, W2 = _system_data(rho, table, samples=_samples)
     n = t.size
     b = np.zeros((3, 2, n))
@@ -302,7 +301,7 @@ def secular(
     pm, qm, rm = analytic_extend(sol, -1j)
     pp, qp, rp = analytic_extend(sol, 1j)
     x_i = xc0(1j, table)
-    x_mi = xc0(-1j, table)
+    x_mi = x_i.conjugate()  # theta0 is real, so X_c0(-i) = conj X_c0(i)
     X = x_i / (rho * 1j)
     Y = (rho * 1j) ** (a - 1.0) * x_mi
     ph = np.exp(-1j * rho)
@@ -383,12 +382,10 @@ def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def refine_rho(
-    n: int, alpha, table: PhaseTable | None = None, scan_points: int = 33
-) -> RefinedRoot:
+def refine_rho(n: int, alpha, table: PhaseTable | None = None) -> RefinedRoot:
     """Refine rho_n from the two-term asymptote by a bracketed root solve.
 
-    The normalized condition is sampled at scan_points equispaced nodes of
+    The normalized condition is sampled at 33 equispaced nodes of
     [rho_n - pi/2, rho_n + pi/2]. The intervals between them are visited
     nearest-first: by the distance of their midpoints from rho_n, the lower
     interval first at equal distance. The first interval whose ends differ
@@ -433,7 +430,7 @@ def refine_rho(
                 best = sv
         return normalized[key]
 
-    rs = np.linspace(lo, hi, scan_points)
+    rs = np.linspace(lo, hi, _SCAN_POINTS)
     mids = 0.5 * (rs[:-1] + rs[1:])
     # a stable sort puts the lower of two equidistant intervals first
     for i in np.argsort(np.abs(mids - rho0), kind="stable"):
@@ -442,7 +439,7 @@ def refine_rho(
     else:
         raise BracketError(
             f"no sign change of the secular condition in [{lo:.6g}, {hi:.6g}]"
-            f" for n={n}, alpha={order.alpha:g} ({scan_points} samples)"
+            f" for n={n}, alpha={order.alpha:g} ({_SCAN_POINTS} samples)"
         )
     root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
     sv = best if best.rho == root else secular(root, table, _samples=samples)
@@ -490,7 +487,7 @@ def reconstruct_f_exact(
     c1 = float(-np.real(sv.xi / sv.eta))
     bal = b_alpha(table.order)
 
-    tau, wt = half_line_grid(table.quadrature_order)
+    tau, wt = half_line_grid()
     # truncate the rule's extreme nodes: below 1e-10 the integrands vanish
     # like tau^{3a-1} (I2) and tau^{a+...} (I1), above 1e12 they decay like
     # tau^{-1-a} and tau^{-2a}; both omitted tails are far below the

@@ -91,6 +91,7 @@ class KernelSpec:
 
 
 def _alpha_of(alpha) -> float:
+    # not phase._as_order: that builds an rl-bridge order, rejecting caputo a <= 1/2
     if isinstance(alpha, FractionalOrder):
         return alpha.alpha
     return float(alpha)

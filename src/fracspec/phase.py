@@ -129,62 +129,41 @@ def _sin_theta0_minus_api(t, a):
 
 
 class PhaseTable:
-    """Quadrature data for one alpha: nodes and phase samples, read-only.
+    """Quadrature data for one alpha, read-only: a tanh-sinh rule and phases.
 
-    The Cauchy integral over (0, inf) is split as t = u^2 on (0,1] and
-    t = 1/s on [1, inf); both pieces use one tanh-sinh rule. Tanh-sinh levels
-    nest, so each evaluation also yields the coarser level's value for free;
-    the difference drives the accuracy-error contract.
+    The Cauchy integral over (0, inf) is split as t = x^2 on (0,1] and
+    t = 1/x on [1, inf); both pieces and the PV integral use one tanh-sinh
+    rule on x. Tanh-sinh levels nest, so each evaluation also yields the
+    coarser level's value for free; the difference drives the accuracy-error
+    contract.
     """
 
-    def __init__(self, order, level: int = 6, tol: float = 1e-10):
+    def __init__(self, order, tol: float = 1e-10):
         order = _as_order(order)
         if order.variant is not Variant.RL_BRIDGE:
             raise DomainError("PhaseTable requires the rl-bridge variant")
         self.order = order
         self.alpha = order.alpha
-        self.quadrature_order = int(level)
         self.tol = float(tol)
         a = self.alpha
 
-        u, wu, _ = tanh_sinh_rule(level)
-        self._t1 = u * u
-        th1 = theta0(self._t1, order)
-        self._coef1 = wu * th1 * 2.0 * u
-
-        s, ws, _ = tanh_sinh_rule(level)
-        self._s = s
-        self._t2 = 1.0 / s
-        th2 = theta0(self._t2, order)
-        self._coef2 = ws * th2 / s
-        self._coef2_plain = ws * th2 / s**2
-
+        x, w, xc = tanh_sinh_rule()
+        self._x = x
+        self._t1 = x * x
+        self._coef1 = w * theta0(self._t1, order) * 2.0 * x
+        self._coef2 = w * theta0(1.0 / x, order) / x
         # nesting mask: even-index k of the symmetric tanh-sinh rule
-        n1 = self._t1.size
-        k1 = np.arange(n1) - n1 // 2
-        self._even1 = k1 % 2 == 0
-        n2 = self._s.size
-        k2 = np.arange(n2) - n2 // 2
-        self._even2 = k2 % 2 == 0
+        self._even = (np.arange(x.size) - x.size // 2) % 2 == 0
 
-        # PV rule on sigma in (0,1), with complement kept for stability
-        self._sig, self._wsig, self._sigc = tanh_sinh_rule(level)
-        npv = self._sig.size
-        kpv = np.arange(npv) - npv // 2
-        self._evenpv = kpv % 2 == 0
+        # PV rule on sigma = x in (0,1), with complement xc kept for stability
+        self._w = w
         # the t-independent factors of the PV integrand
-        lo = np.log(self._sig)
-        self._sig_hi = self._sig ** (-2 * a)
-        self._sig_lo = self._sig ** (2 * a)
+        lo = np.log(x)
+        self._sig_hi = x ** (-2 * a)
+        self._sig_lo = x ** (2 * a)
         self._expm1_hi = np.expm1(-2 * a * lo)
         self._expm1_lo = np.expm1(2 * a * lo)
-        self._pv_den = self._sigc * (1.0 + self._sig)
-
-        nodes = np.concatenate([self._t1, self._t2])
-        values = np.concatenate([th1, th2])
-        idx = np.argsort(nodes)
-        self.nodes = nodes[idx]
-        self.theta0_values = values[idx]
+        self._pv_den = xc * (1.0 + x)
 
     # -- Cauchy transform ------------------------------------------------
 
@@ -193,11 +172,11 @@ class PhaseTable:
         z = np.asarray(z)
         zz = z[..., None]
         q1 = self._coef1 / (self._t1 - zz)
-        q2 = self._coef2 / (1.0 - self._s * zz)
+        q2 = self._coef2 / (1.0 - self._x * zz)
         fine = (q1.sum(axis=-1) + q2.sum(axis=-1)) / np.pi
         coarse = (
-            2.0 * q1[..., self._even1].sum(axis=-1)
-            + 2.0 * q2[..., self._even2].sum(axis=-1)
+            2.0 * q1[..., self._even].sum(axis=-1)
+            + 2.0 * q2[..., self._even].sum(axis=-1)
         ) / np.pi
         return fine, np.abs(fine - coarse)
 
@@ -237,9 +216,9 @@ class PhaseTable:
             d_lo = -tb * self._expm1_lo
             tau_lo = tb * self._sig_lo
             num = dtheta(tau_hi, tb, d_hi) - dtheta(tau_lo, tb, d_lo)
-            q = self._wsig * num / self._pv_den
+            q = self._w * num / self._pv_den
             fine[i:j] = q.sum(axis=-1)
-            coarse[i:j] = 2.0 * q[:, self._evenpv].sum(axis=-1)
+            coarse[i:j] = 2.0 * q[:, self._even].sum(axis=-1)
         return -(2.0 / np.pi) * fine, (2.0 / np.pi) * np.abs(fine - coarse)
 
 

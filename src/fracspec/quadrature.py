@@ -29,9 +29,9 @@ _YMAX = 18.0
 
 
 @lru_cache(maxsize=32)
-def _tanh_sinh_cached(level: int, ymax: float):
+def _tanh_sinh_cached(level: int):
     h = 0.5**level
-    kmax = int(np.floor(np.arcsinh(2.0 / np.pi * ymax) / h))
+    kmax = int(np.floor(np.arcsinh(2.0 / np.pi * _YMAX) / h))
     k = np.arange(-kmax, kmax + 1)
     y = 0.5 * np.pi * np.sinh(k * h)
     x = 1.0 / (1.0 + np.exp(-2.0 * y))
@@ -43,7 +43,7 @@ def _tanh_sinh_cached(level: int, ymax: float):
     return x, w, xc
 
 
-def tanh_sinh_rule(level: int = 6, ymax: float = _YMAX):
+def tanh_sinh_rule(level: int = 6):
     """Nodes, weights and complements (1 - nodes) of a tanh-sinh rule on (0,1).
 
     ``level`` halves the step per increment; level 6 gives ~770 nodes. The
@@ -51,15 +51,14 @@ def tanh_sinh_rule(level: int = 6, ymax: float = _YMAX):
     """
     if level < 1:
         raise ValueError("tanh-sinh level must be >= 1")
-    return _tanh_sinh_cached(int(level), float(ymax))
+    return _tanh_sinh_cached(int(level))
 
 
-@lru_cache(maxsize=16)
-def _half_line_cached(level: int):
-    u, wu, _ = _tanh_sinh_cached(level, _YMAX)
-    s, ws, _ = _tanh_sinh_cached(level, _YMAX)
-    t = np.concatenate([u * u, 1.0 / s])
-    w = np.concatenate([wu * 2.0 * u, ws / s**2])
+@lru_cache(maxsize=1)
+def _half_line_cached():
+    u, wu, _ = tanh_sinh_rule()
+    t = np.concatenate([u * u, 1.0 / u])
+    w = np.concatenate([wu * 2.0 * u, wu / u**2])
     order = np.argsort(t)
     t = t[order]
     w = w[order]
@@ -68,14 +67,14 @@ def _half_line_cached(level: int):
     return t, w
 
 
-def half_line_grid(level: int = 6):
+def half_line_grid():
     """Nodes and weights for integrals over (0, inf), sorted increasing.
 
-    Built from the tanh-sinh rule via t = u^2 on (0,1] and t = 1/s on [1,inf).
-    Handles integrands that behave like t^(a-1) near 0 (a > 0) and decay
-    algebraically faster than 1/t at infinity.
+    Built from the level-6 tanh-sinh rule via t = u^2 on (0,1] and t = 1/u
+    on [1,inf). Handles integrands that behave like t^(a-1) near 0 (a > 0)
+    and decay algebraically faster than 1/t at infinity.
     """
-    return _half_line_cached(int(level))
+    return _half_line_cached()
 
 
 @lru_cache(maxsize=64)

@@ -41,11 +41,6 @@ class TestFrequencies:
                 gap = abs(fs.lambda_two_term(n, o) - fs.lambda_asymptotic(n, o))
                 assert gap < 0.5 * n ** (2 * a - 2)
 
-    def test_eigenpair_make(self, order075):
-        pair = fs.AsymptoticEigenpair.make(5, order075)
-        assert pair.n == 5
-        assert pair.lam == pytest.approx(pair.rho ** (2 * 0.75))
-
 
 class TestLayers:
     def test_upsilon_signs(self, table075):
@@ -132,10 +127,3 @@ class TestEigenfunction:
         a = fs.eigenfunction_asymptotic(6, x, order075, table=table075)
         b = fs.eigenfunction_asymptotic(6, x, order075, table=table075)
         assert np.array_equal(a, b)
-
-    def test_approx_wrapper(self, table075, order075):
-        pair = fs.AsymptoticEigenpair.make(4, order075)
-        f = fs.EigenfunctionApprox(pair, include_layers=False)
-        assert f(0.5, table075) == fs.eigenfunction_asymptotic(
-            4, 0.5, order075, include_layers=False
-        )

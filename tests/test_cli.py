@@ -106,7 +106,7 @@ class TestSpectrum:
             assert abs(float(r[6])) < 1e-2  # relerr against integro reference
 
     def test_failures_below_three_tolerated(self, tmp_path, monkeypatch):
-        def boom(n, alpha, table=None, scan_points=33):
+        def boom(n, alpha, table=None):
             raise BracketError("no sign change (forced)")
 
         monkeypatch.setattr("fracspec.cli.refine_rho", boom)
@@ -348,6 +348,12 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         assert main(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"alpha = 0.75\xff\n")
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        assert "usage error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["m = abc", "alpha = 0.7x", "n-max = 2.5"])
     def test_non_numeric_value(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -375,10 +381,22 @@ class TestUsageErrors:
             ["eigenfunction", "--alpha", "1", "--exact"],
             ["cache", "stat"],
             ["validate", "--alpha", "0.75", "--typo-kernel"],
+            ["spectrum", "--config", os.curdir],  # a directory
         ],
     )
     def test_exit_two(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "usage error:" in err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unwritable_out_exits_two(self, out, tmp_path, capsys):
+        # --out names an existing file, or a directory under one
+        (tmp_path / "afile").write_text("")
+        argv = ["spectrum", "--n-max", "2", "--methods", "asym1",
+                "--out", str(tmp_path / out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "usage error:" in err

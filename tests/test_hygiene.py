@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: unused imports and import cost."""
+"""Source hygiene checks that need no linter: unused imports, private names
+nothing reads, and import cost."""
 
 import ast
 import os
@@ -44,6 +45,63 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import os\nfrom x import y, z as w\n__all__ = ['y']\n")
     assert _unused_imports(tree) == ["os (line 1)", "w (line 2)"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private names defined in trees that no tree reads.
+
+    Covers module-level names, names in class bodies and self._x
+    attributes; a load of the bare name or of an attribute of that name
+    anywhere in trees counts as a read.
+    """
+    defined, read = {}, set()
+    for mod, tree in trees.items():
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        scopes = [(tree.body, "")] + [(c.body, c.name + ".") for c in classes]
+        for body, owner in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = getattr(node, "targets", [getattr(node, "target", None)])
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                defined.update({f"{mod}: {owner}{n}": n for n in names if _private(n)})
+        for cls in classes:
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and _private(node.attr)):
+                    defined[f"{mod}: {cls.name}.{node.attr}"] = node.attr
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(key for key, name in defined.items() if name not in read)
+
+
+def test_no_unread_private_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert _unread_private_names(trees) == []
+
+
+def test_check_flags_an_unread_private_name():
+    mod = ast.parse(
+        "_A = 1\n_B: int = 2\nprint(_A)\n"
+        "class C:\n"
+        "    def __init__(self):\n        self._x = self._y = 1\n"
+        "    def _m(self):\n        return self._x\n"
+    )
+    unread = ["m.py: C._m", "m.py: C._y"]
+    assert _unread_private_names({"m.py": mod}) == unread + ["m.py: _B"]
+    other = ast.parse("from m import _B\nprint(_B)\n")  # read in another module
+    assert _unread_private_names({"m.py": mod, "n.py": other}) == unread
 
 
 def test_import_loads_no_scipy():

@@ -73,9 +73,14 @@ class TestGridAndOperator:
         assert np.array_equal(t2[:-18], t1[18:])
         assert np.array_equal(w2[:-18], w1[18:])
 
-    def test_grid_rejects_nonpositive_rho(self):
-        with pytest.raises(DomainError):
-            build_pqr_grid(0.0)
+    def test_grid_rejects_nonpositive_rho(self, table075):
+        for rho in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                build_pqr_grid(rho)
+            with pytest.raises(DomainError):
+                solve_pqr(rho, table075)
+            with pytest.raises(DomainError):
+                apply_A(np.zeros((2, 240)), rho, table075)
 
     def test_apply_A_shape_check(self, table075):
         with pytest.raises(DomainError):
@@ -111,12 +116,11 @@ class TestSolvePqr:
     def test_fixed_point(self, table075):
         # p = A p + e1 must hold on the grid after convergence
         sol = solve_pqr(35.0, table075)
-        grid = (sol.grid, sol.weights)
-        ap = apply_A(sol.p, 35.0, table075, grid=grid)
+        ap = apply_A(sol.p, 35.0, table075)
         b = np.zeros_like(sol.p)
         b[0] = 1.0
         assert np.abs(sol.p - (ap + b)).max() < 1e-11
-        ar = apply_A(sol.r, 35.0, table075, grid=grid)
+        ar = apply_A(sol.r, 35.0, table075)
         br = np.stack([np.zeros_like(sol.grid), sol.grid])
         assert np.abs(sol.r - (ar + br)).max() < 1e-11
 

@@ -44,7 +44,7 @@ def test_tanh_sinh_cached_read_only():
 
 
 def test_half_line_grid_covers_both_ends():
-    t, w = half_line_grid(6)
+    t, w = half_line_grid()
     assert np.all(np.diff(t) > 0)
     assert t[0] < 1e-20 and t[-1] > 1e10
     # integral of e^{-t} over (0, inf)
