@@ -163,29 +163,27 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     return float(val[0]) if scalar else val
 
 
-def eigenfunction_asymptotic(
-    n: int, x, alpha, include_layers: bool = True, table: PhaseTable | None = None
-):
+def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
     """The uniform eigenfunction approximation at order Second (rl-bridge):
 
     sqrt(2) sin(rho_n x + (pi/4)(1-a))
-      [+ layer at 0 + (-1)^n layer at 1 when include_layers]
+      [+ layer at 0 + (-1)^n layer at 1 when a table is passed]
 
-    At alpha = 1 this is sqrt(2) sin(pi n x) with numerically vanishing
-    layers. The residual O(1/n) term of the underlying expansion is never
-    evaluated.
+    The table must be alpha's own. At alpha = 1 this is sqrt(2) sin(pi n x)
+    with numerically vanishing layers. The residual O(1/n) term of the
+    underlying expansion is never evaluated.
     """
     o = _as_order(alpha)
     if o.variant is not Variant.RL_BRIDGE:
         raise DomainError("eigenfunction asymptotics exist for rl-bridge only")
+    if table is not None and table.order != o:
+        raise DomainError(f"the PhaseTable of alpha={table.alpha} given for {o.alpha}")
     rho = rho_asymptotic(n, o, Order.SECOND)
     phi = (np.pi / 4) * (1.0 - o.alpha)
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     val = np.sqrt(2.0) * np.sin(rho * xx + phi)
-    if include_layers:
-        if table is None:
-            raise DomainError("include_layers requires a PhaseTable")
+    if table is not None:
         val = val + boundary_layer(xx, rho, Layer.AT_ZERO, table)
         val = val + (-1.0) ** n * boundary_layer(xx, rho, Layer.AT_ONE, table)
     return float(val[0]) if scalar else val

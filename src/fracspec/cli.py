@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files are deterministic for a fixed configuration: floats
 %.12e, comma-separated, LF endings. Per-n root refinements run in a thread
 pool that shares one PhaseTable (read-only, so no lock); each command
-writes its files once, at the end, each through a temporary file that then
-replaces the target.
+creates its output directory before it computes anything, and writes its
+files once, at the end, each through a temporary file that then replaces
+the target.
 """
 
 from __future__ import annotations
@@ -184,10 +185,17 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
+def _make_out_dir(out_dir: str) -> None:
+    """Create out_dir, before any solve: a bad --out fails at once."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot write output to {out_dir}: {e}") from e
+
+
 def _write_outputs(out_dir: str, files) -> None:
     """Write (name, text) files under out_dir; an OSError there is a usage error."""
     try:
-        os.makedirs(out_dir, exist_ok=True)
         for name, text in files:
             path = os.path.join(out_dir, name)
             _write_text(path, text)
@@ -232,7 +240,7 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
         table = PhaseTable(order)
         workers = min(8, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {n: pool.submit(refine_rho, n, order, table) for n in ns}
+            futs = {n: pool.submit(refine_rho, n, table) for n in ns}
         for n in ns:
             try:
                 roots[n] = futs[n].result()
@@ -284,6 +292,7 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     order = _validated_order(cfg, nystrom="nystrom" in cfg.methods)
+    _make_out_dir(cfg.output_dir)
     spectrum_csv, integro_csv, failures = _build_spectrum(cfg, order)
     files = [("spectrum.csv", spectrum_csv)]
     if integro_csv is not None:
@@ -312,6 +321,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
             "--exact requires alpha < 1; at alpha = 1 the eigenfunctions are"
             " exact sines and f_asym_nolayers gives them"
         )
+    _make_out_dir(cfg.output_dir)
 
     x = np.linspace(0.0, 1.0, cfg.grid_points)
     spectrum = discretize_and_solve(
@@ -322,10 +332,10 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
     f_ny = eigenfunction_at(spectrum, n, x)
 
     table = PhaseTable(order)
-    f_nolayers = eigenfunction_asymptotic(n, x, order, include_layers=False)
-    f_layers = eigenfunction_asymptotic(n, x, order, include_layers=True, table=table)
+    f_nolayers = eigenfunction_asymptotic(n, x, order)
+    f_layers = eigenfunction_asymptotic(n, x, order, table)
     if exact:
-        root = refine_rho(n, order, table)
+        root = refine_rho(n, table)
         f_exact = reconstruct_f_exact(x, root.rho, table, root.value)
 
     header = "x,f_nystrom,f_asym_nolayers,f_asym_layers" + (",f_exact" if exact else "")

@@ -27,15 +27,14 @@ carrying one 6-node Gauss pattern scaled by a power of two: a node depends
 on its octave only, never on rho. Fixed-point iteration contracts for
 every rho used here; non-contraction raises rather than looping.
 
-The principal-value weight behind g0 and h0 is the costly part of the
-system data, and each root needs it exactly once: refine_rho samples g0
-and h0 in one PV sweep over the octaves of every rho in its bracket, and
-each evaluation slices its 240 nodes from there, bit for bit the values a
-standalone solve_pqr samples in its own sweep. The PQRSolution carries the
-kernel data (g0, -h0 and the weights times e^{-rho t}) so the
-continuations at -+i, secular and reconstruct_f_exact sample nothing
-again. refine_rho evaluates each rho of its bracket search and of Brent's
-iterates once; a root typically takes six or seven evaluations.
+What does not depend on rho is built once per root, over the octaves of
+every rho in its bracket: g0 and h0 (one sweep of the costly PV weight),
+the Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each evaluation slices its
+240 nodes from there, bit for bit what a standalone solve_pqr builds. The
+PQRSolution carries the kernel data (g0, -h0, the weights times
+e^{-rho t} and X_c0(i)), so secular and reconstruct_f_exact sample nothing
+again. refine_rho takes alpha from its PhaseTable and evaluates each rho
+once; a root typically takes six or seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
@@ -53,7 +52,6 @@ from .asymptotics import Order, rho_asymptotic
 from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
 from .phase import (
     PhaseTable,
-    Variant,
     _as_order,
     _sin_theta0_minus_api,
     b_alpha,
@@ -117,23 +115,24 @@ def build_pqr_grid(rho: float):
 
 
 def _sample_octaves(lo: float, hi: float, table: PhaseTable):
-    """(k0, t, w, g0, h0) over octaves k0, ... of every rho in [lo, hi]."""
+    """(k0, t, w, g0, h0, D, X_c0(i)) over octaves k0, ... of every rho in
+    [lo, hi], with D the Cauchy matrix 1/(t_i + t_j) of the nodes t."""
     k0 = _top_exponent(hi) - _OCTAVES
     t, w = _octave_rule(k0, _top_exponent(lo))
-    return (k0, t, w, *g0_h0(t, table))
+    D = 1.0 / (t[None, :] + t[:, None])
+    return (k0, t, w, *g0_h0(t, table), D, xc0(1j, table))
 
 
 @dataclass(frozen=True, eq=False)
 class PQRSolution:
     """Converged grid values of the three auxiliary solutions.
 
-    p, q, r have shape (2, N) over the grid nodes. converged means the
-    sup-norm update of every family fell below 1e-12 within the iteration
-    cap; iterations is the largest count used and residuals the final
-    per-family updates (p, q, r order). gv, hv and e are the kernel data the
-    system was solved with: the (1,2) and (2,1) blocks g0 and -h0 of M and
-    the weights times e^{-rho t}, all on the grid; the continuation reads
-    them instead of sampling g0 and h0 again.
+    p, q, r have shape (2, N) over the grid nodes; iterations is the number
+    of sweeps. gv, hv and e are the kernel data the system was solved with:
+    the (1,2) and (2,1) blocks g0 and -h0 of M and the weights times
+    e^{-rho t}, all on the grid; the continuation reads them instead of
+    sampling g0 and h0 again. xc_i is X_c0(i), read by secular and
+    reconstruct_f_exact.
     """
 
     rho: float
@@ -142,16 +141,11 @@ class PQRSolution:
     gv: np.ndarray
     hv: np.ndarray
     e: np.ndarray
+    xc_i: complex
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    converged: bool
     iterations: int
-    residuals: tuple
-
-    @property
-    def residual(self) -> float:
-        return max(self.residuals)
 
 
 def _system_data(rho: float, table: PhaseTable, samples=None):
@@ -159,7 +153,7 @@ def _system_data(rho: float, table: PhaseTable, samples=None):
     _sample_octaves output (by default, of rho's own window)."""
     if rho <= 0:
         raise DomainError("rho must be positive")
-    k0, *arrays = _sample_octaves(rho, rho, table) if samples is None else samples
+    k0, *arrays, D, xc_i = samples or _sample_octaves(rho, rho, table)
     i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
     j = i + _OCTAVES * _PER_OCTAVE
     if i < 0 or j > arrays[0].size:
@@ -167,16 +161,16 @@ def _system_data(rho: float, table: PhaseTable, samples=None):
     t, w, gv, h = (x[i:j] for x in arrays)
     hv = -h  # (2,1) block of M
     e = w * np.exp(-rho * t)
-    D = 1.0 / (t[None, :] + t[:, None])
+    D = D[i:j, i:j]
     W1 = D * (e * gv)[None, :] / np.pi  # maps f2 samples to (A f)_1
     W2 = D * (e * hv)[None, :] / np.pi  # maps f1 samples to (A f)_2
-    return t, w, gv, hv, e, W1, W2
+    return t, w, gv, hv, e, xc_i, W1, W2
 
 
 def apply_A(f, rho: float, table: PhaseTable):
     """Apply the integral operator to samples f of shape (2, N) on the grid."""
     f = np.asarray(f, dtype=float)
-    t, w, gv, hv, e, W1, W2 = _system_data(rho, table)
+    t, w, gv, hv, e, xc_i, W1, W2 = _system_data(rho, table)
     if f.shape != (2, t.size):
         raise DomainError(f"f must have shape (2, {t.size})")
     return np.stack([W1 @ f[1], W2 @ f[0]])
@@ -185,12 +179,12 @@ def apply_A(f, rho: float, table: PhaseTable):
 def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     """Solve the three fixed-point systems on the dyadic grid.
 
-    Stops when every family's sup-norm update is below 1e-12 (or after 100
-    sweeps, reported via converged=False); raises ConvergenceError if the
-    updates grow instead of contracting. refine_rho passes its bracket's
-    g0/h0 samples as _samples; the values are the same as sampled here.
+    Stops when every family's sup-norm update is below 1e-12; raises
+    ConvergenceError if the updates grow, or stay above that after 100
+    sweeps. refine_rho passes its bracket's _sample_octaves output as
+    _samples; the values are the same as sampled here.
     """
-    t, w, gv, hv, e, W1, W2 = _system_data(rho, table, samples=_samples)
+    t, w, gv, hv, e, xc_i, W1, W2 = _system_data(rho, table, samples=_samples)
     n = t.size
     b = np.zeros((3, 2, n))
     b[0, 0] = 1.0  # p
@@ -198,8 +192,6 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     b[2, 1] = t  # r
     f = b.copy()
     prev = np.inf
-    res = np.full(3, np.inf)
-    iters = _MAX_ITER
     for it in range(1, _MAX_ITER + 1):
         new0 = b[:, 0, :] + f[:, 1, :] @ W1.T
         new1 = b[:, 1, :] + f[:, 0, :] @ W2.T
@@ -208,7 +200,6 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
         f = new
         d = float(res.max())
         if d < _STOP:
-            iters = it
             break
         if d > 1.5 * prev and prev > _STOP:
             raise ConvergenceError(
@@ -216,7 +207,11 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
                 f" (update grew {prev:.3e} -> {d:.3e})"
             )
         prev = d
-    converged = float(res.max()) < _STOP
+    else:
+        raise ConvergenceError(
+            f"fixed-point iteration did not converge in {_MAX_ITER} sweeps"
+            f" at rho={rho:g} (last update {prev:.3e})"
+        )
     return PQRSolution(
         rho=float(rho),
         grid=t,
@@ -224,12 +219,11 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
         gv=gv,
         hv=hv,
         e=e,
+        xc_i=xc_i,
         p=f[0],
         q=f[1],
         r=f[2],
-        converged=converged,
-        iterations=iters,
-        residuals=tuple(float(x) for x in res),
+        iterations=it,
     )
 
 
@@ -278,9 +272,7 @@ class SecularValue:
         return self.condition / (abs(self.xi) * abs(self.eta))
 
 
-def secular(
-    rho: float, table: PhaseTable, solution: PQRSolution | None = None, *, _samples=None
-):
+def secular(rho: float, table: PhaseTable, *, _samples=None):
     """Assemble xi and eta from the continuations at -+i.
 
     xi  = X(rho i) p1(-i) + rho^-a e^{-rho i} Y(-rho i) p2(i)
@@ -289,18 +281,16 @@ def secular(
 
     with X(rho i) = X_c0(i)/(rho i), Y(-rho i) = (rho i)^{a-1} X_c0(-i) and
     b = b_alpha. Im(xi conj(eta)) vanishes exactly at eigenvalue signatures
-    rho = lambda^{1/(2a)}. A solution already computed at this rho can be
-    passed to skip the solve; _samples is handed on to solve_pqr.
+    rho = lambda^{1/(2a)}. X_c0(i) comes with the solution; _samples is
+    handed on to solve_pqr.
     """
     a = table.alpha
-    if solution is not None and solution.rho != float(rho):
-        raise DomainError("supplied solution was computed at a different rho")
-    sol = solution if solution is not None else solve_pqr(rho, table, _samples=_samples)
+    sol = solve_pqr(rho, table, _samples=_samples)
     # one point per call: a two-row product rounds differently from two
     # one-row products, which moves the last digits of condition_residual
     pm, qm, rm = analytic_extend(sol, -1j)
     pp, qp, rp = analytic_extend(sol, 1j)
-    x_i = xc0(1j, table)
+    x_i = sol.xc_i
     x_mi = x_i.conjugate()  # theta0 is real, so X_c0(-i) = conj X_c0(i)
     X = x_i / (rho * 1j)
     Y = (rho * 1j) ** (a - 1.0) * x_mi
@@ -310,7 +300,7 @@ def secular(
     eta = X * rho**a * (rho * bal * qm[0] - rho * rm[0]) + ph * Y * (
         rho * bal * qp[1] - rho * rp[1]
     )
-    return SecularValue(rho=float(rho), xi=complex(xi), eta=complex(eta), solution=sol)
+    return SecularValue(float(rho), complex(xi), complex(eta), sol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +314,7 @@ class RefinedRoot:
 
     @property
     def condition_residual(self) -> float:
-        return abs(self.value.condition) / (
-            abs(self.value.xi) * abs(self.value.eta)
-        )
+        return abs(self.value.normalized)
 
     @property
     def iterations(self) -> int:
@@ -382,8 +370,8 @@ def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def refine_rho(n: int, alpha, table: PhaseTable | None = None) -> RefinedRoot:
-    """Refine rho_n from the two-term asymptote by a bracketed root solve.
+def refine_rho(n: int, table: PhaseTable) -> RefinedRoot:
+    """Refine rho_n at the table's order from the two-term asymptote.
 
     The normalized condition is sampled at 33 equispaced nodes of
     [rho_n - pi/2, rho_n + pi/2]. The intervals between them are visited
@@ -393,21 +381,17 @@ def refine_rho(n: int, alpha, table: PhaseTable | None = None) -> RefinedRoot:
     from scipy with bit-identical roots), so only the nodes up to it are
     evaluated; it is the sign change nearest to rho_n. When no interval
     changes sign, BracketError is raised after every node has been
-    evaluated (no root is guessed). The polished root must satisfy
-    |Im(xi conj(eta))| < 1e-10 |xi||eta| or AccuracyError is raised.
+    evaluated (no root is guessed). The polished root's condition_residual
+    |Im(xi conj(eta))| / (|xi||eta|) must be below 1e-10 or AccuracyError
+    is raised. alpha is the table's; alpha = 1 is refused (exact roots).
     """
-    order = _as_order(alpha)
-    if order.variant is not Variant.RL_BRIDGE:
-        raise DomainError("refinement applies to the rl-bridge variant")
-    if not 0.5 < order.alpha < 1.0:
+    if not table.alpha < 1.0:
         raise DomainError(
             "refinement requires alpha in (1/2, 1); alpha = 1 has exact roots"
         )
     if n < 1:
         raise DomainError("n must be >= 1")
-    if table is None:
-        table = PhaseTable(order)
-    rho0 = rho_asymptotic(n, order, Order.SECOND)
+    rho0 = rho_asymptotic(n, table.order, Order.SECOND)
     lo = max(rho0 - np.pi / 2.0, 1e-3)
     hi = rho0 + np.pi / 2.0
 
@@ -439,16 +423,17 @@ def refine_rho(n: int, alpha, table: PhaseTable | None = None) -> RefinedRoot:
     else:
         raise BracketError(
             f"no sign change of the secular condition in [{lo:.6g}, {hi:.6g}]"
-            f" for n={n}, alpha={order.alpha:g} ({_SCAN_POINTS} samples)"
+            f" for n={n}, alpha={table.alpha:g} ({_SCAN_POINTS} samples)"
         )
     root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
     sv = best if best.rho == root else secular(root, table, _samples=samples)
-    if abs(sv.condition) >= 1e-10 * abs(sv.xi) * abs(sv.eta):
+    rt = RefinedRoot(n=n, rho=float(root), value=sv, bracket=(float(lo), float(hi)))
+    if rt.condition_residual >= 1e-10:
         raise AccuracyError(
             f"root at rho={root:.12g} fails the residual contract:"
-            f" |Im(xi conj(eta))| = {abs(sv.condition):.3e}"
+            f" |Im(xi conj(eta))| / (|xi||eta|) = {rt.condition_residual:.3e}"
         )
-    return RefinedRoot(n=n, rho=float(root), value=sv, bracket=(float(lo), float(hi)))
+    return rt
 
 
 def c_ratio(rho: float, table: PhaseTable) -> float:
@@ -512,7 +497,7 @@ def reconstruct_f_exact(
         * rho ** (1.0 - a)
         * np.exp(-0.5j * np.pi * a)
         * (s_api / (a * np.pi))
-        * (xc0(1j, table) / (rho * 1j))
+        * (sol.xc_i / (rho * 1j))
         * psi0_pole
     )
 

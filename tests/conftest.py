@@ -23,6 +23,6 @@ def bridge2000(order075):
 
 
 @pytest.fixture(scope="session")
-def roots075(order075, table075):
+def roots075(table075):
     # refined secular roots for n = 5..20 (acceptance criterion range)
-    return {n: fs.refine_rho(n, order075, table075) for n in range(5, 21)}
+    return {n: fs.refine_rho(n, table075) for n in range(5, 21)}

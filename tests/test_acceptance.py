@@ -95,7 +95,7 @@ def test_3_eigenvalue_error_orders(bridge2000, order075):
 def test_4_boundary_layer_effect(bridge2000, table075, order075):
     x = np.linspace(0.0, 1.0, 501)
     f_ny = eigenfunction_at(bridge2000, 10, x)
-    f_off = fs.eigenfunction_asymptotic(10, x, order075, include_layers=False)
+    f_off = fs.eigenfunction_asymptotic(10, x, order075)
     f_on = fs.eigenfunction_asymptotic(10, x, order075, table=table075)
     sup_off = np.max(np.abs(f_off - f_ny))
     sup_on = np.max(np.abs(f_on - f_ny))

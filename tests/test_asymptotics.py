@@ -91,27 +91,40 @@ class TestEigenfunction:
     def test_alpha_one_is_classical_sine(self):
         x = np.linspace(0.0, 1.0, 101)
         for n in (1, 2, 5):
-            got = fs.eigenfunction_asymptotic(n, x, 1.0, include_layers=False)
+            got = fs.eigenfunction_asymptotic(n, x, 1.0)
             want = np.sqrt(2.0) * np.sin(np.pi * n * x)
             assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_layers_require_table(self, order075):
+    def test_layers_require_table(self, order075, table075):
+        # the layers are added exactly when a table is passed
+        x = np.linspace(0.0, 1.0, 11)
+        rho = fs.rho_asymptotic(5, order075)
+        sine = np.sqrt(2.0) * np.sin(rho * x + np.pi / 16.0)
+        assert np.array_equal(fs.eigenfunction_asymptotic(5, x, order075), sine)
+        layers = fs.eigenfunction_asymptotic(5, x, order075, table075) - sine
+        assert np.abs(layers).max() > 0.1
+
+    def test_table_of_another_alpha_rejected(self, table075):
+        # at n = 5, alpha = 0.6 the 0.75 table's layers are off by 0.49 at x = 1
+        with pytest.raises(DomainError, match="PhaseTable of alpha=0.75 given"):
+            fs.eigenfunction_asymptotic(5, 1.0, 0.6, table075)
         with pytest.raises(DomainError):
-            fs.eigenfunction_asymptotic(5, 0.5, order075, include_layers=True)
+            fs.eigenfunction_asymptotic(5, 1.0, fs.FractionalOrder(0.6), table075)
+        assert fs.eigenfunction_asymptotic(5, 1.0, 0.75, table075) == (
+            fs.eigenfunction_asymptotic(5, 1.0, fs.FractionalOrder(0.75), table075)
+        )
 
     def test_caputo_rejected(self):
         o = fs.FractionalOrder(0.75, fs.Variant.CAPUTO)
         with pytest.raises(DomainError):
-            fs.eigenfunction_asymptotic(5, 0.5, o, include_layers=False)
+            fs.eigenfunction_asymptotic(5, 0.5, o)
 
     def test_layer_at_one_alternates_with_n(self, table075, order075):
         # at x = 1 the layer correction is (-1)^n int Upsilon1 up to the
         # AtZero tail, which decays like rho^{-1-2a} (about 1e-4 here)
         for n in (10, 11):
             with_l = fs.eigenfunction_asymptotic(n, 1.0, order075, table=table075)
-            without = fs.eigenfunction_asymptotic(
-                n, 1.0, order075, include_layers=False
-            )
+            without = fs.eigenfunction_asymptotic(n, 1.0, order075)
             diff = with_l - without
             assert diff == pytest.approx((-1.0) ** n * 0.4545835517841, abs=2e-4)
 

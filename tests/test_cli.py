@@ -106,7 +106,7 @@ class TestSpectrum:
             assert abs(float(r[6])) < 1e-2  # relerr against integro reference
 
     def test_failures_below_three_tolerated(self, tmp_path, monkeypatch):
-        def boom(n, alpha, table=None):
+        def boom(n, table):
             raise BracketError("no sign change (forced)")
 
         monkeypatch.setattr("fracspec.cli.refine_rho", boom)
@@ -144,10 +144,10 @@ class TestSpectrum:
             polishing.append((a, b))
             return port(f, a, b, **kw, **limit)
 
-        def secular(rho, table, solution=None, **kw):
+        def secular(rho, table, **kw):
             if polishing and fault == "nan":
                 return SimpleNamespace(rho=rho, normalized=math.nan)
-            return real(rho, table, solution, **kw)
+            return real(rho, table, **kw)
 
         monkeypatch.setattr(fracspec.integro, "_brentq", enter)
         monkeypatch.setattr(fracspec.integro, "secular", secular)
@@ -400,6 +400,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "usage error:" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "eigenfunction"])
+    def test_unwritable_out_fails_before_solving(self, command, tmp_path,
+                                                 monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before checking --out")
+
+        monkeypatch.setattr("fracspec.cli.discretize_and_solve", solve)
+        (tmp_path / "afile").write_text("")
+        assert main([command, "--m", "50", "--out", str(tmp_path / "afile")]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: cannot write output to" in err
+        assert "Traceback" not in err
 
     def test_caputo_low_alpha_asymptotics(self, tmp_path):
         # no Nystrom solve, so alpha <= 1/2 is fine for the asymptotics

@@ -108,10 +108,13 @@ class TestGridAndOperator:
 class TestSolvePqr:
     def test_converges(self, table075):
         sol = solve_pqr(40.0, table075)
-        assert sol.converged
         assert sol.iterations < 30
-        assert sol.residual < 1e-12
-        assert len(sol.residuals) == 3
+
+    def test_unconverged_raises(self, table075, monkeypatch):
+        # contracting, but two sweeps cannot get the update below 1e-12
+        monkeypatch.setattr(integro, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="did not converge in 2 sweeps"):
+            solve_pqr(40.0, table075)
 
     def test_fixed_point(self, table075):
         # p = A p + e1 must hold on the grid after convergence
@@ -189,12 +192,13 @@ class TestKernelData:
         sol = solve_pqr(28.0, table075)
         assert sweeps == [sol.grid.size]
         sweeps.clear()
-        secular(28.0, table075, solution=sol)
+        secular(28.0, table075)  # its own solve's sweep, nothing more
+        assert sweeps == [sol.grid.size]
+        sweeps.clear()
         analytic_extend(sol, 0.3 + 0.2j)
         assert sweeps == []
 
     def test_secular_continues_at_plus_minus_i(self, table075, monkeypatch):
-        sol = solve_pqr(28.0, table075)
         used = []
 
         def spy(s, z):
@@ -203,7 +207,7 @@ class TestKernelData:
             return out
 
         monkeypatch.setattr("fracspec.integro.analytic_extend", spy)
-        secular(28.0, table075, solution=sol)
+        sol = secular(28.0, table075).solution
         assert [z for z, _ in used] == [-1j, 1j]
         for z, out in used:
             for got, want in zip(out, analytic_extend(sol, z)):
@@ -229,15 +233,24 @@ class TestKernelData:
         # the n = 3 bracket straddles rho = 10, where T drops from 8 to 4:
         # its evaluations take two different windows of the shared samples,
         # and every value agrees bit for bit with a sweep of its own grid
-        lo, hi = refine_rho(3, 0.75, table=table075).bracket
+        lo, hi = refine_rho(3, table075).bracket
         samples = integro._sample_octaves(lo, hi, table075)
+        t, D, xc_i = samples[1], samples[5], samples[6]
+        assert xc_i == fs.xc0(1j, table075)
         for rho in (lo, 10.0, hi):
             shared = secular(rho, table075, _samples=samples)
             alone = secular(rho, table075)
             assert shared.xi == alone.xi and shared.eta == alone.eta
-            for name in ("grid", "weights", "gv", "hv", "e", "p", "q", "r"):
+            for name in ("grid", "weights", "gv", "hv", "e", "xc_i", "p", "q", "r"):
                 got = getattr(shared.solution, name)
                 assert np.array_equal(got, getattr(alone.solution, name))
+            # the Cauchy matrix of rho's window, sliced from the bracket's
+            own = integro._sample_octaves(rho, rho, table075)
+            i = int(np.searchsorted(t, own[1][0]))
+            j = i + own[1].size
+            assert np.array_equal(t[i:j], own[1])
+            assert np.array_equal(D[i:j, i:j], own[5])
+            assert own[6] == xc_i
         # a rho whose window is not sampled is refused, never mis-sliced
         for rho in (lo / 4.0, 2.0 * hi):
             with pytest.raises(DomainError):
@@ -263,11 +276,6 @@ class TestSecular:
             )
             assert abs(got - model) / abs(model) < 0.05 / rho
 
-    def test_solution_reuse_checks_rho(self, table075):
-        sol = solve_pqr(30.0, table075)
-        with pytest.raises(DomainError):
-            secular(31.0, table075, solution=sol)
-
     def test_normalized_bounded(self, table075):
         sv = secular(33.3, table075)
         assert abs(sv.normalized) <= 1.0
@@ -282,6 +290,35 @@ class TestRefine:
     def test_residual_contract(self, roots075):
         for root in roots075.values():
             assert root.condition_residual < 1e-10
+            # |normalized| is |Im(xi conj(eta))| / (|xi||eta|) to the bit
+            sv = root.value
+            assert root.condition_residual == abs(sv.condition) / (
+                abs(sv.xi) * abs(sv.eta)
+            )
+
+    def test_alpha_from_the_table(self):
+        # oracle: Nystrom rho_5 at alpha = 0.6 is 14.6550723 at m = 1000
+        # (14.6550729 at m = 500); the alpha = 0.75 root is 15.1825
+        root = refine_rho(5, fs.PhaseTable(0.6))
+        assert root.rho == pytest.approx(14.6550723, abs=2e-6)
+
+    def test_one_xc0_per_root(self, table075, monkeypatch):
+        # X_c0(i) is sampled with the bracket's g0/h0, never per evaluation
+        calls = []
+        original = integro.xc0
+
+        def spy(z, table):
+            calls.append(z)
+            return original(z, table)
+
+        monkeypatch.setattr("fracspec.integro.xc0", spy)
+        for n in (1, 3, 10):
+            calls.clear()
+            root = refine_rho(n, table075)
+            assert calls == [1j]
+            reconstruct_f_exact(0.5, root.rho, table075, root.value)
+            # the layers' array of points only, no second X_c0(i)
+            assert len(calls) == 2 and not np.isscalar(calls[1])
 
     def test_roots_increasing_and_near_asymptote(self, roots075, order075):
         rhos = [roots075[n].rho for n in sorted(roots075)]
@@ -302,12 +339,12 @@ class TestRefine:
         seen = []
         original = secular
 
-        def spy(rho, table, solution=None, **kw):
+        def spy(rho, table, **kw):
             seen.append(float(rho))
-            return original(rho, table, solution, **kw)
+            return original(rho, table, **kw)
 
         monkeypatch.setattr("fracspec.integro.secular", spy)
-        root = refine_rho(3, 0.75, table=table075)
+        root = refine_rho(3, table075)
         assert len(seen) == len(set(seen))
         assert root.rho in seen
         assert root.value.rho == root.rho
@@ -348,7 +385,7 @@ class TestRefine:
             i = int(flips[np.argmin(np.abs(mids - rho0))])
             want = brentq(normalized, rs[i], rs[i + 1], xtol=1e-13)
 
-            root = refine_rho(n, order, table)
+            root = refine_rho(n, table)
             assert intervals.pop() == (rs[i], rs[i + 1])
             assert root.bracket == (rs[0], rs[-1])
             assert root.rho == want
@@ -358,26 +395,26 @@ class TestRefine:
         calls = []
         original = secular
 
-        def spy(rho, table, solution=None, **kw):
+        def spy(rho, table, **kw):
             calls.append(rho)
-            return original(rho, table, solution, **kw)
+            return original(rho, table, **kw)
 
         monkeypatch.setattr("fracspec.integro.secular", spy)
         for n in (1, 3, 10, 30):
             calls.clear()
-            refine_rho(n, 0.75, table=table075)
+            refine_rho(n, table075)
             assert len(calls) <= 10
 
     def test_no_sign_change_evaluates_every_node(self, table075, monkeypatch):
         seen = []
 
-        def positive(rho, table, solution=None, **kw):
+        def positive(rho, table, **kw):
             seen.append(rho)
             return SimpleNamespace(rho=rho, normalized=1.0)
 
         monkeypatch.setattr("fracspec.integro.secular", positive)
         with pytest.raises(BracketError):
-            refine_rho(3, 0.75, table=table075)
+            refine_rho(3, table075)
         assert len(seen) == len(set(seen)) == 33
 
     def test_equidistant_sign_changes_take_the_lower(self, table075, monkeypatch):
@@ -389,7 +426,7 @@ class TestRefine:
         j = next(k for k in range(15, -1, -1) if dist[k] == dist[31 - k])
         inside = (rs[j + 1], rs[31 - j])
 
-        def two_flips(rho, table, solution=None, **kw):
+        def two_flips(rho, table, **kw):
             sign = 1.0 if inside[0] <= rho <= inside[1] else -1.0
             return SimpleNamespace(rho=rho, normalized=sign)
 
@@ -402,7 +439,7 @@ class TestRefine:
         monkeypatch.setattr("fracspec.integro.secular", two_flips)
         monkeypatch.setattr("fracspec.integro._brentq", record)
         with pytest.raises(Chosen) as chosen:
-            refine_rho(3, order, table=table075)
+            refine_rho(3, table075)
         assert chosen.value.args == (rs[j], rs[j + 1])
 
     def test_one_sweep_per_root(self, table075, monkeypatch):
@@ -417,7 +454,7 @@ class TestRefine:
         # one sweep over the octaves of every rho in [rho_n -+ pi/2]: all
         # of n = 10's have T = 2, while n = 3's straddle rho = 10
         for n, octaves in ((10, 40), (3, 41)):
-            refine_rho(n, 0.75, table=table075)
+            refine_rho(n, table075)
             assert sweeps == [octaves * 6]
             sweeps.clear()
         sol = solve_pqr(28.0, table075)
@@ -430,22 +467,23 @@ class TestRefine:
         # 4.4e-11 (a = 0.6, n = 1), below 1.5e-11 at a = 0.75 and 0.9
         table = fs.PhaseTable(alpha)
         ns = (1, 4, 10)
-        coarse = [refine_rho(n, alpha, table=table).rho for n in ns]
+        coarse = [refine_rho(n, table).rho for n in ns]
         monkeypatch.setattr(integro, "_T_OVER_RHO", 80.0)
         monkeypatch.setattr(integro, "_OCTAVES", 48)
         monkeypatch.setattr(integro, "_PER_OCTAVE", 12)
         assert build_pqr_grid(30.0)[0].size == 48 * 12
         for n, rho in zip(ns, coarse):
-            fine = refine_rho(n, alpha, table=table).rho
+            fine = refine_rho(n, table).rho
             assert abs(rho - fine) < 1e-10 * fine
 
     def test_variant_and_alpha_guards(self, table075):
+        # a PhaseTable is rl-bridge only, so no caputo table reaches refine_rho
         with pytest.raises(DomainError):
-            refine_rho(5, fs.FractionalOrder(0.75, fs.Variant.CAPUTO))
-        with pytest.raises(DomainError):
-            refine_rho(5, 1.0)
-        with pytest.raises(DomainError):
-            refine_rho(0, 0.75, table=table075)
+            fs.PhaseTable(fs.FractionalOrder(0.75, fs.Variant.CAPUTO))
+        with pytest.raises(DomainError, match="alpha = 1 has exact roots"):
+            refine_rho(5, fs.PhaseTable(1.0))
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            refine_rho(0, table075)
 
 
 def _polish(solver, f, a, b, **kw):
@@ -581,7 +619,7 @@ class TestReconstruct:
         # closer to alpha = 1 both routes sharpen; measured sup 6.07e-5
         order = fs.FractionalOrder(0.95)
         table = fs.PhaseTable(order)
-        root = refine_rho(8, order, table=table)
+        root = refine_rho(8, table)
         spectrum = discretize_and_solve(
             KernelSpec(order, KernelKind.BRIDGE), build_grid(1200), n_vectors=8
         )
