@@ -225,12 +225,9 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
     if "nystrom" in cfg.methods:
         kind = KernelKind.BRIDGE if rl_bridge else KernelKind.RL
         spectrum = discretize_and_solve(
-            KernelSpec(order, kind), build_grid(cfg.m), n_vectors=0
+            KernelSpec(order, kind), build_grid(cfg.m), n_modes=cfg.n_max,
+            vectors=False,
         )
-        if cfg.n_max > spectrum.mu.size:
-            raise FracspecError(
-                f"n_max={cfg.n_max} exceeds the {spectrum.mu.size} computed modes"
-            )
         lam = spectrum.lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
 
@@ -285,7 +282,7 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
     integro_csv = None
     if "integro" in cfg.methods:
         buf = io.StringIO()
-        dump_integro_csv(roots.values(), order, buf)  # roots are in n order
+        dump_integro_csv(roots.values(), buf)  # roots are in n order
         integro_csv = buf.getvalue()
     return spectrum_csv, integro_csv, failures
 
@@ -325,10 +322,8 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
 
     x = np.linspace(0.0, 1.0, cfg.grid_points)
     spectrum = discretize_and_solve(
-        KernelSpec(order, KernelKind.BRIDGE), build_grid(cfg.m), n_vectors=n
+        KernelSpec(order, KernelKind.BRIDGE), build_grid(cfg.m), n_modes=n
     )
-    if n > spectrum.mu.size:
-        raise FracspecError(f"n={n} exceeds the {spectrum.mu.size} computed modes")
     f_ny = eigenfunction_at(spectrum, n, x)
 
     table = PhaseTable(order)
@@ -388,7 +383,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     def check_alpha1():
         one = FractionalOrder(1.0)
         sp_b = discretize_and_solve(
-            KernelSpec(one, KernelKind.BRIDGE), build_grid(800), n_vectors=0
+            KernelSpec(one, KernelKind.BRIDGE), build_grid(800), n_modes=20,
+            vectors=False,
         )
         ns = np.arange(1, 21)
         worst_b = float(
@@ -396,7 +392,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         )
         one_c = FractionalOrder(1.0, Variant.CAPUTO)
         sp_r = discretize_and_solve(
-            KernelSpec(one_c, KernelKind.RL), build_grid(800), n_vectors=0
+            KernelSpec(one_c, KernelKind.RL), build_grid(800), n_modes=20,
+            vectors=False,
         )
         worst_r = float(
             np.max(np.abs(sp_r.rho[:20] / (np.pi * ns - np.pi / 2) - 1.0))
@@ -416,7 +413,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         return discretize_and_solve(
             KernelSpec(order, KernelKind.BRIDGE if rl_bridge else KernelKind.RL),
             build_grid(cfg.m),
-            n_vectors=10,  # orthonormality; mercer reads only mu
+            # orthonormality reads 10 modes, mercer's head min(200, m // 4)
+            n_modes=max(10, min(200, cfg.m // 4)),
         )
 
     def check_orthonormality():

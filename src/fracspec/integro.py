@@ -51,8 +51,8 @@ import numpy as np
 from .asymptotics import Order, rho_asymptotic
 from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
 from .phase import (
+    FractionalOrder,
     PhaseTable,
-    _as_order,
     _sin_theta0_minus_api,
     b_alpha,
     g0_h0,
@@ -311,6 +311,7 @@ class RefinedRoot:
     rho: float
     value: SecularValue
     bracket: tuple
+    order: FractionalOrder  # the table's, which rho belongs to
 
     @property
     def condition_residual(self) -> float:
@@ -427,7 +428,10 @@ def refine_rho(n: int, table: PhaseTable) -> RefinedRoot:
         )
     root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
     sv = best if best.rho == root else secular(root, table, _samples=samples)
-    rt = RefinedRoot(n=n, rho=float(root), value=sv, bracket=(float(lo), float(hi)))
+    rt = RefinedRoot(
+        n=n, rho=float(root), value=sv, bracket=(float(lo), float(hi)),
+        order=table.order,
+    )
     if rt.condition_residual >= 1e-10:
         raise AccuracyError(
             f"root at rho={root:.12g} fails the residual contract:"
@@ -530,12 +534,14 @@ def reconstruct_f_exact(
     return float(out[0]) if scalar else out
 
 
-def dump_integro_csv(roots, alpha, fh) -> None:
-    """Write `n,rho_refined,rho_asym2,condition_residual,iterations` rows."""
-    order = _as_order(alpha)
+def dump_integro_csv(roots, fh) -> None:
+    """Write `n,rho_refined,rho_asym2,condition_residual,iterations` rows.
+
+    rho_asym2 is the two-term asymptote at each root's own order.
+    """
     fh.write("n,rho_refined,rho_asym2,condition_residual,iterations\n")
     for rt in roots:
-        r2 = rho_asymptotic(rt.n, order, Order.SECOND)
+        r2 = rho_asymptotic(rt.n, rt.order, Order.SECOND)
         fh.write(
             f"{rt.n},{rt.rho:.12e},{r2:.12e},"
             f"{rt.condition_residual:.12e},{rt.iterations}\n"

@@ -36,13 +36,18 @@ exact row integral of the kernel and Q its quadrature approximation. The
 correction compensates the |x-y|^{2a-1} diagonal kink, which otherwise
 limits Gauss-Legendre convergence far below the tolerances wanted here.
 The matrix K(x_i, x_j) comes from one closed-form evaluation on the upper
-triangle, mirrored (K depends on (x, y) only through min and max), plus,
-for the bridge kernel, the rank-one term built from the one m-vector
-K(x_i, 1), which the row integral S reuses. This is the solver's only
-kernel path. Scaling by sqrt(w) rounds mirrored entries differently, so
-B is symmetrized once more before the eigensolve, which is one LAPACK call:
-the values-only eigvalsh when a caller reads no eigenvector, otherwise one
-full eigh whose leading columns are kept.
+triangle in row blocks, mirrored (K depends on (x, y) only through min and
+max), plus, for the bridge kernel, the rank-one term built from the one
+m-vector K(x_i, 1), which the row integral S reuses. This is the solver's
+only kernel path. Scaling by sqrt(w) rounds mirrored entries differently,
+so B is symmetrized once more before the eigensolve.
+
+The eigensolve computes only the leading modes a caller asks for. A few
+modes of a large matrix (20 n_modes <= m) come from Lanczos with full
+reorthogonalization, and a Cholesky factorization of B + 1e-10 mu_1 I
+certifies that no eigenvalue lies below -1e-10 mu_1; every other request
+is one dense LAPACK call, eigvalsh for values only or eigh with vectors,
+whose smallest eigenvalue is tested directly.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 """
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.linalg import eigh, eigvalsh
+from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh
 
 from .errors import ConvergenceError, DomainError
 from .phase import FractionalOrder, Variant
@@ -233,6 +238,11 @@ def _kernel_of_kind(x, y, a: float, kind: KernelKind, kx1=None):
     return _kernel_raw(x, y, a)
 
 
+# cells of one row block of the kernel matrix: 512 KB of float64, so a block's
+# _series sweep stays in cache
+_BLOCK_CELLS = 65536
+
+
 def _kernel_matrix(x, a: float, kx1=None):
     """K(x_i, x_j) on the nodes x, minus kx1_i kx1_j / K(1,1) if kx1 is given.
 
@@ -240,15 +250,31 @@ def _kernel_matrix(x, a: float, kx1=None):
     closed form is evaluated once on the upper triangle and mirrored:
     _kernel_raw depends on (x, y) only through min and max, and the
     rank-one product keeps the operation order of _kernel_of_kind, so the
-    matrix equals _kernel_of_kind on the full meshgrid bit for bit.
+    matrix equals _kernel_of_kind on the full meshgrid bit for bit. The
+    triangle is swept in blocks of b = _BLOCK_CELLS // m rows: each block's
+    rectangle right of its diagonal square is one broadcast call written by
+    slices, and the upper triangles of all diagonal squares (m b / 2 cells)
+    are one gathered call.
     """
     m = x.size
-    i, j = np.triu_indices(m)
     K = np.empty((m, m))
+    b = min(m, max(1, _BLOCK_CELLS // m))
+    for r0 in range(0, m - b, b):
+        r1 = r0 + b
+        blk = _kernel_raw(x[r0:r1, None], x[None, r1:], a)
+        K[r0:r1, r1:] = blk
+        K[r1:, r0:r1] = blk.T
+    i, j = np.triu_indices(b)
+    starts = np.arange(0, m, b)[:, None]
+    i, j = (starts + i).ravel(), (starts + j).ravel()
+    keep = j < m  # the last square may be smaller than b
+    i, j = i[keep], j[keep]
     K[i, j] = K[j, i] = _kernel_raw(x[i], x[j], a)
     if kx1 is not None:
         k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
-        K -= kx1[:, None] * kx1[None, :] / k11
+        # by row blocks too, so that no m x m temporary is allocated
+        for r0 in range(0, m, b):
+            K[r0 : r0 + b] -= kx1[r0 : r0 + b, None] * kx1[None, :] / k11
     return K
 
 
@@ -277,11 +303,12 @@ def build_grid(m: int) -> NystromGrid:
 
 @dataclass(frozen=True)
 class DiscreteSpectrum:
-    """All eigenvalues mu (descending, positive) of the integral operator and
-    node values of the leading r eigenfunctions, weighted-orthonormal."""
+    """The r leading eigenvalues mu (descending, positive) of the integral
+    operator and, if the solve asked for them, the node values of their
+    eigenfunctions, weighted-orthonormal (otherwise vectors has no column)."""
 
     mu: np.ndarray
-    vectors: np.ndarray  # shape (m, r): column k-1 samples eigenfunction k
+    vectors: np.ndarray  # (m, r), or (m, 0) without vectors: column k-1 is mode k
     grid: NystromGrid
     spec: KernelSpec
 
@@ -317,47 +344,131 @@ def _nystrom_matrix(spec: KernelSpec, grid: NystromGrid) -> np.ndarray:
     return K
 
 
-def discretize_and_solve(
-    spec: KernelSpec, grid: NystromGrid, n_vectors: int | None = None
-) -> DiscreteSpectrum:
-    """Assemble the corrected symmetric Nystrom matrix and diagonalize.
+def _step_cap(k: int, m: int) -> int:
+    return min(4 * k + 48, m)
 
-    n_vectors = 0 takes a values-only solve; otherwise one full solve
-    returns the eigenvalues with the leading n_vectors eigenvectors (every
-    kept mode if None). Eigenvalues below -1e-10 * mu_1 raise (the operator
-    is positive semidefinite; such values mean the discretization broke);
-    tiny negative or zero values are clamped and excluded from the returned
-    spectrum.
+
+def _lanczos(B: np.ndarray, k: int, vectors: bool):
+    """The k leading eigenpairs of the symmetric B, largest first, or None.
+
+    Lanczos with full reorthogonalization: each new vector is orthogonalized
+    against all earlier ones in two classical Gram-Schmidt passes ("twice is
+    enough", Parlett, The Symmetric Eigenvalue Problem, 1998, sec. 6.9). The
+    start vector is the golden-ratio Weyl sequence (i / phi) mod 1 - 1/2,
+    fixed, so repeated solves are bitwise identical. Every 8 steps (and at the cap) the
+    tridiagonal T_j is diagonalized, T_j S = S diag(theta); the run stops
+    once the Ritz residual |beta_j s_ji| <= 1e-14 theta_1 for each of the k
+    leading Ritz pairs; theta_i is then that close to an eigenvalue of B.
+    Returns (theta, V) with V the Ritz vectors (None if not vectors), or None
+    when _step_cap steps do not converge or the recurrence breaks down.
     """
-    a = spec.alpha.alpha
-    if a <= 0.5:
-        raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
-    if n_vectors is not None and n_vectors < 0:
-        raise DomainError("n_vectors must be >= 0")
-    B = _nystrom_matrix(spec, grid)
-    x, w, m = grid.nodes, grid.weights, grid.m
-    # one LAPACK call: values only, or every pair (ascending)
-    ev, V = (eigvalsh(B), np.empty((m, 0))) if n_vectors == 0 else eigh(B)
+    m = B.shape[0]
+    steps = _step_cap(k, m)
+    Qv = np.empty((steps, m))  # row j is Lanczos vector q_j
+    q = (np.arange(1, m + 1) * 0.6180339887498949) % 1.0 - 0.5
+    Qv[0] = q / np.linalg.norm(q)
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    for j in range(steps):
+        w = B @ Qv[j]
+        alpha[j] = Qv[j] @ w
+        Q = Qv[: j + 1]
+        for _ in range(2):
+            w -= (Q @ w) @ Q
+        beta[j] = np.linalg.norm(w)
+        if j + 1 >= k and ((j + 1) % 8 == 0 or j + 1 == steps):
+            T = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, S = eigh(T)
+            theta, S = theta[: -k - 1 : -1], S[:, : -k - 1 : -1]
+            if np.all(np.abs(beta[j] * S[-1]) <= 1e-14 * theta[0]):
+                return theta, (Q.T @ S if vectors else None)
+        if j + 1 == steps or not beta[j] > 0:
+            return None
+        Qv[j + 1] = w / beta[j]
+
+
+def _dense_modes(B: np.ndarray, vectors: bool):
+    """Every eigenvalue of B, descending, and the eigenvectors if vectors.
+
+    One LAPACK call, eigvalsh or eigh; an eigenvalue below -1e-10 mu_1
+    raises ConvergenceError.
+    """
+    ev, V = eigh(B) if vectors else (eigvalsh(B), None)  # ascending
     mu = ev[::-1]
     if mu[0] <= 0:
         raise ConvergenceError("no positive eigenvalues; discretization broke")
     if mu[-1] < -1e-10 * mu[0]:
-        raise ConvergenceError(
-            f"negative eigenvalue {mu[-1]:.3e} beyond PSD tolerance"
-        )
-    mu = mu[mu > 0]  # a prefix: mu is descending
-    r = mu.size if n_vectors is None else min(n_vectors, mu.size)
-    V = V[:, V.shape[1] - r :]
-    F = V[:, ::-1] / np.sqrt(w)[:, None]  # de-scaled, weighted-orthonormal
+        raise ConvergenceError(f"negative eigenvalue {mu[-1]:.3e} beyond PSD tolerance")
+    return mu, (V[:, ::-1] if vectors else None)
 
-    # sign convention: positive on the first quarter-oscillation near x=0
-    lam = 1.0 / mu[:r]
-    rho = lam ** (1.0 / (2.0 * a))
-    for k in range(r):
-        win = x < min(float(np.pi / (2.0 * rho[k])), 1.0)
-        s = float(w[win] @ F[win, k]) if win.any() else float(F[0, k])
-        if s < 0:
-            F[:, k] = -F[:, k]
+
+def _certify_psd(B: np.ndarray, mu1: float) -> None:
+    # B + 1e-10 mu_1 I has a Cholesky factor exactly when no eigenvalue of B
+    # lies below -1e-10 mu_1, up to a backward error of about m eps mu_1
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10); B is
+    # not read again, so the shift goes into it in place
+    B[np.diag_indices(B.shape[0])] += 1e-10 * mu1
+    try:
+        cholesky(B)
+    except LinAlgError:
+        raise ConvergenceError(
+            "negative eigenvalue beyond PSD tolerance (no Cholesky factor of"
+            f" B + 1e-10 mu_1 I, mu_1 = {mu1:.3e})"
+        ) from None
+
+
+def discretize_and_solve(
+    spec: KernelSpec,
+    grid: NystromGrid,
+    n_modes: int | None = None,
+    vectors: bool = True,
+) -> DiscreteSpectrum:
+    """Assemble the corrected symmetric Nystrom matrix and diagonalize.
+
+    Returns the n_modes leading eigenvalues (every positive one if None),
+    with their eigenvectors if vectors. When 20 n_modes <= m the leading
+    modes come from Lanczos (_lanczos) and positive semidefiniteness is
+    certified by a Cholesky factorization of B + 1e-10 mu_1 I; otherwise,
+    or if Lanczos does not converge, from one dense LAPACK call (eigvalsh
+    for values, eigh with vectors) and the test mu_min >= -1e-10 mu_1.
+    Either way an eigenvalue below -1e-10 mu_1 raises ConvergenceError (the
+    operator is positive semidefinite; such values mean the discretization
+    broke); tiny negative or zero values are excluded from the spectrum.
+    Fewer than n_modes positive modes raise DomainError.
+    """
+    a = spec.alpha.alpha
+    if a <= 0.5:
+        raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
+    if n_modes is not None and n_modes < 1:
+        raise DomainError("n_modes must be >= 1")
+    B = _nystrom_matrix(spec, grid)
+    x, w, m = grid.nodes, grid.weights, grid.m
+    # Lanczos costs O(m^2) per step and about 4 n_modes + 48 steps, a dense
+    # solve O(m^3): at m = 300-2000 Lanczos wins once 20 n_modes <= m
+    found = None
+    if n_modes is not None and 20 * n_modes <= m:
+        found = _lanczos(B, n_modes, vectors)
+    if found is not None:
+        mu, V = found
+        _certify_psd(B, float(mu[0]))
+    else:
+        mu, V = _dense_modes(B, vectors)
+    mu = mu[mu > 0]  # a prefix: mu is descending
+    r = mu.size if n_modes is None else n_modes
+    if r > mu.size:
+        raise DomainError(f"n_modes={r} exceeds the {mu.size} computed modes")
+    mu = mu[:r]
+    if not vectors:
+        F = np.empty((m, 0))
+    else:
+        F = V[:, :r] / np.sqrt(w)[:, None]  # de-scaled, weighted-orthonormal
+        # sign convention: positive on the first quarter-oscillation near x=0
+        rho = (1.0 / mu) ** (1.0 / (2.0 * a))
+        for k in range(r):
+            win = x < min(float(np.pi / (2.0 * rho[k])), 1.0)
+            s = float(w[win] @ F[win, k]) if win.any() else float(F[0, k])
+            if s < 0:
+                F[:, k] = -F[:, k]
     F.setflags(write=False)
     mu.setflags(write=False)
     return DiscreteSpectrum(mu=mu, vectors=F, grid=grid, spec=spec)
@@ -398,7 +509,7 @@ def caputo_endpoint_value(alpha, n: int, m: int) -> float:
         else FractionalOrder(a, Variant.CAPUTO)
     )
     spec = KernelSpec(order, KernelKind.RL)
-    spectrum = discretize_and_solve(spec, build_grid(m), n_vectors=n)
+    spectrum = discretize_and_solve(spec, build_grid(m), n_modes=n)
     return abs(eigenfunction_at(spectrum, n, 1.0))
 
 
@@ -432,7 +543,8 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     a raw sum over the m discrete modes misses the operator tail by
     O(m^{1-2a}), which no practical m brings under the tolerances used
     here, while the well-resolved head plus the asymptotic tail agrees to
-    ~1e-5. Default n_head = min(200, m // 4).
+    ~1e-5. Default n_head = min(200, m // 4); a spectrum holding fewer
+    modes raises DomainError (solve with n_modes >= n_head).
     """
     a = spectrum.spec.alpha.alpha
     trace_rl = 1.0 / (2 * a * (2 * a - 1) * math.gamma(a) ** 2)
@@ -447,7 +559,11 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
         shift = -np.pi / 2.0
     if n_head is None:
         n_head = min(200, spectrum.grid.m // 4)
-    n_head = max(1, min(int(n_head), spectrum.mu.size))
+    n_head = max(1, int(n_head))
+    if n_head > spectrum.mu.size:
+        raise DomainError(
+            f"n_head={n_head} exceeds the {spectrum.mu.size} modes of the spectrum"
+        )
     tail = np.pi ** (-2 * a) * _hurwitz_zeta(2 * a, n_head + 1 + shift / np.pi)
     total = float(spectrum.mu[:n_head].sum()) + float(tail)
     return abs(total - trace) / trace

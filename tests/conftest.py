@@ -16,10 +16,10 @@ def table075(order075):
 @pytest.fixture(scope="session")
 def bridge2000(order075):
     # shared by the eigenvalue, eigenfunction and acceptance tests; one
-    # m=2000 diagonalization is the most expensive object in the suite.
-    # Its users read every eigenvalue but no eigenfunction above n = 10.
+    # m=2000 solve is the most expensive object in the suite. Its users
+    # read eigenvalues up to n = 30 and no eigenfunction above n = 10.
     spec = fs.KernelSpec(order075, fs.KernelKind.BRIDGE)
-    return fs.discretize_and_solve(spec, fs.build_grid(2000), n_vectors=10)
+    return fs.discretize_and_solve(spec, fs.build_grid(2000), n_modes=30)
 
 
 @pytest.fixture(scope="session")

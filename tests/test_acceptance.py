@@ -34,9 +34,10 @@ def _verdict(idx, name, ok, detail):
 @pytest.fixture(scope="module")
 def caputo2000():
     order = fs.FractionalOrder(0.75, fs.Variant.CAPUTO)
-    # test 5 reads f_20, the highest mode any user reads
+    # test 5 reads f_20, the highest eigenfunction any user reads, and
+    # test 6 rho_25
     spec = KernelSpec(order, KernelKind.RL)
-    return discretize_and_solve(spec, build_grid(2000), n_vectors=20)
+    return discretize_and_solve(spec, build_grid(2000), n_modes=25)
 
 
 def test_1_transform_anchor():

@@ -270,7 +270,7 @@ class TestValidate:
 
 
 class TestEigenvectorSolves:
-    """Each command computes eigenvectors only for the modes it reads."""
+    """Each command solves for the modes it reads, vectors only where read."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -278,37 +278,36 @@ class TestEigenvectorSolves:
 
         calls = []
 
-        def spy(name):
-            real = getattr(nystrom, name)
-
-            def solve(B):
-                calls.append((name, B.shape[0]))
-                return real(B)
+        def spy(path, real):
+            def solve(B, *args):
+                calls.append((path, B.shape[0], args[-1]))  # args end in vectors
+                return real(B, *args)
 
             return solve
 
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(nystrom, name, spy(name))
+        monkeypatch.setattr(nystrom, "_lanczos", spy("lanczos", nystrom._lanczos))
+        monkeypatch.setattr(nystrom, "_dense_modes", spy("dense", nystrom._dense_modes))
         return calls
 
     def test_spectrum_solves_values_only(self, solves, tmp_path):
         rc = main(["spectrum", "--n-max", "5", "--m", "200",
                    "--methods", "asym1,asym2,nystrom", "--out", str(tmp_path)])
         assert rc == 0
-        assert solves == [("eigvalsh", 200)]
+        assert solves == [("lanczos", 200, False)]
 
     def test_validate(self, solves, capsys):
         assert main(["validate", "--alpha", "0.75", "--m", "300"]) == 0
-        # caputo_endpoint reads f_20 and orthonormality the first 10 modes,
-        # one eigh each; every other solve reads values only
-        assert [s for s in solves if s[0] == "eigh"] == [("eigh", 300)] * 2
-        assert ("eigvalsh", 800) in solves
+        # caputo_endpoint reads f_20 and orthonormality the first 10 modes
+        # (mercer the first 75 values), one dense eigh each; every other
+        # solve reads 20 or fewer values
+        assert [s for s in solves if s[2]] == [("dense", 300, True)] * 2
+        assert solves.count(("lanczos", 800, False)) == 2
 
     def test_eigenfunction(self, solves, tmp_path):
         rc = main(["eigenfunction", "--n", "10", "--m", "200",
                    "--grid-points", "21", "--out", str(tmp_path)])
         assert rc == 0
-        assert solves == [("eigh", 200)]
+        assert solves == [("lanczos", 200, True)]
 
     @pytest.mark.parametrize(
         "argv",

@@ -117,3 +117,26 @@ def test_import_loads_no_scipy():
     loaded = set(out.stdout.split())
     assert "fracspec.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_jobs_load_no_numpy_random(tmp_path):
+    # importing numpy.random costs about 15 ms and 5.5 MB of RSS; the
+    # Lanczos start vector is plain arithmetic so that no job needs it
+    code = (
+        "import sys\n"
+        "from fracspec.cli import main\n"
+        "out = sys.argv[1]\n"
+        "jobs = [\n"
+        "    ['spectrum', '--n-max', '5', '--m', '200', '--out', out],\n"
+        "    ['eigenfunction', '--n', '3', '--m', '100', '--exact', '--out', out],\n"
+        "    ['validate', '--m', '100'],\n"
+        "]\n"
+        "print([main(argv) for argv in jobs])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fracspec.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "False"]

@@ -621,7 +621,7 @@ class TestReconstruct:
         table = fs.PhaseTable(order)
         root = refine_rho(8, table)
         spectrum = discretize_and_solve(
-            KernelSpec(order, KernelKind.BRIDGE), build_grid(1200), n_vectors=8
+            KernelSpec(order, KernelKind.BRIDGE), build_grid(1200), n_modes=8
         )
         x = np.linspace(0.0, 1.0, 201)
         f = reconstruct_f_exact(x, root.rho, table)
@@ -664,10 +664,25 @@ def test_dump_integro_csv(roots075, order075):
 
     buf = io.StringIO()
     roots = [roots075[n] for n in sorted(roots075)]
-    dump_integro_csv(roots, order075, buf)
+    dump_integro_csv(roots, buf)
     lines = buf.getvalue().split("\n")
     assert lines[0] == "n,rho_refined,rho_asym2,condition_residual,iterations"
     assert len(lines) == 2 + len(roots)
     first = lines[1].split(",")
     assert first[0] == "5"
     assert float(first[1]) == pytest.approx(roots[0].rho)
+    assert float(first[2]) == pytest.approx(fs.rho_asymptotic(5, order075, Order.SECOND))
+
+
+def test_dump_integro_csv_uses_each_roots_order():
+    # the asymptote printed next to a root is the one at the root's own order
+    import io
+
+    from fracspec.integro import dump_integro_csv
+
+    root = refine_rho(5, fs.PhaseTable(0.6))
+    assert root.order == fs.FractionalOrder(0.6)
+    buf = io.StringIO()
+    dump_integro_csv([root], buf)
+    row = buf.getvalue().split("\n")[1].split(",")
+    assert row[2] == "1.466076571675e+01"

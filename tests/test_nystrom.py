@@ -36,15 +36,16 @@ def _kernel_oracle(x, y, a):
 
 @pytest.fixture(scope="module")
 def bridge400(order075):
-    # test_sign_rule reads the first 12 modes, no user reads more
+    # test_sign_rule reads the first 12 eigenfunctions, the Mercer tests
+    # the first 100 eigenvalues
     spec = KernelSpec(order075, KernelKind.BRIDGE)
-    return discretize_and_solve(spec, build_grid(400), n_vectors=12)
+    return discretize_and_solve(spec, build_grid(400), n_modes=100)
 
 
 @pytest.fixture(scope="module")
 def rl400(order075):
     spec = KernelSpec(order075, KernelKind.RL)
-    return discretize_and_solve(spec, build_grid(400), n_vectors=0)  # mu only
+    return discretize_and_solve(spec, build_grid(400), n_modes=100, vectors=False)
 
 
 class TestKernel:
@@ -164,7 +165,7 @@ class TestKernel:
 class TestKernelMatrix:
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("a", [0.51, 0.75, 0.97, 1.0])
-    @pytest.mark.parametrize("nodes", ["m2", "m3", "m40", "m200", "near"])
+    @pytest.mark.parametrize("nodes", ["m2", "m3", "m40", "m200", "m400", "near"])
     def test_equals_meshgrid_oracle(self, nodes, a, kind):
         if nodes == "near":
             # pairs closer than 1e-8 relative, where a hypergeometric series
@@ -185,6 +186,7 @@ class TestKernelMatrix:
             return raw(x, y, a)
 
         monkeypatch.setattr(nystrom, "_kernel_raw", counting)
+        monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)  # 6 row blocks, 7 rows each
         m = 40
         discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(m))
         # the upper triangle, the column K(x, 1) and K(1, 1)
@@ -351,63 +353,134 @@ class TestSolve:
 
 
 
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """Records, per Lanczos run, whether it converged (else: dense fallback)."""
+    runs = []
+    real = nystrom._lanczos
+
+    def spy(B, k, vectors):
+        out = real(B, k, vectors)
+        runs.append(out is not None)
+        return out
+
+    monkeypatch.setattr(nystrom, "_lanczos", spy)
+    return runs
+
+
 class TestPartialSolve:
-    """mu and the requested eigenvectors against numpy's LAPACK drivers."""
+    """The leading modes on both paths against numpy's LAPACK drivers."""
 
     @pytest.mark.parametrize("m", [64, 300])
     @pytest.mark.parametrize("a", [0.6, 0.75, 1.0])
     @pytest.mark.parametrize("kind", [KernelKind.BRIDGE, KernelKind.RL])
     def test_against_numpy(self, kind, a, m):
+        # 7 modes are dense at m = 64 and Lanczos at m = 300
         spec = KernelSpec(fs.FractionalOrder(a), kind)
         grid = build_grid(m)
         B = nystrom._nystrom_matrix(spec, grid)
-        sp = discretize_and_solve(spec, grid, n_vectors=7)
         want = np.linalg.eigvalsh(B)[::-1]
-        assert sp.mu.size == np.count_nonzero(want > 0)
-        assert np.max(np.abs(sp.mu - want[: sp.mu.size])) <= 1e-13 * want[0]
+        every = discretize_and_solve(spec, grid, vectors=False)
+        assert every.mu.size == np.count_nonzero(want > 0)
+        assert np.max(np.abs(every.mu - want[: every.mu.size])) <= 1e-13 * want[0]
+        sp = discretize_and_solve(spec, grid, n_modes=7)
+        assert np.max(np.abs(sp.mu - want[:7])) <= 1e-13 * want[0]
         V = np.linalg.eigh(B)[1][:, ::-1][:, :7]
         got = sp.vectors * np.sqrt(grid.weights)[:, None]
         assert got.shape == (m, 7)
         got *= np.sign(np.sum(got * V, axis=0))
         assert np.max(np.abs(got - V)) < 1e-12
 
+    @pytest.mark.parametrize("a", [0.55, 0.6, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("kind", [KernelKind.BRIDGE, KernelKind.RL])
+    def test_lanczos_against_lapack(self, kind, a, lanczos_runs):
+        # at a = 1 the bridge kernel is reflection-symmetric, so half of the
+        # modes are even about x = 1/2 and half odd: the start vector must
+        # reach both
+        spec = KernelSpec(fs.FractionalOrder(a), kind)
+        grid = build_grid(400)
+        B = nystrom._nystrom_matrix(spec, grid)
+        for vectors in (False, True):
+            sp = discretize_and_solve(spec, grid, n_modes=20, vectors=vectors)
+            assert np.max(np.abs(sp.mu / np.linalg.eigvalsh(B)[:-21:-1] - 1)) <= 1e-12
+        assert lanczos_runs == [True, True]
+        V = np.linalg.eigh(B)[1][:, :-21:-1]
+        got = sp.vectors * np.sqrt(grid.weights)[:, None]
+        got *= np.sign(np.sum(got * V, axis=0))
+        assert np.max(np.abs(got - V)) <= 1e-10
+
+    def test_lanczos_is_repeatable(self, order075, lanczos_runs):
+        spec = KernelSpec(order075, KernelKind.BRIDGE)
+        one = discretize_and_solve(spec, build_grid(300), n_modes=10)
+        two = discretize_and_solve(spec, build_grid(300), n_modes=10)
+        assert lanczos_runs == [True, True]
+        assert np.array_equal(one.mu, two.mu)
+        assert np.array_equal(one.vectors, two.vectors)
+
+    def test_unconverged_lanczos_falls_back_to_dense(self, order075, monkeypatch,
+                                                     lanczos_runs):
+        monkeypatch.setattr(nystrom, "_step_cap", lambda k, m: k)
+        spec = KernelSpec(order075, KernelKind.BRIDGE)
+        sp = discretize_and_solve(spec, build_grid(200), n_modes=10)
+        assert lanczos_runs == [False]
+        full = discretize_and_solve(spec, build_grid(200))
+        assert np.array_equal(sp.mu, full.mu[:10])
+        assert np.array_equal(sp.vectors, full.vectors[:, :10])
+
     def test_vector_count(self, order075):
         spec = KernelSpec(order075, KernelKind.BRIDGE)
         full = discretize_and_solve(spec, build_grid(64))
         assert full.vectors.shape == (64, full.mu.size)
-        for n_vectors, r in ((5, 5), (10**6, full.mu.size)):
-            sp = discretize_and_solve(spec, build_grid(64), n_vectors=n_vectors)
-            assert sp.vectors.shape == (64, r)
-            # every vector-reading solve is the same full eigh
-            assert np.array_equal(sp.mu, full.mu)
-            assert np.array_equal(sp.vectors, full.vectors[:, :r])
+        sp = discretize_and_solve(spec, build_grid(64), n_modes=5)
+        assert sp.vectors.shape == (64, 5)
+        # every dense vector-reading solve is the same full eigh
+        assert np.array_equal(sp.mu, full.mu[:5])
+        assert np.array_equal(sp.vectors, full.vectors[:, :5])
         # the values-only driver may round differently
-        sp = discretize_and_solve(spec, build_grid(64), n_vectors=0)
+        sp = discretize_and_solve(spec, build_grid(64), vectors=False)
         assert sp.vectors.shape == (64, 0)
         assert sp.mu.size == full.mu.size
         assert np.max(np.abs(sp.mu - full.mu)) <= 1e-13 * full.mu[0]
+        sp = discretize_and_solve(spec, build_grid(200), n_modes=10, vectors=False)
+        assert (sp.mu.size, sp.vectors.shape) == (10, (200, 0))
 
-    @pytest.mark.parametrize("n_vectors", [0, 3, None])
-    def test_negative_eigenvalue_raises(self, order075, monkeypatch, n_vectors):
-        def negative_last(real):
-            def solve(B):
-                out = real(B)  # ascending values, or (values, vectors)
-                ev = out if isinstance(out, np.ndarray) else out[0]
-                ev[0] = -1e-6 * ev[-1]
-                return out
-
-            return solve
-
-        monkeypatch.setattr(nystrom, "eigvalsh", negative_last(nystrom.eigvalsh))
-        monkeypatch.setattr(nystrom, "eigh", negative_last(nystrom.eigh))
+    @pytest.mark.parametrize(
+        "n_modes, vectors",
+        [(None, False), (None, True), (4, False), (4, True)],
+        ids=["dense-values", "dense-vectors", "lanczos-values", "lanczos-vectors"],
+    )
+    def test_negative_eigenvalue_raises(self, order075, monkeypatch, lanczos_runs,
+                                        n_modes, vectors):
         spec = KernelSpec(order075, KernelKind.RL)
-        with pytest.raises(ConvergenceError, match="beyond PSD tolerance"):
-            discretize_and_solve(spec, build_grid(40), n_vectors=n_vectors)
+        grid = build_grid(80)  # 20 * 4 <= 80: 4 modes take the Lanczos path
+        B = nystrom._nystrom_matrix(spec, grid)
+        ev, V = np.linalg.eigh(B)
+        u = V[:, 0]
 
-    def test_negative_n_vectors(self, order075):
+        def with_lowest_at(value):
+            # B with its smallest eigenvalue moved to value * mu_1
+            shift = value * ev[-1] - ev[0]
+            return lambda spec, grid: B + shift * np.outer(u, u)
+
+        monkeypatch.setattr(nystrom, "_nystrom_matrix", with_lowest_at(-1e-8))
+        with pytest.raises(ConvergenceError, match="beyond PSD tolerance"):
+            discretize_and_solve(spec, grid, n_modes=n_modes, vectors=vectors)
+        monkeypatch.setattr(nystrom, "_nystrom_matrix", with_lowest_at(-1e-12))
+        sp = discretize_and_solve(spec, grid, n_modes=n_modes, vectors=vectors)
+        assert sp.mu[0] == pytest.approx(ev[-1], rel=1e-12)
+        assert lanczos_runs == ([] if n_modes is None else [True, True])
+
+    def test_more_modes_than_positive_raises(self, order075):
+        spec = KernelSpec(order075, KernelKind.RL)
+        count = discretize_and_solve(spec, build_grid(20), vectors=False).mu.size
+        with pytest.raises(DomainError, match=f"exceeds the {count} computed modes"):
+            discretize_and_solve(spec, build_grid(20), n_modes=count + 1)
+
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_nonpositive_n_modes(self, order075, n_modes):
         spec = KernelSpec(order075, KernelKind.RL)
         with pytest.raises(DomainError):
-            discretize_and_solve(spec, build_grid(20), n_vectors=-1)
+            discretize_and_solve(spec, build_grid(20), n_modes=n_modes)
 
 
 class TestEigenfunctionAt:
@@ -443,8 +516,18 @@ class TestEigenfunctionAt:
 
 
 class TestMercer:
-    def test_bridge_fine(self, bridge2000):
-        assert mercer_trace_gap(bridge2000) < 1e-4
+    def test_bridge_fine(self, order075):
+        spec = KernelSpec(order075, KernelKind.BRIDGE)
+        # the default head, min(200, m // 4) = 200 modes
+        sp = discretize_and_solve(spec, build_grid(2000), n_modes=200, vectors=False)
+        assert mercer_trace_gap(sp) < 1e-4
+
+    def test_short_spectrum_raises(self, bridge400, bridge2000):
+        # a head cut to the modes at hand would change the gap silently
+        with pytest.raises(DomainError, match="n_head=200 exceeds the 30 modes"):
+            mercer_trace_gap(bridge2000)
+        with pytest.raises(DomainError):
+            mercer_trace_gap(bridge400, n_head=101)
 
     def test_both_kinds_moderate(self, bridge400, rl400):
         assert mercer_trace_gap(bridge400) < 1e-3
