@@ -61,7 +61,6 @@ from .phase import (
     b_alpha,
     g0,
     gamma0,
-    h0,
     pv_weight,
     theta0,
     xc0,
@@ -101,7 +100,6 @@ __all__ = [
     "eigenfunction_at",
     "g0",
     "gamma0",
-    "h0",
     "kernel_K",
     "kernel_bridge",
     "lambda_asymptotic",

@@ -134,15 +134,22 @@ def upsilon1(t, table: PhaseTable):
     return float(val[0]) if scalar else val
 
 
-def _layer_samples(table: PhaseTable, which: Layer):
-    """Nodes t and weighted samples w Upsilon_j(t) on the half-line grid."""
+def _layer_rule():
+    """half_line_grid() cut to 1e-10 < t < 1e12, for boundary-layer integrals.
+
+    The boundary-layer densities here and in integro.reconstruct_f_exact
+    vanish like a positive power of t at 0 and decay like t^{-1-a} to
+    t^{-2a} at infinity. X_c0's quadrature error estimate stays within
+    tolerance on the kept range, and fails it near the rule's extreme nodes.
+    """
     t, w = half_line_grid()
-    # drop the rule's extreme nodes: the densities vanish like t^{2a} at 0
-    # and t^{-1-a} (Upsilon0) / t^{-2a} (Upsilon1) at infinity, so the
-    # omitted mass is negligible while X_c0's quadrature error estimate
-    # stays within tolerance on the kept range
     keep = (t > 1e-10) & (t < 1e12)
-    t, w = t[keep], w[keep]
+    return t[keep], w[keep]
+
+
+def _layer_samples(table: PhaseTable, which: Layer):
+    """Nodes t and weighted samples w Upsilon_j(t) on the layer rule."""
+    t, w = _layer_rule()
     ups = upsilon0(t, table) if which is Layer.AT_ZERO else upsilon1(t, table)
     return t, w * ups
 

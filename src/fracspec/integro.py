@@ -5,35 +5,32 @@ system of integral equations on (0, inf) in a scaled variable t (the
 frequency rho only enters through e^{-rho tau} and explicit prefactors):
 
     (A f)(t) = (1/pi) int_0^inf e^{-rho tau}/(tau + t) M(tau) f(tau) dtau,
-    M = [[0, g0], [-h0, 0]],
+    M = [[0, g0], [-h0, 0]] = g0 [[0, 1], [1, 0]],
 
-with three inhomogeneous solutions p = Ap + (1,0), q = Aq + (0,1),
-r = Ar + (0,t). Their analytic continuations at t = -+i combine into two
+since h0 = -g0 exactly: M swaps the two components and scales them by g0.
+The three inhomogeneous solutions are p = Ap + (1,0), q = Aq + (0,1) and
+r = Ar + (0,t). A commutes with that swap, so q = p[::-1] exactly and only
+p and r are iterated. Their analytic continuations at t = -+i combine into two
 boundary functionals xi, eta; rho is an eigenvalue's signature exactly when
 Im(xi conj(eta)) = 0. Roots are isolated by sampling the normalized
 condition on a grid around the two-term asymptotic value, visiting its
 intervals nearest-first and stopping at the first sign change, and are
 polished by _brentq, scipy's Brent solver ported with bit-identical roots.
 
-Since h0 = -g0 exactly, both off-diagonal blocks of M carry g0. With h0 in
-place of -h0 the first-order corrections from xi and eta cancel in the
-condition and the roots stay on the two-term asymptote; with -h0 they match
-the Nystrom eigenvalues to the Nystrom solver's own discretization error.
-
-g0 and h0 both vanish like t^alpha at 0 and decay like t^{-alpha} at
-infinity, so the system is solved on 40 octaves below T, the least power
-of two >= 40/rho (the kernel's own decay makes the tail negligible), each
-carrying one 6-node Gauss pattern scaled by a power of two: a node depends
-on its octave only, never on rho. Fixed-point iteration contracts for
-every rho used here; non-contraction raises rather than looping.
+g0 vanishes like t^alpha at 0 and decays like t^{-alpha} at infinity, so
+the system is solved on 40 octaves below T, the least power of two
+>= 40/rho (the kernel's own decay makes the tail negligible), each carrying
+one 6-node Gauss pattern scaled by a power of two: a node depends on its
+octave only, never on rho. Fixed-point iteration contracts for every rho
+used here; non-contraction raises rather than looping.
 
 What does not depend on rho is built once per root, over the octaves of
-every rho in its bracket: g0 and h0 (one sweep of the costly PV weight),
-the Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each evaluation slices its
-240 nodes from there, bit for bit what a standalone solve_pqr builds. The
-PQRSolution carries the kernel data (g0, -h0, the weights times
-e^{-rho t} and X_c0(i)), so secular and reconstruct_f_exact sample nothing
-again. refine_rho takes alpha from its PhaseTable and evaluates each rho
+every rho in its bracket: g0 (one sweep of the costly PV weight), the
+Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each evaluation slices its 240
+nodes from there, bit for bit what a standalone solve_pqr builds. The
+PQRSolution carries the kernel data (g0, the weights times e^{-rho t} and
+X_c0(i)), so secular and reconstruct_f_exact sample nothing again.
+refine_rho takes alpha from its PhaseTable and evaluates each rho
 once; a root typically takes six or seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
@@ -48,19 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Order, rho_asymptotic
+from .asymptotics import Order, _layer_rule, rho_asymptotic
 from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
 from .phase import (
     FractionalOrder,
     PhaseTable,
     _sin_theta0_minus_api,
     b_alpha,
-    g0_h0,
+    g0,
     gamma0,
     theta0,
     xc0,
 )
-from .quadrature import gauss_legendre_01, half_line_grid
+from .quadrature import gauss_legendre_01
 
 __all__ = [
     "PQRSolution",
@@ -115,23 +112,23 @@ def build_pqr_grid(rho: float):
 
 
 def _sample_octaves(lo: float, hi: float, table: PhaseTable):
-    """(k0, t, w, g0, h0, D, X_c0(i)) over octaves k0, ... of every rho in
+    """(k0, t, w, g0, D, X_c0(i)) over octaves k0, ... of every rho in
     [lo, hi], with D the Cauchy matrix 1/(t_i + t_j) of the nodes t."""
     k0 = _top_exponent(hi) - _OCTAVES
     t, w = _octave_rule(k0, _top_exponent(lo))
     D = 1.0 / (t[None, :] + t[:, None])
-    return (k0, t, w, *g0_h0(t, table), D, xc0(1j, table))
+    return k0, t, w, g0(t, table), D, xc0(1j, table)
 
 
 @dataclass(frozen=True, eq=False)
 class PQRSolution:
     """Converged grid values of the three auxiliary solutions.
 
-    p, q, r have shape (2, N) over the grid nodes; iterations is the number
-    of sweeps. gv, hv and e are the kernel data the system was solved with:
-    the (1,2) and (2,1) blocks g0 and -h0 of M and the weights times
+    p, q, r have shape (2, N) over the grid nodes, q = p[::-1]; iterations
+    is the number of sweeps. gv and e are the kernel data the system was
+    solved with: g0, both off-diagonal blocks of M, and the weights times
     e^{-rho t}, all on the grid; the continuation reads them instead of
-    sampling g0 and h0 again. xc_i is X_c0(i), read by secular and
+    sampling g0 again. xc_i is X_c0(i), read by secular and
     reconstruct_f_exact.
     """
 
@@ -139,13 +136,15 @@ class PQRSolution:
     grid: np.ndarray
     weights: np.ndarray
     gv: np.ndarray
-    hv: np.ndarray
     e: np.ndarray
     xc_i: complex
     p: np.ndarray
-    q: np.ndarray
     r: np.ndarray
     iterations: int
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.p[::-1]
 
 
 def _system_data(rho: float, table: PhaseTable, samples=None):
@@ -158,44 +157,39 @@ def _system_data(rho: float, table: PhaseTable, samples=None):
     j = i + _OCTAVES * _PER_OCTAVE
     if i < 0 or j > arrays[0].size:
         raise DomainError(f"rho={rho:g} lies outside the sampled octaves")
-    t, w, gv, h = (x[i:j] for x in arrays)
-    hv = -h  # (2,1) block of M
+    t, w, gv = (x[i:j] for x in arrays)
     e = w * np.exp(-rho * t)
-    D = D[i:j, i:j]
-    W1 = D * (e * gv)[None, :] / np.pi  # maps f2 samples to (A f)_1
-    W2 = D * (e * hv)[None, :] / np.pi  # maps f1 samples to (A f)_2
-    return t, w, gv, hv, e, xc_i, W1, W2
+    # one block: W maps f2 samples to (A f)_1 and f1 samples to (A f)_2
+    W = D[i:j, i:j] * (e * gv)[None, :] / np.pi
+    return t, w, gv, e, xc_i, W
 
 
 def apply_A(f, rho: float, table: PhaseTable):
     """Apply the integral operator to samples f of shape (2, N) on the grid."""
     f = np.asarray(f, dtype=float)
-    t, w, gv, hv, e, xc_i, W1, W2 = _system_data(rho, table)
+    t, w, gv, e, xc_i, W = _system_data(rho, table)
     if f.shape != (2, t.size):
         raise DomainError(f"f must have shape (2, {t.size})")
-    return np.stack([W1 @ f[1], W2 @ f[0]])
+    return f[::-1] @ W.T
 
 
 def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
-    """Solve the three fixed-point systems on the dyadic grid.
+    """Solve the fixed-point systems of p and r on the dyadic grid; q is p
+    with its components swapped.
 
-    Stops when every family's sup-norm update is below 1e-12; raises
+    Stops when both families' sup-norm updates are below 1e-12; raises
     ConvergenceError if the updates grow, or stay above that after 100
     sweeps. refine_rho passes its bracket's _sample_octaves output as
     _samples; the values are the same as sampled here.
     """
-    t, w, gv, hv, e, xc_i, W1, W2 = _system_data(rho, table, samples=_samples)
-    n = t.size
-    b = np.zeros((3, 2, n))
+    t, w, gv, e, xc_i, W = _system_data(rho, table, samples=_samples)
+    b = np.zeros((2, 2, t.size))
     b[0, 0] = 1.0  # p
-    b[1, 1] = 1.0  # q
-    b[2, 1] = t  # r
+    b[1, 1] = t  # r
     f = b.copy()
     prev = np.inf
     for it in range(1, _MAX_ITER + 1):
-        new0 = b[:, 0, :] + f[:, 1, :] @ W1.T
-        new1 = b[:, 1, :] + f[:, 0, :] @ W2.T
-        new = np.stack([new0, new1], axis=1)
+        new = b + f[:, ::-1, :] @ W.T
         res = np.abs(new - f).max(axis=(1, 2))
         f = new
         d = float(res.max())
@@ -217,12 +211,10 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
         grid=t,
         weights=w,
         gv=gv,
-        hv=hv,
         e=e,
         xc_i=xc_i,
         p=f[0],
-        q=f[1],
-        r=f[2],
+        r=f[1],
         iterations=it,
     )
 
@@ -230,12 +222,10 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
 def _extend_batch(sol: PQRSolution, z):
     """Continuation of p, q, r at points z (array); returns three (2, M)."""
     zz = np.asarray(z)
-    ker = sol.e / (sol.grid[None, :] + zz[:, None]) / np.pi
-    kg, kh = ker * sol.gv[None, :], ker * sol.hv[None, :]
-    p = np.stack([kg @ sol.p[1] + 1.0, kh @ sol.p[0]])
-    q = np.stack([kg @ sol.q[1], kh @ sol.q[0] + 1.0])
-    r = np.stack([kg @ sol.r[1], kh @ sol.r[0] + zz])
-    return p, q, r
+    kg = sol.e / (sol.grid[None, :] + zz[:, None]) / np.pi * sol.gv[None, :]
+    p = np.stack([kg @ sol.p[1] + 1.0, kg @ sol.p[0]])
+    r = np.stack([kg @ sol.r[1], kg @ sol.r[0] + zz])
+    return p, p[::-1], r
 
 
 def analytic_extend(sol: PQRSolution, z):
@@ -461,7 +451,10 @@ def reconstruct_f_exact(
     half-line integrals carrying the boundary layers at 1 and at 0. The
     integrals use the master half-line grid: their integrands decay only
     algebraically when x approaches an endpoint, far past the truncation
-    radius of the solver's own grid.
+    radius of the solver's own grid. With c1 = c_ratio, secular's formulas
+    give xi + c1 eta = X Psi0(-i) + rho^-a e^{-rho i} Y Psi1(i), where
+    Psi = p + c1 rho^a (rho b q - rho r). Psi0 enters the residue and the
+    layer at 0, Psi1 the layer at 1; both layers carry a factor rho^-a.
     """
     a = table.alpha
     scalar = np.isscalar(x)
@@ -475,18 +468,11 @@ def reconstruct_f_exact(
     sol = sv.solution
     c1 = float(-np.real(sv.xi / sv.eta))
     bal = b_alpha(table.order)
+    crho = c1 * rho**a * rho  # Psi = p + crho (b q - r)
 
-    tau, wt = half_line_grid()
-    # truncate the rule's extreme nodes: below 1e-10 the integrands vanish
-    # like tau^{3a-1} (I2) and tau^{a+...} (I1), above 1e12 they decay like
-    # tau^{-1-a} and tau^{-2a}; both omitted tails are far below the
-    # representation's own accuracy, and X_c0's quadrature error estimate
-    # stays within tolerance on the kept range.
-    keep = (tau > 1e-10) & (tau < 1e12)
-    tau, wt = tau[keep], wt[keep]
+    tau, wt = _layer_rule()
     P, Q, R = _extend_batch(sol, tau)
-    psi0 = P[0] + c1 * rho * bal * Q[0] - c1 * rho * R[0]
-    psi1 = P[1] + c1 * rho * bal * Q[1] - c1 * rho * R[1]
+    psi0, psi1 = P + crho * (bal * Q - R)
 
     th = theta0(tau, table.order)
     gm = gamma0(tau, table.order)
@@ -495,7 +481,7 @@ def reconstruct_f_exact(
 
     # residue term: Psi0 at the pole rho*i via the continuation at -i
     pm, qm, rm = analytic_extend(sol, -1j)
-    psi0_pole = pm[0] + c1 * rho * bal * qm[0] - c1 * rho * rm[0]
+    psi0_pole = pm[0] + crho * (bal * qm[0] - rm[0])
     amp = (
         (1.0 / 1j)
         * rho ** (1.0 - a)
@@ -508,8 +494,11 @@ def reconstruct_f_exact(
     def values(pts):
         t0 = np.real(amp * np.exp(1j * rho * pts))
         e1 = np.exp(-rho * np.outer(1.0 - pts, tau))
-        i1 = e1 @ (wt * tau ** (a - 1.0) * xcm * psi1 * np.sin(th) / gm) * (
-            s_api / np.pi**2
+        i1 = (
+            e1
+            @ (wt * tau ** (a - 1.0) * xcm * psi1 * np.sin(th) / gm)
+            * (s_api / np.pi**2)
+            * rho ** (-a)
         )
         e2 = np.exp(-rho * np.outer(pts, tau))
         i2 = -(

@@ -214,17 +214,11 @@ def _row_integral_rl(x, a: float):
     return J / (a * math.gamma(a) ** 2)
 
 
-def _row_integral_bridge(x, a: float, kx1=None):
-    # int_0^1 K(y,1) dy = K(1,1) (2a-1)/(2a^2), so the rank-one part
-    # integrates to K(x,1) (2a-1)/(2a^2); kx1 is K(x,1) if already evaluated
-    if kx1 is None:
-        kx1 = _kernel_raw(np.asarray(x, dtype=float), 1.0, a)
-    return _row_integral_rl(x, a) - kx1 * (2 * a - 1) / (2 * a * a)
-
-
 def _row_integral(x, a: float, kind: KernelKind, kx1=None):
+    # int_0^1 K(x,y) dy. The bridge needs kx1 = K(x,1): int_0^1 K(y,1) dy =
+    # K(1,1) (2a-1)/(2a^2), so its rank-one part integrates to that times kx1
     if kind is KernelKind.BRIDGE:
-        return _row_integral_bridge(x, a, kx1)
+        return _row_integral_rl(x, a) - kx1 * (2 * a - 1) / (2 * a * a)
     return _row_integral_rl(x, a)
 
 

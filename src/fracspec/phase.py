@@ -4,15 +4,16 @@ This module holds the closed-form functions attached to the eigenvalue
 problem's Hilbert boundary value structure: the phase theta0, the modulus
 gamma0, the constant b_alpha = cot(pi/(2 alpha)), the Cauchy-integral
 function X_c0 evaluated by double-exponential quadrature, the principal-value
-weight behind g0/h0, and g0/h0 themselves (g0_h0 gives both from one
-sweep of the PV weight, the costly part).
+weight, and g0, the one function in both off-diagonal blocks of the
+half-line system's M = g0 [[0, 1], [1, 0]] (the other block, -h0, equals g0
+exactly, since t^a sin(theta0) = -t^{-a} sin(theta0 - a pi)).
 
 Everything is scale-free: the frequency rho never enters any function here,
 and the signatures enforce that structurally.
 
 A PhaseTable bundles the quadrature data for one alpha. It holds no state
-that evaluations change, so threads can share one table. xc0, pv_weight, g0
-and h0 each evaluate through one vectorized path; a scalar argument is
+that evaluations change, so threads can share one table. xc0, pv_weight and
+g0 each evaluate through one vectorized path; a scalar argument is
 evaluated as a one-element array and unwrapped at the end.
 """
 
@@ -36,8 +37,6 @@ __all__ = [
     "xc0",
     "pv_weight",
     "g0",
-    "h0",
-    "g0_h0",
 ]
 
 _PV_ROWS = 32  # t rows per PV sweep block: 32 x 401 doubles, about 100 KB
@@ -264,25 +263,11 @@ def pv_weight(t, table: PhaseTable):
 
 
 def g0(t, table: PhaseTable):
-    """g0(t) = t^alpha sin(theta0(t)) pv_weight(t); negative on (0, inf)."""
-    g = g0_h0(t, table)[0]
-    return float(g[0]) if np.isscalar(t) else g
+    """g0(t) = t^alpha sin(theta0(t)) pv_weight(t); negative on (0, inf).
 
-
-def h0(t, table: PhaseTable):
-    """h0(t) = -t^{-alpha} sin(theta0(t) - alpha pi) pv_weight(t)."""
-    h = g0_h0(t, table)[1]
-    return float(h[0]) if np.isscalar(t) else h
-
-
-def g0_h0(t, table: PhaseTable):
-    """(g0(t), h0(t)) on an array of t > 0 from one PV weight sweep.
-
-    g0 and h0 take their values from here.
+    One sweep of the PV weight, the costly part, per call.
     """
     a = table.alpha
     tt = np.atleast_1d(_check_positive(t))
-    pv = pv_weight(tt, table)
-    g = tt**a * np.sin(theta0(tt, table.order)) * pv
-    h = -(tt ** (-a)) * _sin_theta0_minus_api(tt, a) * pv
-    return g, h
+    g = tt**a * np.sin(theta0(tt, table.order)) * pv_weight(tt, table)
+    return float(g[0]) if np.isscalar(t) else g

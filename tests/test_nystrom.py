@@ -211,13 +211,12 @@ class TestRowIntegral:
         assert np.allclose(_row_integral_rl(x, 1.0), x - x**2 / 2, atol=1e-13)
 
     def test_bridge_alpha_one(self):
-        from fracspec.nystrom import _row_integral_bridge
+        from fracspec.nystrom import _kernel_raw, _row_integral
 
         # int_0^1 (min(x,y) - x y) dy = x - x^2/2 - x/2
         x = np.linspace(0.1, 1.0, 5)
-        assert np.allclose(
-            _row_integral_bridge(x, 1.0), x / 2 - x**2 / 2, atol=1e-13
-        )
+        got = _row_integral(x, 1.0, KernelKind.BRIDGE, _kernel_raw(x, 1.0, 1.0))
+        assert np.allclose(got, x / 2 - x**2 / 2, atol=1e-13)
 
 
 def _mp_row_integral(x, a):
