@@ -38,6 +38,7 @@ from .integro import (
     dump_integro_csv,
     reconstruct_f_exact,
     refine_rho,
+    refine_roots,
     secular,
     solve_pqr,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "pv_weight",
     "reconstruct_f_exact",
     "refine_rho",
+    "refine_roots",
     "rho_asymptotic",
     "secular",
     "solve_pqr",

@@ -5,11 +5,11 @@ plot), validate (invariant suite).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files are deterministic for a fixed configuration: floats
-%.12e, comma-separated, LF endings. Per-n root refinements run in a thread
-pool that shares one PhaseTable (read-only, so no lock); each command
-creates its output directory before it computes anything, and writes its
-files once, at the end, each through a temporary file that then replaces
-the target.
+%.12e, comma-separated, LF endings. The per-n root refinements of one
+spectrum run share one PhaseTable and one g0 sample (refine_roots); each
+command creates its output directory before it computes anything, and
+writes its files once, at the end, each through a temporary file that then
+replaces the target.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import functools
 import io
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,9 @@ from .asymptotics import (
     lambda_two_term,
 )
 from .errors import FracspecError
-from .integro import PhaseTable, dump_integro_csv, refine_rho, reconstruct_f_exact
+from .integro import (
+    PhaseTable, dump_integro_csv, reconstruct_f_exact, refine_rho, refine_roots
+)
 from .nystrom import (
     KernelKind,
     KernelSpec,
@@ -231,18 +232,11 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
         lam = spectrum.lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
 
-    roots = {}
-    failures = []
+    refined, failures = [], []
     if "integro" in cfg.methods:
-        table = PhaseTable(order)
-        workers = min(8, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {n: pool.submit(refine_rho, n, table) for n in ns}
-        for n in ns:
-            try:
-                roots[n] = futs[n].result()
-            except FracspecError as e:
-                failures.append((n, f"{type(e).__name__}: {e}"))
+        refined, failures = refine_roots(ns, PhaseTable(order))
+    lam_int = {rt.n: rt.rho ** (2.0 * a) for rt in refined}
+    lam_ref = lam_ny if cfg.reference == "nystrom" else lam_int
 
     def asym1(n):
         return lambda_asymptotic(n, order, Order.FIRST) if "asym1" in cfg.methods else None
@@ -254,35 +248,26 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
             return lambda_two_term(n, order)
         return lambda_asymptotic(n, order, Order.SECOND)
 
-    def lam_integro(n):
-        rt = roots.get(n)
-        return rt.rho ** (2.0 * a) if rt is not None else None
-
-    def reference(n):
-        if cfg.reference == "nystrom":
-            return lam_ny.get(n)
-        return lam_integro(n)
-
     lines = [
         "n,lambda_asym1,lambda_asym2,lambda_nystrom,lambda_integro,"
         "relerr_asym1,relerr_asym2,regime"
     ]
     for n in ns:
         l1, l2 = asym1(n), asym2(n)
-        ref = reference(n)
+        ref = lam_ref.get(n)
         r1 = ref / l1 - 1.0 if ref is not None and l1 is not None else None
         r2 = ref / l2 - 1.0 if ref is not None and l2 is not None else None
         regime = "unverified" if n < 3 else ""
         lines.append(
             f"{n},{_fmt(l1)},{_fmt(l2)},{_fmt(lam_ny.get(n))},"
-            f"{_fmt(lam_integro(n))},{_fmt(r1)},{_fmt(r2)},{regime}"
+            f"{_fmt(lam_int.get(n))},{_fmt(r1)},{_fmt(r2)},{regime}"
         )
     spectrum_csv = "\n".join(lines) + "\n"
 
     integro_csv = None
     if "integro" in cfg.methods:
         buf = io.StringIO()
-        dump_integro_csv(roots.values(), buf)  # roots are in n order
+        dump_integro_csv(refined, buf)
         integro_csv = buf.getvalue()
     return spectrum_csv, integro_csv, failures
 
@@ -297,9 +282,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     _write_outputs(cfg.output_dir, files)
     for n, msg in failures:
         print(f"integro refinement failed at n={n}: {msg}", file=sys.stderr)
-    if any(n >= 3 for n, _ in failures):
-        return 3
-    return 0
+    return 3 if any(n >= 3 for n, _ in failures) else 0
 
 
 # -- eigenfunction ---------------------------------------------------------

@@ -24,14 +24,14 @@ one 6-node Gauss pattern scaled by a power of two: a node depends on its
 octave only, never on rho. Fixed-point iteration contracts for every rho
 used here; non-contraction raises rather than looping.
 
-What does not depend on rho is built once per root, over the octaves of
-every rho in its bracket: g0 (one sweep of the costly PV weight), the
-Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each evaluation slices its 240
-nodes from there, bit for bit what a standalone solve_pqr builds. The
-PQRSolution carries the kernel data (g0, the weights times e^{-rho t} and
-X_c0(i)), so secular and reconstruct_f_exact sample nothing again.
-refine_rho takes alpha from its PhaseTable and evaluates each rho
-once; a root typically takes six or seven evaluations.
+What does not depend on rho is built once per refine_roots call (or lone
+refine_rho), over the octaves of every rho in its brackets: g0 (one sweep of
+the costly PV weight), the Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each
+evaluation slices its 240 nodes from there, bit for bit what a standalone
+solve_pqr builds. The PQRSolution carries the kernel data (g0, the weights
+times e^{-rho t} and X_c0(i)), so secular and reconstruct_f_exact sample
+nothing again. refine_rho takes alpha from its PhaseTable and evaluates each
+rho once; a root typically takes six or seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
@@ -46,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import Order, _layer_rule, rho_asymptotic
-from .errors import AccuracyError, BracketError, ConvergenceError, DomainError
+from .errors import (
+    AccuracyError, BracketError, ConvergenceError, DomainError, FracspecError
+)
 from .phase import (
     FractionalOrder,
     PhaseTable,
@@ -69,6 +71,7 @@ __all__ = [
     "analytic_extend",
     "secular",
     "refine_rho",
+    "refine_roots",
     "c_ratio",
     "reconstruct_f_exact",
     "dump_integro_csv",
@@ -361,7 +364,19 @@ def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def refine_rho(n: int, table: PhaseTable) -> RefinedRoot:
+def _bracket(n: int, table: PhaseTable):
+    """rho_n's two-term asymptote and [lo, hi], the bracket searched around it."""
+    if not table.alpha < 1.0:
+        raise DomainError(
+            "refinement requires alpha in (1/2, 1); alpha = 1 has exact roots"
+        )
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    rho0 = rho_asymptotic(n, table.order, Order.SECOND)
+    return rho0, max(rho0 - np.pi / 2.0, 1e-3), rho0 + np.pi / 2.0
+
+
+def refine_rho(n: int, table: PhaseTable, *, _samples=None) -> RefinedRoot:
     """Refine rho_n at the table's order from the two-term asymptote.
 
     The normalized condition is sampled at 33 equispaced nodes of
@@ -375,18 +390,10 @@ def refine_rho(n: int, table: PhaseTable) -> RefinedRoot:
     evaluated (no root is guessed). The polished root's condition_residual
     |Im(xi conj(eta))| / (|xi||eta|) must be below 1e-10 or AccuracyError
     is raised. alpha is the table's; alpha = 1 is refused (exact roots).
+    refine_roots hands in its shared sample, of the same values, as _samples.
     """
-    if not table.alpha < 1.0:
-        raise DomainError(
-            "refinement requires alpha in (1/2, 1); alpha = 1 has exact roots"
-        )
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    rho0 = rho_asymptotic(n, table.order, Order.SECOND)
-    lo = max(rho0 - np.pi / 2.0, 1e-3)
-    hi = rho0 + np.pi / 2.0
-
-    samples = _sample_octaves(lo, hi, table)  # every evaluation slices these
+    rho0, lo, hi = _bracket(n, table)
+    samples = _samples or _sample_octaves(lo, hi, table)  # sliced by every rho
     # the bracket search visits each node from two intervals, _brentq
     # re-evaluates the bracket ends, and the root it returns is its best
     # iterate, in practice the rho of smallest |condition| seen. Each rho is
@@ -428,6 +435,30 @@ def refine_rho(n: int, table: PhaseTable) -> RefinedRoot:
             f" |Im(xi conj(eta))| / (|xi||eta|) = {rt.condition_residual:.3e}"
         )
     return rt
+
+
+def refine_roots(ns, table: PhaseTable):
+    """Refine each n in ns in turn, from one g0 sample over all their brackets.
+
+    Returns (roots, failures): the RefinedRoots, bit for bit refine_rho's, in
+    the order of ns, and (n, "Type: message") for each n that raised a
+    FracspecError, for every n if the sampling did.
+    """
+    ns = list(ns)
+    roots, failures = [], []
+    if not ns:
+        return roots, failures
+    try:
+        _, los, his = zip(*(_bracket(n, table) for n in ns))
+        samples = _sample_octaves(min(los), max(his), table)
+    except FracspecError as e:
+        return roots, [(n, f"{type(e).__name__}: {e}") for n in ns]
+    for n in ns:
+        try:
+            roots.append(refine_rho(n, table, _samples=samples))
+        except FracspecError as e:
+            failures.append((n, f"{type(e).__name__}: {e}"))
+    return roots, failures
 
 
 def c_ratio(rho: float, table: PhaseTable) -> float:

@@ -561,20 +561,3 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     tail = np.pi ** (-2 * a) * _hurwitz_zeta(2 * a, n_head + 1 + shift / np.pi)
     total = float(spectrum.mu[:n_head].sum()) + float(tail)
     return abs(total - trace) / trace
-
-
-def kernel_typo(x, y, alpha):
-    """The literal misprinted kernel form, kept as a reference only.
-
-    Evaluates (x-y)^{a-1} (y^a - (y-min)^a)/(a Gamma(a)^2) via
-    exp((a-1) ln(x-y)), which is NaN for x < y and ill-defined on the
-    diagonal; no solver path uses it.
-    """
-    a = _alpha_of(alpha)
-    xx = np.asarray(x, dtype=float)
-    yy = np.asarray(y, dtype=float)
-    lo = np.minimum(xx, yy)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pref = np.exp((a - 1.0) * np.log(xx - yy))
-        out = pref * (yy**a - (yy - lo) ** a) / (a * math.gamma(a) ** 2)
-    return out

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fracspec.integro
 from fracspec.cli import _write_text, main
-from fracspec.errors import BracketError
+from fracspec.errors import AccuracyError, BracketError
 
 HEADER = (
     "n,lambda_asym1,lambda_asym2,lambda_nystrom,lambda_integro,"
@@ -106,10 +106,10 @@ class TestSpectrum:
             assert abs(float(r[6])) < 1e-2  # relerr against integro reference
 
     def test_failures_below_three_tolerated(self, tmp_path, monkeypatch):
-        def boom(n, table):
+        def boom(n, table, **kw):
             raise BracketError("no sign change (forced)")
 
-        monkeypatch.setattr("fracspec.cli.refine_rho", boom)
+        monkeypatch.setattr("fracspec.integro.refine_rho", boom)
         base = [
             "spectrum",
             "--alpha", "0.75",
@@ -125,6 +125,27 @@ class TestSpectrum:
         # the spectrum file is still written, with empty integro cells
         _, rows = _rows(tmp_path / "high" / "spectrum.csv")
         assert all(r[4] == "" for r in rows)
+
+    def test_failed_sampling_is_reported_per_n(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the roots share one g0 sample; when it fails, every n fails with
+        # the same error, and the n < 3 rule still sets the exit code
+        def boom(t, table):
+            raise AccuracyError("pv error estimate above tolerance (forced)")
+
+        monkeypatch.setattr(fracspec.integro, "g0", boom)
+        for n_max, code in [(2, 0), (4, 3)]:
+            rc = main(["spectrum", "--alpha", "0.75", "--n-min", "1",
+                       "--n-max", str(n_max), "--methods", "asym2,integro",
+                       "--out", str(tmp_path / str(n_max))])
+            err = capsys.readouterr().err
+            assert rc == code
+            assert err.splitlines() == [
+                f"integro refinement failed at n={n}: AccuracyError: pv error"
+                " estimate above tolerance (forced)"
+                for n in range(1, n_max + 1)
+            ]
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "fault, message",

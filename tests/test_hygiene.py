@@ -117,6 +117,8 @@ def test_import_loads_no_scipy():
     loaded = set(out.stdout.split())
     assert "fracspec.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    # the spectrum roots are refined in a serial loop, with no thread pool
+    assert "concurrent.futures" not in loaded
 
 
 def test_jobs_load_no_numpy_random(tmp_path):

@@ -19,6 +19,7 @@ from fracspec.integro import (
     c_ratio,
     reconstruct_f_exact,
     refine_rho,
+    refine_roots,
     secular,
     solve_pqr,
 )
@@ -471,6 +472,34 @@ class TestRefine:
             sweeps.clear()
         sol = solve_pqr(28.0, table075)
         assert sweeps == [sol.grid.size]
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_shared_sample_matches_single_roots(self, alpha, monkeypatch):
+        # refine_roots samples g0 once over the octaves of every bracket;
+        # each root is bit for bit the one refine_rho finds from its own
+        table = fs.PhaseTable(alpha)
+        ns = range(1, 31)
+        single = [refine_rho(n, table) for n in ns]
+        sweeps = []
+        original = integro.g0
+
+        def spy(t, table):
+            sweeps.append(t.size)
+            return original(t, table)
+
+        monkeypatch.setattr("fracspec.integro.g0", spy)
+        roots, failures = refine_roots(ns, table)
+        assert len(sweeps) == 1
+        assert failures == []
+        assert [r.n for r in roots] == list(ns)
+        for one, shared in zip(single, roots):
+            assert shared.rho == one.rho
+            assert shared.value.xi == one.value.xi
+            assert shared.value.eta == one.value.eta
+            assert shared.iterations == one.iterations
+            assert shared.bracket == one.bracket
+        assert refine_roots([], table) == ([], [])
+        assert len(sweeps) == 1
 
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
     def test_self_convergence(self, alpha, monkeypatch):

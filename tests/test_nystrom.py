@@ -19,7 +19,6 @@ from fracspec.nystrom import (
     eigenfunction_at,
     kernel_bridge,
     kernel_K,
-    kernel_typo,
     mercer_trace_gap,
     _kernel_matrix,
     _kernel_of_kind,
@@ -340,10 +339,6 @@ class TestSolve:
         spec = KernelSpec(order075, KernelKind.RL)
         with pytest.raises(ConvergenceError):
             discretize_and_solve(spec, build_grid(40))
-
-    def test_typo_kernel_is_nan_below_diagonal(self, order075):
-        v = kernel_typo(0.3, 0.7, order075)
-        assert np.isnan(float(v))
 
     def test_rejects_small_alpha(self):
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
