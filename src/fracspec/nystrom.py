@@ -288,7 +288,8 @@ class NystromGrid:
 
 
 def build_grid(m: int) -> NystromGrid:
-    """Gauss-Legendre rule mapped to (0,1)."""
+    """The m-point Gauss-Legendre rule on (0,1), as writable copies of the
+    cached rule (see ``quadrature``: Newton on the Legendre recurrence, O(m^2))."""
     if m < 2:
         raise DomainError("grid needs m >= 2")
     x, w = gauss_legendre_01(m)
