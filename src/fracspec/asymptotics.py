@@ -29,6 +29,7 @@ from .phase import (
     xc0,
     _as_order,
     _check_positive,
+    _check_unit,
     _sin_theta0_minus_api,
 )
 from .quadrature import half_line_grid
@@ -163,11 +164,10 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     if rho <= 0:
         raise DomainError("rho must be positive")
     t, wu = _layer_samples(table, which)
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    xx = _check_unit(x)
     d = xx if which is Layer.AT_ZERO else 1.0 - xx
     val = np.exp(-rho * t[None, :] * d[:, None]) @ wu
-    return float(val[0]) if scalar else val
+    return float(val[0]) if np.isscalar(x) else val
 
 
 def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
@@ -187,10 +187,9 @@ def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
         raise DomainError(f"the PhaseTable of alpha={table.alpha} given for {o.alpha}")
     rho = rho_asymptotic(n, o, Order.SECOND)
     phi = (np.pi / 4) * (1.0 - o.alpha)
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    xx = _check_unit(x)
     val = np.sqrt(2.0) * np.sin(rho * xx + phi)
     if table is not None:
         val = val + boundary_layer(xx, rho, Layer.AT_ZERO, table)
         val = val + (-1.0) ** n * boundary_layer(xx, rho, Layer.AT_ONE, table)
-    return float(val[0]) if scalar else val
+    return float(val[0]) if np.isscalar(x) else val

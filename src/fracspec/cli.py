@@ -1,7 +1,9 @@
 """Command line harness around the solver modules.
 
 Subcommands: spectrum (eigenvalue tables), eigenfunction (profiles + error
-plot), validate (invariant suite).
+plot), validate (invariant suite). A --config file of key = value lines
+stands for the flags --key=value placed before the command line's own, so
+argparse checks file values exactly as flags, and the command line wins.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files are deterministic for a fixed configuration: floats
@@ -20,7 +22,7 @@ import functools
 import io
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -67,6 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
+    """The run's settings; each field is the flag of its name, '-' for '_'."""
     alpha: float = 0.75
     variant: str = "rl-bridge"
     n_min: int = 1
@@ -74,74 +77,47 @@ class RunConfig:
     methods: tuple = ("asym1", "asym2", "nystrom")
     m: int = 2000
     grid_points: int = 501
-    output_dir: str = "."
+    out: str = "."
     reference: str = "nystrom"
 
 
-def _coerce(key: str, value: str):
-    value = value.strip()
-    try:
-        if key in ("n_min", "n_max", "m", "grid_points"):
-            return int(value)
-        if key == "alpha":
-            return float(value)
-    except ValueError:
-        raise UsageError(f"config value for {key} is not a number: {value!r}") from None
-    if key == "methods":
-        return tuple(p.strip() for p in value.split(",") if p.strip())
-    if key in ("variant", "reference", "output_dir"):
-        return value
-    raise UsageError(f"unknown config key: {key}")
+_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
-_KEY_ALIASES = {"out": "output_dir"}
+def _method_list(text: str) -> tuple:
+    methods = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not methods or not set(methods) <= set(_METHODS):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list from {_METHODS}")
+    return methods
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment, blank lines ignored."""
+def _config_flags(path: str) -> list:
+    """One --key=value flag per key = value line of the config file at path.
+
+    '#' starts a comment. A key is a RunConfig field, with '-' or '_', or
+    output_dir for out; in the '=' form a value may start with '-'.
+    """
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: undecodable, NUL in path
         raise UsageError(f"cannot read config file {path}: {e}") from e
-    out = {}
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
+        key, eq, value = (s.strip() for s in line.partition("="))
         key = key.replace("-", "_")
-        key = _KEY_ALIASES.get(key, key)
-        out[key] = _coerce(key, value)
-    return out
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for flag in ("alpha", "variant", "n_min", "n_max", "m", "grid_points", "out",
-                 "reference"):
-        v = getattr(args, flag, None)
-        if v is not None:
-            setattr(cfg, _KEY_ALIASES.get(flag, flag), v)
-    if getattr(args, "methods", None) is not None:
-        cfg.methods = tuple(p.strip() for p in args.methods.split(",") if p.strip())
-    return cfg
+        key = "out" if key == "output_dir" else key
+        if not eq or key not in _FIELDS:
+            raise UsageError(f"{path}:{lineno}: expected <flag> = value, got {line!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _validated_order(cfg: RunConfig, nystrom: bool) -> FractionalOrder:
     """The run's order; nystrom says whether the command runs that solver."""
-    if cfg.variant not in ("rl-bridge", "caputo"):
-        raise UsageError(f"unknown variant: {cfg.variant}")
-    if not cfg.methods:
-        raise UsageError("method set must not be empty")
-    for meth in cfg.methods:
-        if meth not in _METHODS:
-            raise UsageError(f"unknown method: {meth}")
     if "integro" in cfg.methods and cfg.variant != "rl-bridge":
         raise UsageError("integro refinement applies to the rl-bridge variant only")
     if cfg.n_min < 1 or cfg.n_max < cfg.n_min:
@@ -150,8 +126,6 @@ def _validated_order(cfg: RunConfig, nystrom: bool) -> FractionalOrder:
         raise UsageError("m must be at least 2")
     if cfg.grid_points < 11:
         raise UsageError("grid_points must be at least 11")
-    if cfg.reference not in ("nystrom", "integro"):
-        raise UsageError(f"unknown reference method: {cfg.reference}")
     try:
         order = FractionalOrder(cfg.alpha, Variant(cfg.variant))
     except FracspecError as e:
@@ -190,18 +164,18 @@ def _make_out_dir(out_dir: str) -> None:
     """Create out_dir, before any solve: a bad --out fails at once."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write output to {out_dir}: {e}") from e
 
 
 def _write_outputs(out_dir: str, files) -> None:
-    """Write (name, text) files under out_dir; an OSError there is a usage error."""
+    """Write (name, text) files under out_dir; a failure there is a usage error."""
     try:
         for name, text in files:
             path = os.path.join(out_dir, name)
             _write_text(path, text)
             print(f"wrote {path}")
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise UsageError(f"cannot write output to {out_dir}: {e}") from e
 
 
@@ -274,12 +248,12 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     order = _validated_order(cfg, nystrom="nystrom" in cfg.methods)
-    _make_out_dir(cfg.output_dir)
+    _make_out_dir(cfg.out)
     spectrum_csv, integro_csv, failures = _build_spectrum(cfg, order)
     files = [("spectrum.csv", spectrum_csv)]
     if integro_csv is not None:
         files.append(("integro.csv", integro_csv))
-    _write_outputs(cfg.output_dir, files)
+    _write_outputs(cfg.out, files)
     for n, msg in failures:
         print(f"integro refinement failed at n={n}: {msg}", file=sys.stderr)
     return 3 if any(n >= 3 for n, _ in failures) else 0
@@ -301,7 +275,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
             "--exact requires alpha < 1; at alpha = 1 the eigenfunctions are"
             " exact sines and f_asym_nolayers gives them"
         )
-    _make_out_dir(cfg.output_dir)
+    _make_out_dir(cfg.out)
 
     x = np.linspace(0.0, 1.0, cfg.grid_points)
     spectrum = discretize_and_solve(
@@ -333,7 +307,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
         ylabel="error",
     )
 
-    _write_outputs(cfg.output_dir, [
+    _write_outputs(cfg.out, [
         (f"eigenfunction_n{n}.csv", "\n".join(lines) + "\n"),
         (f"eigenfunction_n{n}.svg", svg),
     ])
@@ -450,15 +424,16 @@ def cmd_validate(cfg: RunConfig) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--variant", choices=("rl-bridge", "caputo"))
-    sp.add_argument("--n-min", dest="n_min", type=int)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--methods", type=str, help="comma-separated subset of "
+    sp.add_argument("--n-min", type=int)
+    sp.add_argument("--n-max", type=int)
+    sp.add_argument("--methods", type=_method_list, help="comma-separated subset of "
                     + ",".join(_METHODS))
     sp.add_argument("--m", type=int, help="Nystrom grid size")
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--out", type=str, help="output directory")
-    sp.add_argument("--config", type=str, help="flat key=value config file")
+    sp.add_argument("--grid-points", type=int)
+    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--config", help="flat key = value file of the flags above")
     sp.add_argument("--reference", choices=("nystrom", "integro"))
+    sp.set_defaults(**asdict(RunConfig()))
 
 
 def main(argv=None) -> int:
@@ -480,12 +455,17 @@ def main(argv=None) -> int:
     vp = sub.add_parser("validate", help="run the invariant suite")
     _add_common(vp)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
             args = parser.parse_args(argv)
+            if args.config:  # the file's flags go first, so the command line wins
+                at = argv.index(args.command) + 1
+                argv[at:at] = _config_flags(args.config)
+                args = parser.parse_args(argv)
         except SystemExit as e:  # --help
             return int(e.code or 0)
-        cfg = _config_from_args(args)
+        cfg = RunConfig(**{f: getattr(args, f) for f in _FIELDS})
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "eigenfunction":

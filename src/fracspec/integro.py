@@ -52,6 +52,7 @@ from .errors import (
 from .phase import (
     FractionalOrder,
     PhaseTable,
+    _check_unit,
     _sin_theta0_minus_api,
     b_alpha,
     g0,
@@ -488,10 +489,7 @@ def reconstruct_f_exact(
     layer at 0, Psi1 the layer at 1; both layers carry a factor rho^-a.
     """
     a = table.alpha
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((xx < 0) | (xx > 1)):
-        raise DomainError("x must lie in [0, 1]")
+    xx = _check_unit(x)
 
     if value is not None and value.rho != float(rho):
         raise DomainError("supplied value was computed at a different rho")
@@ -551,7 +549,7 @@ def reconstruct_f_exact(
     sgn = -1.0 if s < 0 else 1.0
 
     out = sgn * values(xx) / nrm
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.isscalar(x) else out
 
 
 def dump_integro_csv(roots, fh) -> None:

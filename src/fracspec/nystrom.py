@@ -62,7 +62,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh
 
 from .errors import ConvergenceError, DomainError
-from .phase import FractionalOrder, Variant
+from .phase import FractionalOrder, Variant, _check_unit
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
 __all__ = [
@@ -481,8 +481,7 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
         raise DomainError(f"k must be in [1, {r}]")
     a = spectrum.spec.alpha.alpha
     kind = spectrum.spec.kind
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    xx = _check_unit(x)
     xg, w = spectrum.grid.nodes, spectrum.grid.weights
     f = spectrum.vectors[:, k - 1]
     xc = xx[:, None]
@@ -492,7 +491,7 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
     S = _row_integral(xc, a, kind, kx1)[:, 0]
     Q = Kxy @ w
     val = (Kxy @ (w * f)) / (spectrum.mu[k - 1] - S + Q)
-    return float(val[0]) if scalar else val
+    return float(val[0]) if np.isscalar(x) else val
 
 
 def caputo_endpoint_value(alpha, n: int, m: int) -> float:

@@ -88,6 +88,14 @@ def _check_positive(t):
     return t
 
 
+def _check_unit(x):
+    """x as a 1-d float array, which must lie in [0, 1]; NaN does not."""
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(~((xx >= 0) & (xx <= 1))):
+        raise DomainError("x must lie in [0, 1]")
+    return xx
+
+
 def theta0(t, alpha):
     """Phase theta0(t) = -atan(sin(a pi) / (t^{2a} - cos(a pi))).
 

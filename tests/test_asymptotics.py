@@ -140,3 +140,28 @@ class TestEigenfunction:
         a = fs.eigenfunction_asymptotic(6, x, order075, table=table075)
         b = fs.eigenfunction_asymptotic(6, x, order075, table=table075)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5, np.nan], ids=["below", "above", "nan"])
+@pytest.mark.parametrize(
+    "evaluate",
+    ["eigenfunction_at", "boundary_layer", "eigenfunction_asymptotic",
+     "reconstruct_f_exact"],
+)
+def test_eigenfunctions_reject_x_outside_unit_interval(evaluate, x, table075):
+    # each raises before it computes anything, for a scalar and inside an array
+    spectrum = fs.discretize_and_solve(
+        fs.KernelSpec(table075.order, fs.KernelKind.BRIDGE), fs.build_grid(20),
+        n_modes=1,
+    )
+    call = {
+        "eigenfunction_at": lambda x: fs.eigenfunction_at(spectrum, 1, x),
+        "boundary_layer": lambda x: boundary_layer(x, 10.0, Layer.AT_ZERO, table075),
+        "eigenfunction_asymptotic": lambda x: fs.eigenfunction_asymptotic(
+            3, x, table075.order, table075
+        ),
+        "reconstruct_f_exact": lambda x: fs.reconstruct_f_exact(x, 10.0, table075),
+    }[evaluate]
+    for arg in (x, np.array([0.5, x])):
+        with pytest.raises(DomainError, match=r"x must lie in \[0, 1\]"):
+            call(arg)

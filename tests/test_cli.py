@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracspec.integro
-from fracspec.cli import _write_text, main
+from fracspec.cli import RunConfig, _write_text, main
 from fracspec.errors import AccuracyError, BracketError
 
 HEADER = (
@@ -381,6 +381,70 @@ class TestConfig:
         assert main(["spectrum", "--config", str(cfg)]) == 2
         assert "usage error:" in capsys.readouterr().err
 
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The RunConfig main hands to cmd_spectrum, which then does nothing."""
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return 0
+
+        monkeypatch.setattr("fracspec.cli.cmd_spectrum", capture)
+        return seen
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", "0.6"), ("variant", "caputo"), ("n-min", "3"), ("n-max", "7"),
+         ("methods", "asym2, nystrom"), ("m", "300"), ("grid-points", "51"),
+         ("out", "somewhere"), ("reference", "integro")],
+    )
+    def test_file_line_equals_flag(self, key, value, tmp_path, captured):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["spectrum", "--config", str(cfg)]) == 0
+        assert main(["spectrum", f"--{key}", value]) == 0
+        assert main(["spectrum"]) == 0
+        from_file, from_flag, default = captured
+        assert from_file == from_flag != default
+
+    @pytest.mark.parametrize(
+        "lines", [("n-max = 7", "n_max = 7"), ("out = od", "output_dir = od"),
+                  ("grid-points = 51", "grid_points = 51")],
+    )
+    def test_both_spellings(self, lines, tmp_path, captured):
+        for i, line in enumerate(lines):
+            cfg = tmp_path / f"{i}.cfg"
+            cfg.write_text(line + "\n")
+            assert main(["spectrum", "--config", str(cfg)]) == 0
+        assert captured[0] == captured[1] != RunConfig()
+
+    @pytest.mark.parametrize(
+        "line", ["help = 1", "config = x", "n = 3", "exact = 1", "= 5", "n max = 3"]
+    )
+    def test_rejected_key(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["eigenfunction", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage error: {cfg}:1:" in err
+
+    def test_value_starting_with_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out = -dir\n")
+        argv = ["spectrum", "--config", "run.cfg", "--n-max", "2", "--methods", "asym1"]
+        assert main(argv) == 0
+        assert os.listdir(tmp_path / "-dir") == ["spectrum.csv"]
+
+    def test_bad_file_value_fails_under_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = bogus\n")
+        argv = ["spectrum", "--config", str(cfg), "--variant", "caputo",
+                "--n-max", "2", "--methods", "asym1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "argument --variant: invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -434,6 +498,22 @@ class TestUsageErrors:
         assert "usage error: cannot write output to" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["config line", "out flag", "config path"])
+    def test_nul_byte_in_a_path_exits_two(self, where, tmp_path, capsys):
+        argv = ["spectrum", "--n-max", "2", "--methods", "asym1"]
+        if where == "config line":
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text("out = a\0b\n")
+            argv += ["--config", str(cfg)]
+        elif where == "out flag":
+            argv += ["--out", str(tmp_path / "x\0y")]
+        else:
+            argv += ["--config", str(tmp_path / "a\0b.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error:" in err
+        assert "Traceback" not in err
+
     def test_caputo_low_alpha_asymptotics(self, tmp_path):
         # no Nystrom solve, so alpha <= 1/2 is fine for the asymptotics
         argv = ["spectrum", "--variant", "caputo", "--alpha", "0.4",
@@ -483,7 +563,13 @@ _CONFIG_VALUES = {
     "n-min": _SMALL_INT,
     "n-max": _SMALL_INT,
     "m": _mostly(["2", "500"], ["1", "abc"]),
+    "grid-points": _mostly(["11", "101"], ["2", "x"]),
+    "grid_points": _mostly(["11", "101"], ["2", "x"]),
+    "out": _mostly(["od"], ["", "-dir", "a\0b"]),
+    "output_dir": _mostly(["od"], ["", "-dir"]),
     "bogus": st.just("1"),
+    "help": st.just("1"),
+    "config": st.just("x"),
 }
 _CONFIG_LINE = st.one_of(
     st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
