@@ -1,9 +1,12 @@
 """Command line harness around the solver modules.
 
 Subcommands: spectrum (eigenvalue tables), eigenfunction (profiles + error
-plot), validate (invariant suite). A --config file of key = value lines
-stands for the flags --key=value placed before the command line's own, so
-argparse checks file values exactly as flags, and the command line wins.
+plot), validate (invariant suite). Each takes the flags of its _COMMANDS
+entry, built from the one _FLAGS table, and main passes them to its cmd_*
+function as keyword arguments. A --config file of key = value lines, each
+key one of the command's own flags, stands for the flags --key=value placed
+before the command line's own, so argparse checks file values exactly as
+flags, and the command line wins.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files are deterministic for a fixed configuration: floats
@@ -22,7 +25,6 @@ import functools
 import io
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .phase import FractionalOrder, Variant, xc0
 from .quadrature import gauss_legendre_01
 from .svg import svg_line_chart
 
-__all__ = ["RunConfig", "UsageError", "main"]
+__all__ = ["UsageError", "main"]
 
 _METHODS = ("asym1", "asym2", "nystrom", "integro")
 _ANCHOR_ALPHAS = (0.55, 0.65, 0.75, 0.85, 0.95)
@@ -67,23 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """The run's settings; each field is the flag of its name, '-' for '_'."""
-    alpha: float = 0.75
-    variant: str = "rl-bridge"
-    n_min: int = 1
-    n_max: int = 30
-    methods: tuple = ("asym1", "asym2", "nystrom")
-    m: int = 2000
-    grid_points: int = 501
-    out: str = "."
-    reference: str = "nystrom"
-
-
-_FIELDS = tuple(f.name for f in fields(RunConfig))
-
-
 def _method_list(text: str) -> tuple:
     methods = tuple(p.strip() for p in text.split(",") if p.strip())
     if not methods or not set(methods) <= set(_METHODS):
@@ -91,11 +76,35 @@ def _method_list(text: str) -> tuple:
     return methods
 
 
-def _config_flags(path: str) -> list:
+# Each flag's add_argument keywords; a --config key is a flag of its command.
+_FLAGS = {
+    "alpha": dict(type=float, default=0.75),
+    "variant": dict(choices=("rl-bridge", "caputo"), default="rl-bridge"),
+    "n-min": dict(type=int, default=1),
+    "n-max": dict(type=int, default=30),
+    "methods": dict(type=_method_list, default=("asym1", "asym2", "nystrom"),
+                    help="comma-separated subset of " + ",".join(_METHODS)),
+    "m": dict(type=int, default=2000, help="Nystrom grid size"),
+    "grid-points": dict(type=int, default=501),
+    "out": dict(default=".", help="output directory"),
+    "reference": dict(choices=("nystrom", "integro"), default="nystrom"),
+}
+# Each command's help and flags (eigenfunction adds --n and --exact). validate
+# writes no file, but takes --out: perfbench/workloads.py passes it to every job.
+_COMMANDS = {
+    "spectrum": ("write spectrum.csv (+ integro.csv)", (
+        "alpha", "variant", "n-min", "n-max", "methods", "m", "out", "reference")),
+    "eigenfunction": ("write profile CSV and error SVG",
+                      ("alpha", "m", "grid-points", "out")),
+    "validate": ("run the invariant suite", ("alpha", "variant", "m", "out")),
+}
+
+
+def _config_flags(path: str, command: str) -> list:
     """One --key=value flag per key = value line of the config file at path.
 
-    '#' starts a comment. A key is a RunConfig field, with '-' or '_', or
-    output_dir for out; in the '=' form a value may start with '-'.
+    '#' starts a comment. A key is one of the command's _COMMANDS flags, with
+    '-' or '_', or output_dir for out; in the '=' form a value may start with '-'.
     """
     try:
         with open(path) as fh:
@@ -108,37 +117,26 @@ def _config_flags(path: str) -> list:
         if not line:
             continue
         key, eq, value = (s.strip() for s in line.partition("="))
-        key = key.replace("-", "_")
-        key = "out" if key == "output_dir" else key
-        if not eq or key not in _FIELDS:
+        key = key.replace("_", "-")
+        key = "out" if key == "output-dir" else key
+        if not eq or key not in _COMMANDS[command][1]:
             raise UsageError(f"{path}:{lineno}: expected <flag> = value, got {line!r}")
-        flags.append(f"--{key.replace('_', '-')}={value}")
+        flags.append(f"--{key}={value}")
     return flags
 
 
-def _validated_order(cfg: RunConfig, nystrom: bool) -> FractionalOrder:
+def _validated_order(alpha, variant, m, nystrom: bool) -> FractionalOrder:
     """The run's order; nystrom says whether the command runs that solver."""
-    if "integro" in cfg.methods and cfg.variant != "rl-bridge":
-        raise UsageError("integro refinement applies to the rl-bridge variant only")
-    if cfg.n_min < 1 or cfg.n_max < cfg.n_min:
-        raise UsageError("need 1 <= n_min <= n_max")
-    if cfg.m < 2:
+    if m < 2:
         raise UsageError("m must be at least 2")
-    if cfg.grid_points < 11:
-        raise UsageError("grid_points must be at least 11")
     try:
-        order = FractionalOrder(cfg.alpha, Variant(cfg.variant))
+        order = FractionalOrder(alpha, Variant(variant))
     except FracspecError as e:
         raise UsageError(str(e)) from e
     if nystrom and order.alpha <= 0.5:
         # only caputo gets here: the kernel diagonal needs alpha > 1/2
         raise UsageError(
             f"the Nystrom solver requires alpha > 1/2, got {order.alpha}"
-        )
-    if "integro" in cfg.methods and order.alpha == 1.0:
-        raise UsageError(
-            "integro refinement requires alpha < 1; at alpha = 1 the roots"
-            " are exact (rho_n = pi n) and asym2 gives them"
         )
     return order
 
@@ -186,37 +184,37 @@ def _fmt(v) -> str:
 # -- spectrum --------------------------------------------------------------
 
 
-def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
-    """Compute everything cmd_spectrum serializes.
+def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
+                    reference: str):
+    """Compute everything cmd_spectrum serializes, for the mode indices ns.
 
     Returns (spectrum_csv, integro_csv or None, failures) where failures is
     a list of (n, message) for integro refinements that raised.
     """
     a = order.alpha
-    ns = list(range(cfg.n_min, cfg.n_max + 1))
     rl_bridge = order.variant is Variant.RL_BRIDGE
 
     lam_ny = {}
-    if "nystrom" in cfg.methods:
+    if "nystrom" in methods:
         kind = KernelKind.BRIDGE if rl_bridge else KernelKind.RL
         spectrum = discretize_and_solve(
-            KernelSpec(order, kind), build_grid(cfg.m), n_modes=cfg.n_max,
+            KernelSpec(order, kind), build_grid(m), n_modes=ns[-1],
             vectors=False,
         )
         lam = spectrum.lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
 
     refined, failures = [], []
-    if "integro" in cfg.methods:
+    if "integro" in methods:
         refined, failures = refine_roots(ns, PhaseTable(order))
     lam_int = {rt.n: rt.rho ** (2.0 * a) for rt in refined}
-    lam_ref = lam_ny if cfg.reference == "nystrom" else lam_int
+    lam_ref = lam_ny if reference == "nystrom" else lam_int
 
     def asym1(n):
-        return lambda_asymptotic(n, order, Order.FIRST) if "asym1" in cfg.methods else None
+        return lambda_asymptotic(n, order, Order.FIRST) if "asym1" in methods else None
 
     def asym2(n):
-        if "asym2" not in cfg.methods:
+        if "asym2" not in methods:
             return None
         if rl_bridge:
             return lambda_two_term(n, order)
@@ -239,21 +237,32 @@ def _build_spectrum(cfg: RunConfig, order: FractionalOrder):
     spectrum_csv = "\n".join(lines) + "\n"
 
     integro_csv = None
-    if "integro" in cfg.methods:
+    if "integro" in methods:
         buf = io.StringIO()
         dump_integro_csv(refined, buf)
         integro_csv = buf.getvalue()
     return spectrum_csv, integro_csv, failures
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    order = _validated_order(cfg, nystrom="nystrom" in cfg.methods)
-    _make_out_dir(cfg.out)
-    spectrum_csv, integro_csv, failures = _build_spectrum(cfg, order)
+def cmd_spectrum(alpha, variant, n_min, n_max, methods, m, out, reference) -> int:
+    if "integro" in methods and variant != "rl-bridge":
+        raise UsageError("integro refinement applies to the rl-bridge variant only")
+    if n_min < 1 or n_max < n_min:
+        raise UsageError("need 1 <= n_min <= n_max")
+    order = _validated_order(alpha, variant, m, nystrom="nystrom" in methods)
+    if "integro" in methods and order.alpha == 1.0:
+        raise UsageError(
+            "integro refinement requires alpha < 1; at alpha = 1 the roots"
+            " are exact (rho_n = pi n) and asym2 gives them"
+        )
+    _make_out_dir(out)
+    spectrum_csv, integro_csv, failures = _build_spectrum(
+        order, range(n_min, n_max + 1), methods, m, reference
+    )
     files = [("spectrum.csv", spectrum_csv)]
     if integro_csv is not None:
         files.append(("integro.csv", integro_csv))
-    _write_outputs(cfg.out, files)
+    _write_outputs(out, files)
     for n, msg in failures:
         print(f"integro refinement failed at n={n}: {msg}", file=sys.stderr)
     return 3 if any(n >= 3 for n, _ in failures) else 0
@@ -262,12 +271,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # -- eigenfunction ---------------------------------------------------------
 
 
-def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
-    order = _validated_order(cfg, nystrom=True)
-    if order.variant is not Variant.RL_BRIDGE:
-        raise UsageError("eigenfunction profiles are for the rl-bridge variant")
-    if "nystrom" not in cfg.methods:
-        raise UsageError("eigenfunction needs nystrom among methods (reference)")
+def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
+    if grid_points < 11:
+        raise UsageError("grid_points must be at least 11")
+    order = _validated_order(alpha, "rl-bridge", m, nystrom=True)
     if n < 1:
         raise UsageError("n must be >= 1")
     if exact and order.alpha == 1.0:
@@ -275,11 +282,11 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
             "--exact requires alpha < 1; at alpha = 1 the eigenfunctions are"
             " exact sines and f_asym_nolayers gives them"
         )
-    _make_out_dir(cfg.out)
+    _make_out_dir(out)
 
-    x = np.linspace(0.0, 1.0, cfg.grid_points)
+    x = np.linspace(0.0, 1.0, grid_points)
     spectrum = discretize_and_solve(
-        KernelSpec(order, KernelKind.BRIDGE), build_grid(cfg.m), n_modes=n
+        KernelSpec(order, KernelKind.BRIDGE), build_grid(m), n_modes=n
     )
     f_ny = eigenfunction_at(spectrum, n, x)
 
@@ -307,7 +314,7 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
         ylabel="error",
     )
 
-    _write_outputs(cfg.out, [
+    _write_outputs(out, [
         (f"eigenfunction_n{n}.csv", "\n".join(lines) + "\n"),
         (f"eigenfunction_n{n}.svg", svg),
     ])
@@ -317,8 +324,8 @@ def cmd_eigenfunction(cfg: RunConfig, n: int, exact: bool = False) -> int:
 # -- validate --------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    order = _validated_order(cfg, nystrom=True)
+def cmd_validate(alpha, variant, m, out) -> int:
+    order = _validated_order(alpha, variant, m, nystrom=True)
     results = []
 
     def run(name, fn):
@@ -359,8 +366,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         return worst < 1e-4, f"max relative error {worst:.3e} (m=800, n<=20)"
 
     def check_caputo_endpoint():
-        target = np.sqrt(2.0 * cfg.alpha)
-        v = caputo_endpoint_value(cfg.alpha, 20, cfg.m)
+        target = np.sqrt(2.0 * alpha)
+        v = caputo_endpoint_value(alpha, 20, m)
         rel = abs(v - target) / target
         return rel < 0.01, f"|f_20(1)| = {v:.6f} vs sqrt(2a) = {target:.6f} ({rel:.2%})"
 
@@ -369,9 +376,9 @@ def cmd_validate(cfg: RunConfig) -> int:
         rl_bridge = order.variant is Variant.RL_BRIDGE
         return discretize_and_solve(
             KernelSpec(order, KernelKind.BRIDGE if rl_bridge else KernelKind.RL),
-            build_grid(cfg.m),
+            build_grid(m),
             # orthonormality reads 10 modes, mercer's head min(200, m // 4)
-            n_modes=max(10, min(200, cfg.m // 4)),
+            n_modes=max(10, min(200, m // 4)),
         )
 
     def check_orthonormality():
@@ -396,14 +403,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     def check_mercer():
         sp = bridge_spectrum()
         gap = mercer_trace_gap(sp)
-        return gap <= 0.01, f"trace gap {gap:.3e} (m={cfg.m})"
+        return gap <= 0.01, f"trace gap {gap:.3e} (m={m})"
 
     def check_determinism():
-        small = replace(
-            cfg, m=200, n_min=1, n_max=5, methods=("asym1", "asym2", "nystrom")
-        )
-        one = _build_spectrum(small, order)[0]
-        two = _build_spectrum(small, order)[0]
+        small = (order, range(1, 6), ("asym1", "asym2", "nystrom"), 200, "nystrom")
+        one = _build_spectrum(*small)[0]
+        two = _build_spectrum(*small)[0]
         return one == two, f"two runs, {len(one)} bytes each, identical={one == two}"
 
     run("xc0_anchor", check_anchor)
@@ -421,39 +426,21 @@ def cmd_validate(cfg: RunConfig) -> int:
 # -- entry point -----------------------------------------------------------
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--variant", choices=("rl-bridge", "caputo"))
-    sp.add_argument("--n-min", type=int)
-    sp.add_argument("--n-max", type=int)
-    sp.add_argument("--methods", type=_method_list, help="comma-separated subset of "
-                    + ",".join(_METHODS))
-    sp.add_argument("--m", type=int, help="Nystrom grid size")
-    sp.add_argument("--grid-points", type=int)
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--config", help="flat key = value file of the flags above")
-    sp.add_argument("--reference", choices=("nystrom", "integro"))
-    sp.set_defaults(**asdict(RunConfig()))
-
-
 def main(argv=None) -> int:
     parser = _Parser(
         prog="fracspec",
         description="Fractional boundary value eigenproblem toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("spectrum", help="write spectrum.csv (+ integro.csv)")
-    _add_common(sp)
-    ep = sub.add_parser("eigenfunction", help="write profile CSV and error SVG")
-    _add_common(ep)
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument(f"--{name}", **_FLAGS[name])
+        p.add_argument("--config", help="flat key = value file of the flags above")
+    ep = sub.choices["eigenfunction"]
     ep.add_argument("--n", type=int, default=10, help="mode index (1-based)")
-    ep.add_argument(
-        "--exact",
-        action="store_true",
-        help="add the reconstructed-eigenfunction column (slow)",
-    )
-    vp = sub.add_parser("validate", help="run the invariant suite")
-    _add_common(vp)
+    ep.add_argument("--exact", action="store_true",
+                    help="add the reconstructed-eigenfunction column (slow)")
 
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -461,16 +448,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             if args.config:  # the file's flags go first, so the command line wins
                 at = argv.index(args.command) + 1
-                argv[at:at] = _config_flags(args.config)
+                argv[at:at] = _config_flags(args.config, args.command)
                 args = parser.parse_args(argv)
         except SystemExit as e:  # --help
             return int(e.code or 0)
-        cfg = RunConfig(**{f: getattr(args, f) for f in _FIELDS})
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "eigenfunction":
-            return cmd_eigenfunction(cfg, args.n, exact=args.exact)
-        return cmd_validate(cfg)
+        kwargs = vars(args)
+        command, _ = kwargs.pop("command"), kwargs.pop("config")
+        if command == "spectrum":
+            return cmd_spectrum(**kwargs)
+        if command == "eigenfunction":
+            return cmd_eigenfunction(**kwargs)
+        return cmd_validate(**kwargs)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -543,7 +543,7 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     a = spectrum.spec.alpha.alpha
     trace_rl = 1.0 / (2 * a * (2 * a - 1) * math.gamma(a) ** 2)
     if spectrum.spec.kind is KernelKind.BRIDGE:
-        u, w, _ = tanh_sinh_rule(6)
+        u, w, _ = tanh_sinh_rule()
         k1 = _kernel_raw(u, 1.0, a)
         k11 = float(_kernel_raw(np.asarray(1.0), np.asarray(1.0), a))
         trace = trace_rl - float(w @ (k1 * k1)) / k11
@@ -553,7 +553,8 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
         shift = -np.pi / 2.0
     if n_head is None:
         n_head = min(200, spectrum.grid.m // 4)
-    n_head = max(1, int(n_head))
+    if n_head < 1:
+        raise DomainError("n_head must be >= 1")
     if n_head > spectrum.mu.size:
         raise DomainError(
             f"n_head={n_head} exceeds the {spectrum.mu.size} modes of the spectrum"

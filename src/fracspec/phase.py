@@ -83,7 +83,7 @@ def _as_order(alpha) -> FractionalOrder:
 
 def _check_positive(t):
     t = np.asarray(t, dtype=float)
-    if t.size and np.any(t <= 0.0):
+    if np.any(~(t > 0.0)):  # NaN is not positive either
         raise DomainError("t must be positive")
     return t
 
@@ -145,13 +145,14 @@ class PhaseTable:
     contract.
     """
 
-    def __init__(self, order, tol: float = 1e-10):
+    tol = 1e-10  # bound on every quadrature error estimate, else AccuracyError
+
+    def __init__(self, order):
         order = _as_order(order)
         if order.variant is not Variant.RL_BRIDGE:
             raise DomainError("PhaseTable requires the rl-bridge variant")
         self.order = order
         self.alpha = order.alpha
-        self.tol = float(tol)
         a = self.alpha
 
         x, w, xc = tanh_sinh_rule()

@@ -50,15 +50,13 @@ def _tanh_sinh_cached(level: int):
     return x, w, xc
 
 
-def tanh_sinh_rule(level: int = 6):
-    """Nodes, weights and complements (1 - nodes) of a tanh-sinh rule on (0,1).
+def tanh_sinh_rule():
+    """Nodes, weights and complements (1 - nodes) of the tanh-sinh rule on (0,1).
 
-    ``level`` halves the step per increment; level 6 gives ~770 nodes. The
-    returned arrays are read-only views of a cached rule; copy before writing.
+    The level is fixed at 6 (step 2^-6), ~770 nodes. The returned arrays are
+    read-only views of a cached rule; copy before writing.
     """
-    if level < 1:
-        raise ValueError("tanh-sinh level must be >= 1")
-    return _tanh_sinh_cached(int(level))
+    return _tanh_sinh_cached(6)
 
 
 @lru_cache(maxsize=1)

@@ -48,6 +48,19 @@ class TestLayers:
         assert np.all(upsilon0(t, table075) < 0)
         assert np.all(upsilon1(t, table075) > 0)
 
+    @pytest.mark.parametrize(
+        "t", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"]
+    )
+    @pytest.mark.parametrize(
+        "f", [fs.theta0, fs.gamma0, fs.pv_weight, fs.g0, upsilon0, upsilon1],
+        ids=lambda f: f.__name__,
+    )
+    def test_nan_t_rejected(self, f, t, table075):
+        # NaN fails t > 0 like a nonpositive t does, rather than propagating
+        arg = table075.order if f in (fs.theta0, fs.gamma0) else table075
+        with pytest.raises(DomainError, match="t must be positive"):
+            f(t, arg)
+
     def test_integral_upsilon0_closed_form(self):
         # int_0^inf Upsilon0 = -sqrt(2) sin(pi (1-a) / 4)
         for a in (0.7, 0.75, 0.85):

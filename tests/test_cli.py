@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracspec.integro
-from fracspec.cli import RunConfig, _write_text, main
+from fracspec.cli import _write_text, main
 from fracspec.errors import AccuracyError, BracketError
 
 HEADER = (
     "n,lambda_asym1,lambda_asym2,lambda_nystrom,lambda_integro,"
     "relerr_asym1,relerr_asym2,regime"
 )
+# each command's flags that a config file may set, too
+OWN_FLAGS = {
+    "spectrum": {"alpha", "variant", "n-min", "n-max", "methods", "m", "out", "reference"},
+    "eigenfunction": {"alpha", "m", "grid-points", "out"},
+    "validate": {"alpha", "variant", "m", "out"},
+}
 
 
 def _read(path):
@@ -383,14 +389,15 @@ class TestConfig:
 
     @pytest.fixture
     def captured(self, monkeypatch):
-        """The RunConfig main hands to cmd_spectrum, which then does nothing."""
+        """The keyword arguments main hands each command, which then does nothing."""
         seen = []
 
-        def capture(cfg):
-            seen.append(cfg)
+        def capture(**kwargs):
+            seen.append(kwargs)
             return 0
 
-        monkeypatch.setattr("fracspec.cli.cmd_spectrum", capture)
+        for command in OWN_FLAGS:
+            monkeypatch.setattr(f"fracspec.cli.cmd_{command}", capture)
         return seen
 
     @pytest.mark.parametrize(
@@ -400,24 +407,36 @@ class TestConfig:
          ("out", "somewhere"), ("reference", "integro")],
     )
     def test_file_line_equals_flag(self, key, value, tmp_path, captured):
+        # in the config file of every command that has the flag
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        assert main(["spectrum", "--config", str(cfg)]) == 0
-        assert main(["spectrum", f"--{key}", value]) == 0
-        assert main(["spectrum"]) == 0
-        from_file, from_flag, default = captured
-        assert from_file == from_flag != default
+        commands = [c for c, flags in OWN_FLAGS.items() if key in flags]
+        assert commands
+        for command in commands:
+            captured.clear()
+            assert main([command, "--config", str(cfg)]) == 0
+            assert main([command, f"--{key}", value]) == 0
+            assert main([command]) == 0
+            from_file, from_flag, default = captured
+            assert from_file == from_flag != default
 
     @pytest.mark.parametrize(
         "lines", [("n-max = 7", "n_max = 7"), ("out = od", "output_dir = od"),
                   ("grid-points = 51", "grid_points = 51")],
     )
     def test_both_spellings(self, lines, tmp_path, captured):
-        for i, line in enumerate(lines):
-            cfg = tmp_path / f"{i}.cfg"
-            cfg.write_text(line + "\n")
-            assert main(["spectrum", "--config", str(cfg)]) == 0
-        assert captured[0] == captured[1] != RunConfig()
+        key = lines[0].split("=")[0].strip()
+        commands = [c for c, flags in OWN_FLAGS.items() if key in flags]
+        assert commands
+        for command in commands:
+            captured.clear()
+            for i, line in enumerate(lines):
+                cfg = tmp_path / f"{i}.cfg"
+                cfg.write_text(line + "\n")
+                assert main([command, "--config", str(cfg)]) == 0
+            assert main([command]) == 0
+            first, second, default = captured
+            assert first == second != default
 
     @pytest.mark.parametrize(
         "line", ["help = 1", "config = x", "n = 3", "exact = 1", "= 5", "n max = 3"]
@@ -426,6 +445,17 @@ class TestConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(["eigenfunction", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage error: {cfg}:1:" in err
+
+    @pytest.mark.parametrize(
+        "command, line", [("eigenfunction", "n-max = 3"), ("validate", "grid-points = 51")]
+    )
+    def test_key_of_another_command(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert f"usage error: {cfg}:1:" in err
@@ -455,7 +485,7 @@ class TestUsageErrors:
             ["spectrum", "--variant", "caputo", "--alpha", "0.75",
              "--methods", "asym1,integro"],
             ["spectrum", "--alpha", "0.3"],
-            ["spectrum", "--alpha", "0.75", "--grid-points", "2"],
+            ["eigenfunction", "--alpha", "0.75", "--grid-points", "2"],
             ["spectrum", "--alpha", "0.75", "--n-min", "5", "--n-max", "2"],
             ["spectrum", "--alpha", "0.75", "--m", "1"],
             ["eigenfunction", "--n", "0", "--alpha", "0.75"],
@@ -529,6 +559,36 @@ class TestUsageErrors:
         assert "asym2" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("spectrum", "--grid-points", "51"),
+         ("eigenfunction", "--variant", "rl-bridge"),
+         ("eigenfunction", "--n-min", "1"),
+         ("eigenfunction", "--n-max", "10"),
+         ("eigenfunction", "--methods", "asym1"),
+         ("eigenfunction", "--reference", "nystrom"),
+         ("validate", "--n-min", "1"),
+         ("validate", "--n-max", "5"),
+         ("validate", "--methods", "asym1,integro"),
+         ("validate", "--grid-points", "5"),
+         ("validate", "--reference", "integro")],
+    )
+    def test_flag_the_command_does_not_read(self, command, flag, value, tmp_path,
+                                            capsys):
+        assert main([command, flag, value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_help_lists_the_command_flags(self, command, capsys):
+        assert main([command, "-h"]) == 0
+        shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        own = {f"--{flag}" for flag in OWN_FLAGS[command]} | {"--config", "--help"}
+        if command == "eigenfunction":
+            own |= {"--n", "--exact"}
+        assert shown == own
+
     def test_help_exits_zero(self):
         assert main(["-h"]) == 0
 
@@ -553,7 +613,6 @@ _FLAGS = {
     "--n-min": _SMALL_INT,
     "--n-max": _SMALL_INT,
     "--reference": _mostly(["nystrom", "integro"], ["bogus"]),
-    "--grid-points": _mostly(["11", "101"], ["2", "x"]),
 }
 _CONFIG_VALUES = {
     "alpha": st.text(alphabet="0123456789.-+eainfx ", max_size=6),

@@ -523,6 +523,11 @@ class TestMercer:
         with pytest.raises(DomainError):
             mercer_trace_gap(bridge400, n_head=101)
 
+    @pytest.mark.parametrize("n_head", [0, -1])
+    def test_head_below_one_raises(self, n_head, bridge400):
+        with pytest.raises(DomainError, match="n_head must be >= 1"):
+            mercer_trace_gap(bridge400, n_head=n_head)
+
     def test_both_kinds_moderate(self, bridge400, rl400):
         assert mercer_trace_gap(bridge400) < 1e-3
         assert mercer_trace_gap(rl400) < 1e-3

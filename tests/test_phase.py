@@ -137,7 +137,8 @@ class TestXc0:
             assert fs.xc0(complex(z), table075) == pytest.approx(v, abs=1e-14)
 
     def test_accuracy_contract(self):
-        strict = fs.PhaseTable(fs.FractionalOrder(0.75), tol=1e-30)
+        strict = fs.PhaseTable(fs.FractionalOrder(0.75))
+        strict.tol = 1e-30
         with pytest.raises(AccuracyError):
             fs.xc0(0.7 + 0.1j, strict)
 
@@ -230,7 +231,8 @@ class TestPvSweep:
             assert np.array_equal(err, want_err), size
 
     def test_array_accuracy_contract(self):
-        strict = fs.PhaseTable(fs.FractionalOrder(0.75), tol=1e-30)
+        strict = fs.PhaseTable(fs.FractionalOrder(0.75))
+        strict.tol = 1e-30
         with pytest.raises(AccuracyError):
             fs.pv_weight(np.geomspace(0.1, 10.0, 70), strict)
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracspec import quadrature
 from fracspec.quadrature import gauss_legendre_01, half_line_grid, tanh_sinh_rule
 
 
 def test_tanh_sinh_integrates_smooth():
-    x, w, _ = tanh_sinh_rule(6)
+    x, w, _ = tanh_sinh_rule()
     assert abs(w @ np.ones_like(x) - 1.0) < 1e-14
     assert abs(w @ x - 0.5) < 1e-14
     assert abs(w @ np.exp(x) - (np.e - 1.0)) < 1e-13
@@ -18,7 +19,7 @@ def test_tanh_sinh_endpoint_singularity():
     # power singularities at the endpoints: the truncation at |y| = 18
     # leaves a tail ~ e^{-2(1+p) 18} for x^p, so the borderline p = -1/2
     # floors near 3e-8 while milder exponents reach near machine precision
-    x, w, xc = tanh_sinh_rule(6)
+    x, w, xc = tanh_sinh_rule()
     assert abs(w @ (1.0 / np.sqrt(x)) - 2.0) < 1e-7
     assert abs(w @ (1.0 / np.sqrt(xc)) - 2.0) < 1e-7
     assert abs(w @ x**-0.25 - 4.0 / 3.0) < 1e-11
@@ -26,20 +27,20 @@ def test_tanh_sinh_endpoint_singularity():
 
 
 def test_tanh_sinh_levels_nest():
-    x5, _, _ = tanh_sinh_rule(5)
-    x6, _, _ = tanh_sinh_rule(6)
+    x5, _, _ = quadrature._tanh_sinh_cached(5)
+    x6, _, _ = tanh_sinh_rule()
     # every coarse node appears among the fine nodes
     assert np.all(np.isin(np.round(x5, 15), np.round(x6, 15)))
 
 
 def test_tanh_sinh_complement_consistent():
-    x, _, xc = tanh_sinh_rule(6)
+    x, _, xc = tanh_sinh_rule()
     # xc is computed directly, not as 1-x; they agree to rounding
     assert np.max(np.abs(x + xc - 1.0)) < 1e-15
 
 
 def test_tanh_sinh_cached_read_only():
-    x, w, xc = tanh_sinh_rule(6)
+    x, w, xc = tanh_sinh_rule()
     with pytest.raises(ValueError):
         x[0] = 0.5
 
