@@ -199,7 +199,7 @@ def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
         kind = KernelKind.BRIDGE if rl_bridge else KernelKind.RL
         spectrum = discretize_and_solve(
             KernelSpec(order, kind), build_grid(m), n_modes=ns[-1],
-            vectors=False,
+            n_vectors=0,
         )
         lam = spectrum.lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
@@ -325,6 +325,8 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
 
 
 def cmd_validate(alpha, variant, m, out) -> int:
+    if m < 20:  # caputo_endpoint reads f_20
+        raise UsageError("validate needs m >= 20")
     order = _validated_order(alpha, variant, m, nystrom=True)
     results = []
 
@@ -348,7 +350,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
         one = FractionalOrder(1.0)
         sp_b = discretize_and_solve(
             KernelSpec(one, KernelKind.BRIDGE), build_grid(800), n_modes=20,
-            vectors=False,
+            n_vectors=0,
         )
         ns = np.arange(1, 21)
         worst_b = float(
@@ -357,7 +359,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
         one_c = FractionalOrder(1.0, Variant.CAPUTO)
         sp_r = discretize_and_solve(
             KernelSpec(one_c, KernelKind.RL), build_grid(800), n_modes=20,
-            vectors=False,
+            n_vectors=0,
         )
         worst_r = float(
             np.max(np.abs(sp_r.rho[:20] / (np.pi * ns - np.pi / 2) - 1.0))
@@ -377,8 +379,9 @@ def cmd_validate(alpha, variant, m, out) -> int:
         return discretize_and_solve(
             KernelSpec(order, KernelKind.BRIDGE if rl_bridge else KernelKind.RL),
             build_grid(m),
-            # orthonormality reads 10 modes, mercer's head min(200, m // 4)
+            # orthonormality reads 10 vectors, mercer min(200, m // 4) values
             n_modes=max(10, min(200, m // 4)),
+            n_vectors=10,
         )
 
     def check_orthonormality():

@@ -40,14 +40,15 @@ triangle in row blocks, mirrored (K depends on (x, y) only through min and
 max), plus, for the bridge kernel, the rank-one term built from the one
 m-vector K(x_i, 1), which the row integral S reuses. This is the solver's
 only kernel path. Scaling by sqrt(w) rounds mirrored entries differently,
-so B is symmetrized once more before the eigensolve.
+so B is symmetrized once more, by pairs of tiles, before the eigensolve.
 
 The eigensolve computes only the leading modes a caller asks for. A few
 modes of a large matrix (20 n_modes <= m) come from Lanczos with full
-reorthogonalization, and a Cholesky factorization of B + 1e-10 mu_1 I
-certifies that no eigenvalue lies below -1e-10 mu_1; every other request
-is one dense LAPACK call, eigvalsh for values only or eigh with vectors,
-whose smallest eigenvalue is tested directly.
+reorthogonalization, and a Cholesky factorization of B + 1e-10 mu_1 I, in
+place in B by tiles, certifies that no eigenvalue lies below -1e-10 mu_1.
+Other values come from one dense LAPACK call whose smallest eigenvalue is
+tested directly: eigvalsh, with Lanczos for a few vectors (20 n_vectors
+<= m) on the same B, or eigh for many.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 """
@@ -55,11 +56,12 @@ interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh
+from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import ConvergenceError, DomainError
 from .phase import FractionalOrder, Variant, _check_unit
@@ -106,10 +108,11 @@ def _beta(a: float, b: float) -> float:
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
-def _series(z, p: float, q: float):
-    # sum_k (1-q)_k / k! z^k / (p+k) by Horner on the array z <= 1/2, cut
-    # where the term at z = 1/2 drops below 2^-60; for 0 < q <= 2 the terms
-    # after it shrink at least by 1/2 each, so the tail is below 2^-59
+def _series(z, p: float, q: float, beta: float):
+    # z^p sum_k (1-q)_k / k! z^k / (p+k) / beta, the sum by Horner on the
+    # array z <= 1/2, which is overwritten; cut where the term at z = 1/2
+    # drops below 2^-60; for 0 < q <= 2 the terms after it shrink at least
+    # by 1/2 each, so the tail is below 2^-59
     coef = []
     poch = 1.0  # (1-q)_k / k!
     while True:
@@ -122,6 +125,9 @@ def _series(z, p: float, q: float):
     for c in reversed(coef):
         acc *= z
         acc += c
+    z **= p
+    acc *= z
+    acc /= beta
     return acc
 
 
@@ -137,11 +143,9 @@ def _betainc(a: float, b: float, x, xc):
     beta = _beta(a, b)
     out = np.empty(x.shape)
     low = x <= 0.5
-    z = x[low]
-    out[low] = z**a * _series(z, a, b) / beta
+    out[low] = _series(x[low], a, b, beta)
     high = ~low  # NaN x (0/0 in the kernel) lands here and stays NaN
-    z = xc[high]
-    out[high] = 1.0 - z**b * _series(z, b, a) / beta
+    out[high] = 1.0 - _series(xc[high], b, a, beta)
     return out
 
 
@@ -150,9 +154,16 @@ def _kernel_raw(x, y, a: float):
     y = np.asarray(y, dtype=float)
     if a == 1.0:
         return np.minimum(x, y)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
+    return _kernel_sorted(np.minimum(x, y), np.maximum(x, y), a)
+
+
+def _kernel_sorted(lo, hi, a: float):
+    # K from lo = min(x, y) and hi = max(x, y), broadcast against each other:
+    # the block sweep passes a column and a row of nodes, so that no full
+    # array of either is made
     d = hi - lo
+    if a == 1.0:
+        return np.broadcast_to(lo, d.shape)
     # lo = 0 (0/0, 0^(a-1)) is masked below; for a <= 1/2 the diagonal is
     # infinite, and kernel_K rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,9 +243,11 @@ def _kernel_of_kind(x, y, a: float, kind: KernelKind, kx1=None):
     return _kernel_raw(x, y, a)
 
 
-# cells of one row block of the kernel matrix: 512 KB of float64, so a block's
-# _series sweep stays in cache
-_BLOCK_CELLS = 65536
+# cells of one row block of the kernel matrix: 256 KB of float64, so a block's
+# _series sweep stays in cache and its six temporaries below B / 4 at m >= 1000
+_BLOCK_CELLS = 32768
+# tile width of the symmetrization and of _certify_psd (fastest at m = 400-800)
+_TILE = 128
 
 
 def _kernel_matrix(x, a: float, kx1=None):
@@ -242,8 +255,9 @@ def _kernel_matrix(x, a: float, kx1=None):
 
     kx1 = K(x, 1) is the column of the bridge kernel's rank-one term. The
     closed form is evaluated once on the upper triangle and mirrored:
-    _kernel_raw depends on (x, y) only through min and max, and the
-    rank-one product keeps the operation order of _kernel_of_kind, so the
+    _kernel_raw depends on (x, y) only through min and max (_kernel_sorted
+    on the sorted nodes), and the rank-one product keeps the operation
+    order of _kernel_of_kind, so the
     matrix equals _kernel_of_kind on the full meshgrid bit for bit. The
     triangle is swept in blocks of b = _BLOCK_CELLS // m rows: each block's
     rectangle right of its diagonal square is one broadcast call written by
@@ -255,7 +269,7 @@ def _kernel_matrix(x, a: float, kx1=None):
     b = min(m, max(1, _BLOCK_CELLS // m))
     for r0 in range(0, m - b, b):
         r1 = r0 + b
-        blk = _kernel_raw(x[r0:r1, None], x[None, r1:], a)
+        blk = _kernel_sorted(x[r0:r1, None], x[None, r1:], a)
         K[r0:r1, r1:] = blk
         K[r1:, r0:r1] = blk.T
     i, j = np.triu_indices(b)
@@ -263,7 +277,7 @@ def _kernel_matrix(x, a: float, kx1=None):
     i, j = (starts + i).ravel(), (starts + j).ravel()
     keep = j < m  # the last square may be smaller than b
     i, j = i[keep], j[keep]
-    K[i, j] = K[j, i] = _kernel_raw(x[i], x[j], a)
+    K[i, j] = K[j, i] = _kernel_sorted(x[i], x[j], a)  # i <= j
     if kx1 is not None:
         k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
         # by row blocks too, so that no m x m temporary is allocated
@@ -299,11 +313,11 @@ def build_grid(m: int) -> NystromGrid:
 @dataclass(frozen=True)
 class DiscreteSpectrum:
     """The r leading eigenvalues mu (descending, positive) of the integral
-    operator and, if the solve asked for them, the node values of their
-    eigenfunctions, weighted-orthonormal (otherwise vectors has no column)."""
+    operator and the node values of the eigenfunctions of the leading
+    n_vectors <= r of them that the solve asked for, weighted-orthonormal."""
 
     mu: np.ndarray
-    vectors: np.ndarray  # (m, r), or (m, 0) without vectors: column k-1 is mode k
+    vectors: np.ndarray  # (m, n_vectors), n_vectors may be 0: column k-1 is mode k
     grid: NystromGrid
     spec: KernelSpec
 
@@ -333,9 +347,13 @@ def _nystrom_matrix(spec: KernelSpec, grid: NystromGrid) -> np.ndarray:
     K *= sw[None, :]
     K[np.diag_indices(grid.m)] += S - Q
     # not a no-op: (sw_i K_ij) sw_j and (sw_j K_ji) sw_i round differently,
-    # and the eigensolvers read only the lower triangle
-    K += K.T
-    K *= 0.5
+    # and the eigensolvers read only the lower triangle. By pairs of tiles,
+    # so that no m x m temporary is made; K_ij + K_ji = K_ji + K_ij bit for bit
+    for r0 in range(0, grid.m, _TILE):
+        for c0 in range(0, r0 + 1, _TILE):
+            rows, cols = slice(r0, r0 + _TILE), slice(c0, c0 + _TILE)
+            sym = 0.5 * (K[rows, cols] + K[cols, rows].T)
+            K[rows, cols], K[cols, rows] = sym, sym.T
     return K
 
 
@@ -400,36 +418,49 @@ def _dense_modes(B: np.ndarray, vectors: bool):
 def _certify_psd(B: np.ndarray, mu1: float) -> None:
     # B + 1e-10 mu_1 I has a Cholesky factor exactly when no eigenvalue of B
     # lies below -1e-10 mu_1, up to a backward error of about m eps mu_1
-    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10); B is
-    # not read again, so the shift goes into it in place
-    B[np.diag_indices(B.shape[0])] += 1e-10 * mu1
-    try:
-        cholesky(B)
-    except LinAlgError:
-        raise ConvergenceError(
-            "negative eigenvalue beyond PSD tolerance (no Cholesky factor of"
-            f" B + 1e-10 mu_1 I, mu_1 = {mu1:.3e})"
-        ) from None
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). B is
+    # not read again: the factorization runs in place in its lower triangle,
+    # right-looking by tiles (Golub & Van Loan, Matrix Computations, sec.
+    # 4.2), with LAPACK on each diagonal tile, which fails exactly when a
+    # pivot is not positive, and the trailing update by column tiles
+    m = B.shape[0]
+    B[np.diag_indices(m)] += 1e-10 * mu1
+    for k0 in range(0, m, _TILE):
+        k1 = k0 + _TILE
+        try:
+            L = cholesky(B[k0:k1, k0:k1])
+        except LinAlgError:
+            raise ConvergenceError(
+                "negative eigenvalue beyond PSD tolerance (no Cholesky factor of"
+                f" B + 1e-10 mu_1 I, mu_1 = {mu1:.3e})"
+            ) from None
+        B[k0:k1, k0:k1] = L
+        P = B[k1:, k0:k1]
+        P[...] = P @ inv(L).T
+        for j0 in range(k1, m, _TILE):
+            B[j0:, j0 : j0 + _TILE] -= P[j0 - k1 :] @ P[j0 - k1 : j0 - k1 + _TILE].T
 
 
 def discretize_and_solve(
     spec: KernelSpec,
     grid: NystromGrid,
     n_modes: int | None = None,
-    vectors: bool = True,
+    n_vectors: int | None = None,
 ) -> DiscreteSpectrum:
     """Assemble the corrected symmetric Nystrom matrix and diagonalize.
 
-    Returns the n_modes leading eigenvalues (every positive one if None),
-    with their eigenvectors if vectors. When 20 n_modes <= m the leading
-    modes come from Lanczos (_lanczos) and positive semidefiniteness is
-    certified by a Cholesky factorization of B + 1e-10 mu_1 I; otherwise,
-    or if Lanczos does not converge, from one dense LAPACK call (eigvalsh
-    for values, eigh with vectors) and the test mu_min >= -1e-10 mu_1.
-    Either way an eigenvalue below -1e-10 mu_1 raises ConvergenceError (the
-    operator is positive semidefinite; such values mean the discretization
-    broke); tiny negative or zero values are excluded from the spectrum.
-    Fewer than n_modes positive modes raise DomainError.
+    Returns the n_modes leading eigenvalues (every positive one if None)
+    and the eigenvectors of the n_vectors leading ones (of all if None).
+    When 20 n_modes <= m the modes come from Lanczos (_lanczos), certified
+    positive semidefinite by a Cholesky factorization of B + 1e-10 mu_1 I;
+    otherwise the values come from one dense LAPACK call, tested by
+    mu_min >= -1e-10 mu_1: eigvalsh, with Lanczos for the vectors if 20
+    n_vectors <= m, else eigh. A Lanczos run that does not converge falls
+    back to the dense call. Either way an eigenvalue below -1e-10 mu_1
+    raises ConvergenceError (the operator is positive semidefinite; such
+    values mean the discretization broke); tiny negative or zero values are
+    excluded from the spectrum. Fewer than n_modes positive modes, or than
+    n_vectors returned modes, raise DomainError.
     """
     a = spec.alpha.alpha
     if a <= 0.5:
@@ -438,32 +469,34 @@ def discretize_and_solve(
         raise DomainError("n_modes must be >= 1")
     B = _nystrom_matrix(spec, grid)
     x, w, m = grid.nodes, grid.weights, grid.m
-    # Lanczos costs O(m^2) per step and about 4 n_modes + 48 steps, a dense
-    # solve O(m^3): at m = 300-2000 Lanczos wins once 20 n_modes <= m
+    # Lanczos costs O(m^2) per step and about 4 k + 48 steps for k modes, a
+    # dense solve O(m^3): at m = 300-2000 Lanczos wins once 20 k <= m
     found = None
     if n_modes is not None and 20 * n_modes <= m:
-        found = _lanczos(B, n_modes, vectors)
-    if found is not None:
-        mu, V = found
-        _certify_psd(B, float(mu[0]))
-    else:
-        mu, V = _dense_modes(B, vectors)
+        found = _lanczos(B, n_modes, n_vectors != 0)
+        if found is not None:
+            _certify_psd(B, float(found[0][0]))
+    elif n_vectors and 20 * n_vectors <= m:
+        ritz = _lanczos(B, n_vectors, True)
+        found = None if ritz is None else (_dense_modes(B, False)[0], ritz[1])
+    mu, V = found if found is not None else _dense_modes(B, n_vectors != 0)
     mu = mu[mu > 0]  # a prefix: mu is descending
     r = mu.size if n_modes is None else n_modes
     if r > mu.size:
         raise DomainError(f"n_modes={r} exceeds the {mu.size} computed modes")
     mu = mu[:r]
-    if not vectors:
-        F = np.empty((m, 0))
-    else:
-        F = V[:, :r] / np.sqrt(w)[:, None]  # de-scaled, weighted-orthonormal
-        # sign convention: positive on the first quarter-oscillation near x=0
-        rho = (1.0 / mu) ** (1.0 / (2.0 * a))
-        for k in range(r):
-            win = x < min(float(np.pi / (2.0 * rho[k])), 1.0)
-            s = float(w[win] @ F[win, k]) if win.any() else float(F[0, k])
-            if s < 0:
-                F[:, k] = -F[:, k]
+    nv = r if n_vectors is None else n_vectors
+    if not 0 <= nv <= r:
+        raise DomainError(f"n_vectors={nv} is not in [0, {r}], the returned modes")
+    # de-scaled, weighted-orthonormal
+    F = V[:, :nv] / np.sqrt(w)[:, None] if nv else np.empty((m, 0))
+    # sign convention: positive on the first quarter-oscillation near x=0
+    rho = (1.0 / mu) ** (1.0 / (2.0 * a))
+    for k in range(nv):
+        win = x < min(float(np.pi / (2.0 * rho[k])), 1.0)
+        s = float(w[win] @ F[win, k]) if win.any() else float(F[0, k])
+        if s < 0:
+            F[:, k] = -F[:, k]
     F.setflags(write=False)
     mu.setflags(write=False)
     return DiscreteSpectrum(mu=mu, vectors=F, grid=grid, spec=spec)
@@ -553,8 +586,8 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
         shift = -np.pi / 2.0
     if n_head is None:
         n_head = min(200, spectrum.grid.m // 4)
-    if n_head < 1:
-        raise DomainError("n_head must be >= 1")
+    if not isinstance(n_head, numbers.Integral) or n_head < 1:
+        raise DomainError(f"n_head must be >= 1 and an integer, got {n_head!r}")
     if n_head > spectrum.mu.size:
         raise DomainError(
             f"n_head={n_head} exceeds the {spectrum.mu.size} modes of the spectrum"

@@ -294,6 +294,13 @@ class TestValidate:
         assert solves.count((0.75, nystrom.KernelKind.BRIDGE, 600)) == 1
         assert len(solves) == 6
 
+    def test_smallest_grid_runs_every_check(self, capsys):
+        # at m = 20 the exit code is the suite's verdict, not a usage error
+        assert main(["validate", "--alpha", "0.75", "--m", "20"]) in (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:7])
+
 
 
 class TestEigenvectorSolves:
@@ -324,10 +331,12 @@ class TestEigenvectorSolves:
 
     def test_validate(self, solves, capsys):
         assert main(["validate", "--alpha", "0.75", "--m", "300"]) == 0
-        # caputo_endpoint reads f_20 and orthonormality the first 10 modes
-        # (mercer the first 75 values), one dense eigh each; every other
-        # solve reads 20 or fewer values
-        assert [s for s in solves if s[2]] == [("dense", 300, True)] * 2
+        # caputo_endpoint reads f_20: one dense eigh. Mercer's 75 values take
+        # one dense values-only call, and orthonormality's 10 vectors one
+        # Lanczos run on the same matrix; every other solve reads 20 or
+        # fewer values
+        assert [s for s in solves if s[2]] == [("dense", 300, True), ("lanczos", 300, True)]
+        assert solves.count(("dense", 300, False)) == 1
         assert solves.count(("lanczos", 800, False)) == 2
 
     def test_eigenfunction(self, solves, tmp_path):
@@ -496,6 +505,7 @@ class TestUsageErrors:
             ["cache", "stat"],
             ["validate", "--alpha", "0.75", "--typo-kernel"],
             ["spectrum", "--config", os.curdir],  # a directory
+            ["validate", "--alpha", "0.75", "--m", "19"],  # caputo_endpoint reads f_20
         ],
     )
     def test_exit_two(self, argv, tmp_path, capsys):

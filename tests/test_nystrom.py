@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as spgamma
@@ -44,7 +46,7 @@ def bridge400(order075):
 @pytest.fixture(scope="module")
 def rl400(order075):
     spec = KernelSpec(order075, KernelKind.RL)
-    return discretize_and_solve(spec, build_grid(400), n_modes=100, vectors=False)
+    return discretize_and_solve(spec, build_grid(400), n_modes=100, n_vectors=0)
 
 
 class TestKernel:
@@ -190,6 +192,77 @@ class TestKernelMatrix:
         discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(m))
         # the upper triangle, the column K(x, 1) and K(1, 1)
         assert sum(points) <= m * (m + 1) // 2 + m + 1
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of its allocations above those before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestNystromMatrix:
+    """B is symmetrized and certified by tiles, in place."""
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("m", [2, nystrom._TILE - 1, nystrom._TILE,
+                                   nystrom._TILE + 1, 2 * nystrom._TILE + 1, 800])
+    def test_tiled_symmetrization_keeps_the_bits(self, order075, kind, m):
+        # the formula with one whole-matrix symmetrization, 0.5 (K + K^T)
+        grid = build_grid(m)
+        x, w, a = grid.nodes, grid.weights, 0.75
+        kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
+        K = _kernel_matrix(x, a, kx1)
+        Q = K @ w
+        sw = np.sqrt(w)
+        K = K * sw[:, None] * sw[None, :]
+        K[np.diag_indices(m)] += nystrom._row_integral(x, a, kind, kx1) - Q
+        B = nystrom._nystrom_matrix(KernelSpec(order075, kind), grid)
+        assert np.array_equal(B, 0.5 * (K + K.T))
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_no_matrix_sized_temporary(self, order075, kind):
+        B, assembly = _traced_peak(
+            nystrom._nystrom_matrix, KernelSpec(order075, kind), build_grid(1000)
+        )
+        assert assembly < 1.25 * B.nbytes
+        mu1 = float(nystrom._lanczos(B, 1, False)[0][0])
+        certificate = _traced_peak(nystrom._certify_psd, B, mu1)[1]
+        assert certificate < B.nbytes / 4
+
+    @pytest.mark.parametrize("m", [nystrom._TILE + 1, 300, 800])
+    def test_certificate_agrees_with_lapack(self, order075, m):
+        B = nystrom._nystrom_matrix(KernelSpec(order075, KernelKind.RL), build_grid(m))
+        ev, V = np.linalg.eigh(B)
+        mu1, u = float(ev[-1]), V[:, 0]
+        # on a well-conditioned matrix the lower triangle left behind is
+        # LAPACK's Cholesky factor
+        A = B + 0.1 * mu1 * np.eye(m)
+        shifted = A.copy()
+        shifted[np.diag_indices(m)] += 1e-10 * mu1
+        want = np.linalg.cholesky(shifted)
+        nystrom._certify_psd(A, mu1)
+        assert np.max(np.abs(np.tril(A) - want)) <= 1e-13 * np.max(want)
+        for value, passes in ((-1e-8, False), (-2e-10, False), (-1e-12, True), (1e-12, True)):
+            # B with its smallest eigenvalue moved to value * mu_1
+            planted = B + (value * mu1 - ev[0]) * np.outer(u, u)
+            shifted = planted.copy()
+            shifted[np.diag_indices(m)] += 1e-10 * mu1
+            try:
+                np.linalg.cholesky(shifted)
+                lapack = True
+            except LinAlgError:
+                lapack = False
+            try:
+                nystrom._certify_psd(planted, mu1)
+                blocked = True
+            except ConvergenceError:
+                blocked = False
+            assert (blocked, lapack) == (passes, passes), value
 
 
 class TestRowIntegral:
@@ -374,7 +447,7 @@ class TestPartialSolve:
         grid = build_grid(m)
         B = nystrom._nystrom_matrix(spec, grid)
         want = np.linalg.eigvalsh(B)[::-1]
-        every = discretize_and_solve(spec, grid, vectors=False)
+        every = discretize_and_solve(spec, grid, n_vectors=0)
         assert every.mu.size == np.count_nonzero(want > 0)
         assert np.max(np.abs(every.mu - want[: every.mu.size])) <= 1e-13 * want[0]
         sp = discretize_and_solve(spec, grid, n_modes=7)
@@ -394,8 +467,8 @@ class TestPartialSolve:
         spec = KernelSpec(fs.FractionalOrder(a), kind)
         grid = build_grid(400)
         B = nystrom._nystrom_matrix(spec, grid)
-        for vectors in (False, True):
-            sp = discretize_and_solve(spec, grid, n_modes=20, vectors=vectors)
+        for n_vectors in (0, None):
+            sp = discretize_and_solve(spec, grid, n_modes=20, n_vectors=n_vectors)
             assert np.max(np.abs(sp.mu / np.linalg.eigvalsh(B)[:-21:-1] - 1)) <= 1e-12
         assert lanczos_runs == [True, True]
         V = np.linalg.eigh(B)[1][:, :-21:-1]
@@ -421,6 +494,36 @@ class TestPartialSolve:
         assert np.array_equal(sp.mu, full.mu[:10])
         assert np.array_equal(sp.vectors, full.vectors[:, :10])
 
+    def test_split_solve(self, order075, lanczos_runs):
+        # 75 modes are dense values at m = 300, 10 vectors a Lanczos run
+        spec = KernelSpec(order075, KernelKind.BRIDGE)
+        grid = build_grid(300)
+        values = discretize_and_solve(spec, grid, n_modes=75, n_vectors=0)
+        sp = discretize_and_solve(spec, grid, n_modes=75, n_vectors=10)
+        assert lanczos_runs == [True]
+        assert np.array_equal(sp.mu, values.mu)
+        V = np.linalg.eigh(nystrom._nystrom_matrix(spec, grid))[1][:, :-11:-1]
+        got = sp.vectors * np.sqrt(grid.weights)[:, None]
+        assert got.shape == (300, 10)
+        got *= np.sign(np.sum(got * V, axis=0))
+        assert np.max(np.abs(got - V)) <= 1e-10
+
+    def test_unconverged_split_solve_falls_back_to_eigh(self, order075, monkeypatch,
+                                                        lanczos_runs):
+        monkeypatch.setattr(nystrom, "_step_cap", lambda k, m: k)
+        spec = KernelSpec(order075, KernelKind.BRIDGE)
+        sp = discretize_and_solve(spec, build_grid(300), n_modes=75, n_vectors=10)
+        assert lanczos_runs == [False]
+        full = discretize_and_solve(spec, build_grid(300), n_modes=75)
+        assert np.array_equal(sp.mu, full.mu)
+        assert np.array_equal(sp.vectors, full.vectors[:, :10])
+
+    @pytest.mark.parametrize("n_modes, n_vectors", [(None, -1), (5, 6)])
+    def test_bad_n_vectors(self, order075, n_modes, n_vectors):
+        spec = KernelSpec(order075, KernelKind.RL)
+        with pytest.raises(DomainError, match="n_vectors"):
+            discretize_and_solve(spec, build_grid(20), n_modes=n_modes, n_vectors=n_vectors)
+
     def test_vector_count(self, order075):
         spec = KernelSpec(order075, KernelKind.BRIDGE)
         full = discretize_and_solve(spec, build_grid(64))
@@ -431,20 +534,20 @@ class TestPartialSolve:
         assert np.array_equal(sp.mu, full.mu[:5])
         assert np.array_equal(sp.vectors, full.vectors[:, :5])
         # the values-only driver may round differently
-        sp = discretize_and_solve(spec, build_grid(64), vectors=False)
+        sp = discretize_and_solve(spec, build_grid(64), n_vectors=0)
         assert sp.vectors.shape == (64, 0)
         assert sp.mu.size == full.mu.size
         assert np.max(np.abs(sp.mu - full.mu)) <= 1e-13 * full.mu[0]
-        sp = discretize_and_solve(spec, build_grid(200), n_modes=10, vectors=False)
+        sp = discretize_and_solve(spec, build_grid(200), n_modes=10, n_vectors=0)
         assert (sp.mu.size, sp.vectors.shape) == (10, (200, 0))
 
     @pytest.mark.parametrize(
-        "n_modes, vectors",
-        [(None, False), (None, True), (4, False), (4, True)],
+        "n_modes, n_vectors",
+        [(None, 0), (None, None), (4, 0), (4, None)],
         ids=["dense-values", "dense-vectors", "lanczos-values", "lanczos-vectors"],
     )
     def test_negative_eigenvalue_raises(self, order075, monkeypatch, lanczos_runs,
-                                        n_modes, vectors):
+                                        n_modes, n_vectors):
         spec = KernelSpec(order075, KernelKind.RL)
         grid = build_grid(80)  # 20 * 4 <= 80: 4 modes take the Lanczos path
         B = nystrom._nystrom_matrix(spec, grid)
@@ -458,15 +561,15 @@ class TestPartialSolve:
 
         monkeypatch.setattr(nystrom, "_nystrom_matrix", with_lowest_at(-1e-8))
         with pytest.raises(ConvergenceError, match="beyond PSD tolerance"):
-            discretize_and_solve(spec, grid, n_modes=n_modes, vectors=vectors)
+            discretize_and_solve(spec, grid, n_modes=n_modes, n_vectors=n_vectors)
         monkeypatch.setattr(nystrom, "_nystrom_matrix", with_lowest_at(-1e-12))
-        sp = discretize_and_solve(spec, grid, n_modes=n_modes, vectors=vectors)
+        sp = discretize_and_solve(spec, grid, n_modes=n_modes, n_vectors=n_vectors)
         assert sp.mu[0] == pytest.approx(ev[-1], rel=1e-12)
         assert lanczos_runs == ([] if n_modes is None else [True, True])
 
     def test_more_modes_than_positive_raises(self, order075):
         spec = KernelSpec(order075, KernelKind.RL)
-        count = discretize_and_solve(spec, build_grid(20), vectors=False).mu.size
+        count = discretize_and_solve(spec, build_grid(20), n_vectors=0).mu.size
         with pytest.raises(DomainError, match=f"exceeds the {count} computed modes"):
             discretize_and_solve(spec, build_grid(20), n_modes=count + 1)
 
@@ -513,7 +616,7 @@ class TestMercer:
     def test_bridge_fine(self, order075):
         spec = KernelSpec(order075, KernelKind.BRIDGE)
         # the default head, min(200, m // 4) = 200 modes
-        sp = discretize_and_solve(spec, build_grid(2000), n_modes=200, vectors=False)
+        sp = discretize_and_solve(spec, build_grid(2000), n_modes=200, n_vectors=0)
         assert mercer_trace_gap(sp) < 1e-4
 
     def test_short_spectrum_raises(self, bridge400, bridge2000):
@@ -527,6 +630,13 @@ class TestMercer:
     def test_head_below_one_raises(self, n_head, bridge400):
         with pytest.raises(DomainError, match="n_head must be >= 1"):
             mercer_trace_gap(bridge400, n_head=n_head)
+
+    def test_head_must_be_an_integer(self, bridge400):
+        with pytest.raises(DomainError, match="an integer"):
+            mercer_trace_gap(bridge400, n_head=2.7)
+        assert mercer_trace_gap(bridge400, n_head=np.int64(3)) == mercer_trace_gap(
+            bridge400, n_head=3
+        )
 
     def test_both_kinds_moderate(self, bridge400, rl400):
         assert mercer_trace_gap(bridge400) < 1e-3
