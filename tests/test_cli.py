@@ -294,6 +294,19 @@ class TestValidate:
         assert solves.count((0.75, nystrom.KernelKind.BRIDGE, 600)) == 1
         assert len(solves) == 6
 
+    @pytest.mark.parametrize("m", [20, 300])
+    @pytest.mark.parametrize(
+        "alpha, variant", [("0.6", "rl-bridge"), ("0.75", "caputo"), ("0.9", "caputo")]
+    )
+    def test_mercer_check(self, alpha, variant, m, capsys):
+        # the bound is 1e-3; over a in [0.501, 1] and both kernels the gap
+        # measures at most 5.1e-4 at m = 20 (a = 0.75, caputo), 1.5e-6 at 300
+        main(["validate", "--alpha", alpha, "--variant", variant, "--m", str(m)])
+        line = re.search(r"^(PASS|FAIL) mercer_trace: trace gap (\S+)",
+                         capsys.readouterr().out, re.M)
+        assert line[1] == "PASS"
+        assert float(line[2]) <= (1e-3 if m == 20 else 1e-5)
+
     def test_smallest_grid_runs_every_check(self, capsys):
         # at m = 20 the exit code is the suite's verdict, not a usage error
         assert main(["validate", "--alpha", "0.75", "--m", "20"]) in (0, 1)
@@ -331,12 +344,11 @@ class TestEigenvectorSolves:
 
     def test_validate(self, solves, capsys):
         assert main(["validate", "--alpha", "0.75", "--m", "300"]) == 0
-        # caputo_endpoint reads f_20: one dense eigh. Mercer's 75 values take
-        # one dense values-only call, and orthonormality's 10 vectors one
-        # Lanczos run on the same matrix; every other solve reads 20 or
-        # fewer values
+        # caputo_endpoint reads f_20: one dense eigh. Orthonormality's 10
+        # vectors and Mercer's 15 values (its default head) share one Lanczos
+        # run; every other solve reads 20 or fewer values
         assert [s for s in solves if s[2]] == [("dense", 300, True), ("lanczos", 300, True)]
-        assert solves.count(("dense", 300, False)) == 1
+        assert ("dense", 300, False) not in solves
         assert solves.count(("lanczos", 800, False)) == 2
 
     def test_eigenfunction(self, solves, tmp_path):
@@ -351,9 +363,13 @@ class TestEigenvectorSolves:
          ["spectrum", "--n-max", "30", "--m", "20", "--methods", "nystrom"]],
         ids=["eigenfunction", "spectrum"],
     )
-    def test_more_modes_than_grid(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path)]) == 3
-        assert "exceeds the 20 computed modes" in capsys.readouterr().err
+    def test_more_modes_than_grid(self, argv, solves, tmp_path, capsys):
+        # an m-point grid has m modes: a usage error, found before any solve
+        # and before the output directory is made
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "usage error: need" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfig:
@@ -506,6 +522,8 @@ class TestUsageErrors:
             ["validate", "--alpha", "0.75", "--typo-kernel"],
             ["spectrum", "--config", os.curdir],  # a directory
             ["validate", "--alpha", "0.75", "--m", "19"],  # caputo_endpoint reads f_20
+            ["spectrum", "--methods", "nystrom", "--n-max", "40", "--m", "30"],
+            ["eigenfunction", "--n", "25", "--m", "20"],
         ],
     )
     def test_exit_two(self, argv, tmp_path, capsys):
