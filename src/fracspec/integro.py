@@ -53,6 +53,7 @@ from .phase import (
     FractionalOrder,
     PhaseTable,
     _check_unit,
+    _first_quarter_sign,
     _sin_theta0_minus_api,
     b_alpha,
     g0,
@@ -505,7 +506,7 @@ def reconstruct_f_exact(
 
     th = theta0(tau, table.order)
     gm = gamma0(tau, table.order)
-    xcm = xc0(np.asarray(-tau, dtype=complex), table).real
+    xcm = xc0(-tau, table)
     s_api = np.sin(a * np.pi)
 
     # residue term: Psi0 at the pole rho*i via the continuation at -i
@@ -544,11 +545,7 @@ def reconstruct_f_exact(
     nrm = float(np.sqrt(wn @ (fn * fn)))
     if nrm == 0.0:
         raise AccuracyError("reconstructed eigenfunction vanished identically")
-    win = xn < min(np.pi / (2.0 * rho), 1.0)
-    s = float(wn[win] @ fn[win]) if win.any() else float(fn[0])
-    sgn = -1.0 if s < 0 else 1.0
-
-    out = sgn * values(xx) / nrm
+    out = _first_quarter_sign(xn, wn, fn, rho) * values(xx) / nrm
     return float(out[0]) if np.isscalar(x) else out
 
 

@@ -35,12 +35,12 @@ Nystrom scheme: B = sqrt(w) K sqrt(w) + diag(S - Q) where S(x_i) is the
 exact row integral of the kernel and Q its quadrature approximation. The
 correction compensates the |x-y|^{2a-1} diagonal kink, which otherwise
 limits Gauss-Legendre convergence far below the tolerances wanted here.
-The matrix K(x_i, x_j) comes from one closed-form evaluation on the upper
-triangle in row blocks, mirrored (K depends on (x, y) only through min and
-max), plus, for the bridge kernel, the rank-one term built from the one
-m-vector K(x_i, 1), which the row integral S reuses. This is the solver's
-only kernel path. Scaling by sqrt(w) rounds mirrored entries differently,
-so B is symmetrized once more, by pairs of tiles, before the eigensolve.
+The closed form is evaluated on the upper triangle only, in row blocks (K
+depends on (x, y) only through min and max). Each block is finished where
+it is evaluated: the bridge kernel's rank-one term, built from the one
+m-vector K(x_i, 1) that the row integral S reuses, is subtracted, and the
+entries are scaled by sqrt(w_i) sqrt(w_j). Only then is the block mirrored,
+so B is symmetric bit for bit. This is the solver's only kernel path.
 
 The eigensolve computes only the leading modes a caller asks for, by one
 of two routes. A few modes of a large matrix (20 n_modes <= m) come from
@@ -50,7 +50,8 @@ below -1e-10 mu_1. Every other request, and a Lanczos run that does not
 converge, takes one dense LAPACK call (eigvalsh, or eigh with vectors)
 whose smallest eigenvalue is tested directly.
 Eigenfunction values between nodes come from the matching corrected
-interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)).
+interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)), whose
+kernel is evaluated in row blocks of the same size.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import ConvergenceError, DomainError
-from .phase import FractionalOrder, Variant, _check_unit
+from .phase import FractionalOrder, Variant, _check_unit, _first_quarter_sign
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
 __all__ = [
@@ -202,11 +203,17 @@ def kernel_bridge(x, y, alpha):
     a = _alpha_of(alpha)
     if not 0.5 < a <= 1.0:
         raise DomainError("bridge kernel requires alpha in (1/2, 1]")
-    scalar = np.isscalar(x) and np.isscalar(y)
-    xx = np.asarray(x, dtype=float)
-    yy = np.asarray(y, dtype=float)
-    out = _kernel_of_kind(xx, yy, a, KernelKind.BRIDGE)
-    return float(out) if scalar else out
+    rank_one = _bridge_term(kernel_K(x, 1.0, a), kernel_K(1.0, y, a), _k11(a))
+    return kernel_K(x, y, a) - rank_one
+
+
+def _k11(a: float) -> float:
+    return float(_kernel_raw(1.0, 1.0, a))  # K(1, 1)
+
+
+def _bridge_term(kx1, ky1, k11: float):
+    # K(x,1) K(1,y) / K(1,1), the rank-one term that the bridge subtracts
+    return kx1 * ky1 / k11
 
 
 def _row_integral_rl(x, a: float):
@@ -225,65 +232,59 @@ def _row_integral_rl(x, a: float):
     return J / (a * math.gamma(a) ** 2)
 
 
-def _row_integral(x, a: float, kind: KernelKind, kx1=None):
-    # int_0^1 K(x,y) dy. The bridge needs kx1 = K(x,1): int_0^1 K(y,1) dy =
-    # K(1,1) (2a-1)/(2a^2), so its rank-one part integrates to that times kx1
-    if kind is KernelKind.BRIDGE:
-        return _row_integral_rl(x, a) - kx1 * (2 * a - 1) / (2 * a * a)
-    return _row_integral_rl(x, a)
+def _row_integral(x, a: float, kx1=None):
+    # int_0^1 K(x,y) dy; of the bridge kernel if kx1 = K(x,1) is given, whose
+    # rank-one part integrates to kx1 (2a-1)/(2a^2) = kx1 int K(y,1) dy / K(1,1)
+    if kx1 is None:
+        return _row_integral_rl(x, a)
+    return _row_integral_rl(x, a) - kx1 * (2 * a - 1) / (2 * a * a)
 
 
-def _kernel_of_kind(x, y, a: float, kind: KernelKind, kx1=None):
-    # kx1 is K(x, 1) if already evaluated (bridge only)
-    if kind is KernelKind.BRIDGE:
-        if kx1 is None:
-            kx1 = _kernel_raw(x, 1.0, a)
-        k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
-        return _kernel_raw(x, y, a) - kx1 * _kernel_raw(1.0, y, a) / k11
-    return _kernel_raw(x, y, a)
-
-
-# cells of one row block of the kernel matrix: 256 KB of float64, so a block's
-# _series sweep stays in cache and its six temporaries below B / 4 at m >= 1000
+# cells of one row block of the kernel matrix and of the interpolation's
+# kernel: 256 KB of float64, so a block's _series sweep stays in cache and its
+# temporaries below B / 4 at m >= 1000
 _BLOCK_CELLS = 32768
-# tile width of the symmetrization and of _certify_psd (fastest at m = 400-800)
+# tile width of _certify_psd (fastest at m = 400-800)
 _TILE = 128
 
 
-def _kernel_matrix(x, a: float, kx1=None):
-    """K(x_i, x_j) on the nodes x, minus kx1_i kx1_j / K(1,1) if kx1 is given.
+def _kernel_matrix(x, a: float, sw, kx1=None):
+    """(K(x_i, x_j) - kx1_i kx1_j / K(1,1)) (sw_i sw_j) on the sorted nodes x.
 
-    kx1 = K(x, 1) is the column of the bridge kernel's rank-one term. The
-    closed form is evaluated once on the upper triangle and mirrored:
-    _kernel_raw depends on (x, y) only through min and max (_kernel_sorted
-    on the sorted nodes), and the rank-one product keeps the operation
-    order of _kernel_of_kind, so the
-    matrix equals _kernel_of_kind on the full meshgrid bit for bit. The
-    triangle is swept in blocks of b = _BLOCK_CELLS // m rows: each block's
-    rectangle right of its diagonal square is one broadcast call written by
-    slices, and the upper triangles of all diagonal squares (m b / 2 cells)
-    are one gathered call.
+    kx1 = K(x, 1) is the bridge kernel's rank-one column (None: no such
+    term), sw the square roots of the weights. The upper triangle is swept
+    in blocks of b = _BLOCK_CELLS // m rows, each entry finished where it is
+    evaluated, and each block then mirrored: the matrix is symmetric bit for
+    bit, and equals the formula on the full meshgrid bit for bit, since
+    _kernel_raw depends on (x, y) only through min and max. Each block's
+    rectangle right of its diagonal square is one broadcast call, and the
+    upper triangles of all diagonal squares (m b / 2 cells) one gathered call.
     """
     m = x.size
-    K = np.empty((m, m))
+    k11 = _k11(a) if kx1 is not None else None
+
+    def finished(i, j):
+        # the entries (i, j), i <= j, for index arrays or slices of x that
+        # broadcast against each other
+        out = _kernel_sorted(x[i], x[j], a)
+        if kx1 is not None:
+            out = out - _bridge_term(kx1[i], kx1[j], k11)
+        return out * (sw[i] * sw[j])
+
+    B = np.empty((m, m))
     b = min(m, max(1, _BLOCK_CELLS // m))
     for r0 in range(0, m - b, b):
         r1 = r0 + b
-        blk = _kernel_sorted(x[r0:r1, None], x[None, r1:], a)
-        K[r0:r1, r1:] = blk
-        K[r1:, r0:r1] = blk.T
+        blk = finished(np.s_[r0:r1, None], np.s_[None, r1:])
+        B[r0:r1, r1:] = blk
+        B[r1:, r0:r1] = blk.T
     i, j = np.triu_indices(b)
     starts = np.arange(0, m, b)[:, None]
     i, j = (starts + i).ravel(), (starts + j).ravel()
     keep = j < m  # the last square may be smaller than b
     i, j = i[keep], j[keep]
-    K[i, j] = K[j, i] = _kernel_sorted(x[i], x[j], a)  # i <= j
-    if kx1 is not None:
-        k11 = _kernel_raw(np.asarray(1.0), np.asarray(1.0), a)
-        # by row blocks too, so that no m x m temporary is allocated
-        for r0 in range(0, m, b):
-            K[r0 : r0 + b] -= kx1[r0 : r0 + b, None] * kx1[None, :] / k11
-    return K
+    B[i, j] = B[j, i] = finished(i, j)
+    return B
 
 
 @dataclass(frozen=True)
@@ -336,25 +337,15 @@ def _nystrom_matrix(spec: KernelSpec, grid: NystromGrid) -> np.ndarray:
     x, w = grid.nodes, grid.weights
     # K(x, 1): the bridge's rank-one column, shared by K and the row integral
     kx1 = _kernel_raw(x, 1.0, a) if spec.kind is KernelKind.BRIDGE else None
-    K = _kernel_matrix(x, a, kx1)
-    if not np.all(np.isfinite(K)):
-        raise ConvergenceError("kernel produced non-finite matrix entries")
-    S = _row_integral(x, a, spec.kind, kx1)
-    Q = K @ w
     sw = np.sqrt(w)
-    # B is built in K's memory, rounding as (sw_i K_ij) sw_j + (S - Q)_i
-    K *= sw[:, None]
-    K *= sw[None, :]
-    K[np.diag_indices(grid.m)] += S - Q
-    # not a no-op: (sw_i K_ij) sw_j and (sw_j K_ji) sw_i round differently,
-    # and the eigensolvers read only the lower triangle. By pairs of tiles,
-    # so that no m x m temporary is made; K_ij + K_ji = K_ji + K_ij bit for bit
-    for r0 in range(0, grid.m, _TILE):
-        for c0 in range(0, r0 + 1, _TILE):
-            rows, cols = slice(r0, r0 + _TILE), slice(c0, c0 + _TILE)
-            sym = 0.5 * (K[rows, cols] + K[cols, rows].T)
-            K[rows, cols], K[cols, rows] = sym, sym.T
-    return K
+    B = _kernel_matrix(x, a, sw, kx1)
+    # Q = K @ w. Every sw_j > 0, so a non-finite entry of B makes its row's
+    # Q non-finite: this is the check on the whole matrix
+    Q = (B @ sw) / sw
+    if not np.all(np.isfinite(Q)):
+        raise ConvergenceError("kernel produced non-finite matrix entries")
+    B[np.diag_indices(grid.m)] += _row_integral(x, a, kx1) - Q
+    return B
 
 
 def _step_cap(k: int, m: int) -> int:
@@ -481,13 +472,9 @@ def discretize_and_solve(
     mu = mu[:r]
     # de-scaled, weighted-orthonormal
     F = V[:, :r] / np.sqrt(w)[:, None] if vectors else np.empty((m, 0))
-    # sign convention: positive on the first quarter-oscillation near x=0
     rho = (1.0 / mu) ** (1.0 / (2.0 * a))
     for k in range(F.shape[1]):
-        win = x < min(float(np.pi / (2.0 * rho[k])), 1.0)
-        s = float(w[win] @ F[win, k]) if win.any() else float(F[0, k])
-        if s < 0:
-            F[:, k] = -F[:, k]
+        F[:, k] *= _first_quarter_sign(x, w, F[:, k], rho[k])
     F.setflags(write=False)
     mu.setflags(write=False)
     return DiscreteSpectrum(mu=mu, vectors=F, grid=grid, spec=spec)
@@ -504,17 +491,24 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
     if not 1 <= k <= r:
         raise DomainError(f"k must be in [1, {r}]")
     a = spectrum.spec.alpha.alpha
-    kind = spectrum.spec.kind
     xx = _check_unit(x)
     xg, w = spectrum.grid.nodes, spectrum.grid.weights
-    f = spectrum.vectors[:, k - 1]
-    xc = xx[:, None]
-    # K(x, 1): the bridge's rank-one column, shared by Kxy and the row integral
-    kx1 = _kernel_raw(xc, 1.0, a) if kind is KernelKind.BRIDGE else None
-    Kxy = _kernel_of_kind(xc, xg[None, :], a, kind, kx1)
-    S = _row_integral(xc, a, kind, kx1)[:, 0]
-    Q = Kxy @ w
-    val = (Kxy @ (w * f)) / (spectrum.mu[k - 1] - S + Q)
+    wf = w * spectrum.vectors[:, k - 1]
+    kx1 = None
+    if spectrum.spec.kind is KernelKind.BRIDGE:
+        # K(., 1) at the points (shared with the row integral) and the nodes
+        kx1, kg1, k11 = _kernel_raw(xx, 1.0, a), _kernel_raw(xg, 1.0, a), _k11(a)
+    S = _row_integral(xx, a, kx1)
+    num, Q = np.empty(xx.size), np.empty(xx.size)
+    # blocks of b points, so that no (points x m) array is made
+    b = max(1, _BLOCK_CELLS // xg.size)
+    for p0 in range(0, xx.size, b):
+        p = slice(p0, p0 + b)
+        Kxy = _kernel_raw(xx[p, None], xg[None, :], a)
+        if kx1 is not None:
+            Kxy = Kxy - _bridge_term(kx1[p, None], kg1[None, :], k11)
+        num[p], Q[p] = Kxy @ wf, Kxy @ w
+    val = num / (spectrum.mu[k - 1] - S + Q)
     return float(val[0]) if np.isscalar(x) else val
 
 
@@ -576,8 +570,7 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     if spectrum.spec.kind is KernelKind.BRIDGE:
         u, w, _ = tanh_sinh_rule()
         k1 = _kernel_raw(u, 1.0, a)
-        k11 = float(_kernel_raw(np.asarray(1.0), np.asarray(1.0), a))
-        trace = trace_rl - float(w @ (k1 * k1)) / k11
+        trace = trace_rl - float(w @ _bridge_term(k1, k1, _k11(a)))
         shift = (np.pi / 2.0) * (1.0 - 1.0 / a)
     else:
         trace = trace_rl

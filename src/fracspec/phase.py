@@ -96,6 +96,15 @@ def _check_unit(x):
     return xx
 
 
+def _first_quarter_sign(x, w, f, rho) -> float:
+    # the eigenfunction sign convention: -1.0 if the values f on the rule
+    # (x, w) integrate below 0 over the first quarter-oscillation x <
+    # min(pi / (2 rho), 1), else 1.0; with no node there, f[0] decides
+    win = x < min(float(np.pi / (2.0 * rho)), 1.0)
+    s = float(w[win] @ f[win]) if win.any() else float(f[0])
+    return -1.0 if s < 0 else 1.0
+
+
 def theta0(t, alpha):
     """Phase theta0(t) = -atan(sin(a pi) / (t^{2a} - cos(a pi))).
 

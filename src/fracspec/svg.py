@@ -13,6 +13,8 @@ from .errors import DomainError
 
 __all__ = ["svg_line_chart"]
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 36
@@ -42,14 +44,12 @@ def svg_line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render series [(label, xs, ys, color), ...] as one SVG document."""
     if not series:
         raise DomainError("need at least one series")
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ph = _HEIGHT - _MARGIN_T - _MARGIN_B
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     if xs_all.size == 0:
@@ -70,15 +70,15 @@ def svg_line_chart(
         return _MARGIN_T + (y1 - y) / (y1 - y0) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
-        f' height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}"'
+        f' height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}"'
         ' fill="none" stroke="#888" stroke-width="1"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width // 2}" y="20" text-anchor="middle"'
+            f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle"'
             f' font-family="sans-serif" font-size="14">{title}</text>'
         )
     for tx in _ticks(x0, x1):
@@ -103,7 +103,7 @@ def svg_line_chart(
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + pw // 2}" y="{height - 8}"'
+            f'<text x="{_MARGIN_L + pw // 2}" y="{_HEIGHT - 8}"'
             ' text-anchor="middle" font-family="sans-serif" font-size="12">'
             f"{xlabel}</text>"
         )

@@ -16,6 +16,7 @@ from fracspec.errors import ConvergenceError, DomainError
 from fracspec.nystrom import (
     KernelKind,
     KernelSpec,
+    NystromGrid,
     build_grid,
     caputo_endpoint_value,
     discretize_and_solve,
@@ -23,10 +24,17 @@ from fracspec.nystrom import (
     kernel_bridge,
     kernel_K,
     mercer_trace_gap,
-    _kernel_matrix,
-    _kernel_of_kind,
     _kernel_raw,
 )
+
+
+def _kernel_of_kind(x, y, a, kind):
+    # the kernel on the broadcast x and y in one evaluation, term by term:
+    # the meshgrid oracle that the block sweeps are held to bit for bit
+    if kind is KernelKind.BRIDGE:
+        k11 = _kernel_raw(1.0, 1.0, a)
+        return _kernel_raw(x, y, a) - _kernel_raw(x, 1.0, a) * _kernel_raw(1.0, y, a) / k11
+    return _kernel_raw(x, y, a)
 
 
 def _kernel_oracle(x, y, a):
@@ -169,15 +177,20 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("a", [0.51, 0.75, 0.97, 1.0])
     @pytest.mark.parametrize("nodes", ["m2", "m3", "m40", "m200", "m400", "near"])
     def test_equals_meshgrid_oracle(self, nodes, a, kind):
+        # every off-diagonal entry of the finished B, bit for bit
         if nodes == "near":
             # pairs closer than 1e-8 relative, where a hypergeometric series
             # in min/max would lose digits
             x = np.array([0.2, 0.5, 0.5 * (1 + 5e-9), 0.5 * (1 + 2e-8), 0.9])
+            grid = NystromGrid(nodes=x, weights=np.array([2, 1, 2, 1, 2]) / 8, m=5)
         else:
-            x = build_grid(int(nodes[1:])).nodes
+            grid = build_grid(int(nodes[1:]))
+        x, sw = grid.nodes, np.sqrt(grid.weights)
         X, Y = np.meshgrid(x, x, indexing="ij")
-        kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
-        assert np.array_equal(_kernel_matrix(x, a, kx1), _kernel_of_kind(X, Y, a, kind))
+        want = _kernel_of_kind(X, Y, a, kind) * (sw[:, None] * sw[None, :])
+        B = nystrom._nystrom_matrix(KernelSpec(fs.FractionalOrder(a), kind), grid)
+        off = ~np.eye(grid.m, dtype=bool)
+        assert np.array_equal(B[off], want[off])
 
     def test_bridge_solve_evaluates_triangle_and_one_column(self, order075, monkeypatch):
         raw = nystrom._kernel_raw
@@ -207,23 +220,34 @@ def _traced_peak(fn, *args):
 
 
 class TestNystromMatrix:
-    """B is symmetrized and certified by tiles, in place."""
+    """B is symmetric bit for bit, and certified by tiles, in place."""
 
     @pytest.mark.parametrize("kind", list(KernelKind))
-    @pytest.mark.parametrize("m", [2, nystrom._TILE - 1, nystrom._TILE,
-                                   nystrom._TILE + 1, 2 * nystrom._TILE + 1, 800])
-    def test_tiled_symmetrization_keeps_the_bits(self, order075, kind, m):
-        # the formula with one whole-matrix symmetrization, 0.5 (K + K^T)
+    @pytest.mark.parametrize("m", [2, 3, 40, 400, 800])
+    def test_bitwise_symmetric(self, order075, kind, m):
+        B = nystrom._nystrom_matrix(KernelSpec(order075, kind), build_grid(m))
+        assert np.array_equal(B, B.T)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_bitwise_symmetric_ragged_last_block(self, order075, kind, monkeypatch):
+        # 5 blocks of 7 rows, and a last diagonal square of 5
+        monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)
+        B = nystrom._nystrom_matrix(KernelSpec(order075, kind), build_grid(40))
+        assert np.array_equal(B, B.T)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("m", [2, 40, 400])
+    def test_diagonal_is_the_formula(self, order075, kind, m):
+        # B0_ii + S_i - Q_i, with B0 = K_ij (sw_i sw_j) and Q = (B0 @ sw) / sw
         grid = build_grid(m)
-        x, w, a = grid.nodes, grid.weights, 0.75
+        x, sw, a = grid.nodes, np.sqrt(grid.weights), 0.75
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        B0 = _kernel_of_kind(X, Y, a, kind) * (sw[:, None] * sw[None, :])
         kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
-        K = _kernel_matrix(x, a, kx1)
-        Q = K @ w
-        sw = np.sqrt(w)
-        K = K * sw[:, None] * sw[None, :]
-        K[np.diag_indices(m)] += nystrom._row_integral(x, a, kind, kx1) - Q
+        S = nystrom._row_integral(x, a, kx1)
+        want = np.diag(B0) + (S - (B0 @ sw) / sw)
         B = nystrom._nystrom_matrix(KernelSpec(order075, kind), grid)
-        assert np.array_equal(B, 0.5 * (K + K.T))
+        assert np.array_equal(np.diag(B), want)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_no_matrix_sized_temporary(self, order075, kind):
@@ -288,7 +312,7 @@ class TestRowIntegral:
 
         # int_0^1 (min(x,y) - x y) dy = x - x^2/2 - x/2
         x = np.linspace(0.1, 1.0, 5)
-        got = _row_integral(x, 1.0, KernelKind.BRIDGE, _kernel_raw(x, 1.0, 1.0))
+        got = _row_integral(x, 1.0, _kernel_raw(x, 1.0, 1.0))
         assert np.allclose(got, x / 2 - x**2 / 2, atol=1e-13)
 
 
@@ -404,15 +428,26 @@ class TestSolve:
         assert v == pytest.approx(np.sqrt(1.5), rel=1e-3)
 
     def test_nonfinite_kernel_raises(self, order075, monkeypatch):
-        def poisoned(x, a, kx1=None):
-            K = _kernel_matrix(x, a, kx1)
-            K[3, 7] = np.nan
-            return K
-
-        monkeypatch.setattr(nystrom, "_kernel_matrix", poisoned)
+        # one NaN kernel value, in the first block's rectangle (a 2-d call of
+        # _kernel_sorted) or in a diagonal square (the gathered 1-d call)
+        real = nystrom._kernel_sorted
+        monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)  # 7 rows a block at m = 40
         spec = KernelSpec(order075, KernelKind.RL)
-        with pytest.raises(ConvergenceError):
-            discretize_and_solve(spec, build_grid(40))
+        for ndim in (2, 1):
+            poisoned = []
+
+            def poisoning(lo, hi, a):
+                out = real(lo, hi, a)
+                if out.ndim == ndim and not poisoned:
+                    out = out.copy()
+                    out.flat[1] = np.nan
+                    poisoned.append(out.shape)
+                return out
+
+            monkeypatch.setattr(nystrom, "_kernel_sorted", poisoning)
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                discretize_and_solve(spec, build_grid(40))
+            assert poisoned, ndim
 
     def test_rejects_small_alpha(self):
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
@@ -575,6 +610,27 @@ class TestEigenfunctionAt:
         x, w = gauss_legendre_01(300)
         f = eigenfunction_at(bridge400, 4, x)
         assert w @ f**2 == pytest.approx(1.0, abs=1e-6)
+
+    def test_blocks_agree_with_the_whole_grid(self, bridge400):
+        # the interpolation formula on the whole (points x m) meshgrid; a
+        # block holds _BLOCK_CELLS // 400 = 81 points
+        k, a, kind = 10, 0.75, KernelKind.BRIDGE
+        xg, w = bridge400.grid.nodes, bridge400.grid.weights
+        wf = w * bridge400.vectors[:, k - 1]
+        for n in (1, 80, 81, 82, 501):
+            x = (np.arange(n) + 0.5) / n
+            X, Y = np.meshgrid(x, xg, indexing="ij")
+            Kxy = _kernel_of_kind(X, Y, a, kind)
+            S = nystrom._row_integral(x, a, _kernel_raw(x, 1.0, a))
+            want = (Kxy @ wf) / (bridge400.mu[k - 1] - S + Kxy @ w)
+            got = eigenfunction_at(bridge400, k, x)
+            assert np.max(np.abs(got - want)) <= 1e-13, n
+
+    def test_no_points_by_nodes_temporary(self, bridge400):
+        # 81-point blocks; one 501 x 400 kernel array alone is 1.6 MB
+        x = np.linspace(0.0, 1.0, 501)
+        peak = _traced_peak(eigenfunction_at, bridge400, 10, x)[1]
+        assert peak < 4 * 2**20
 
     def test_k_out_of_range(self, bridge400):
         with pytest.raises(DomainError):
