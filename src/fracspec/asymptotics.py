@@ -30,6 +30,7 @@ from .phase import (
     _as_order,
     _check_positive,
     _check_unit,
+    _row_blocks,
     _sin_theta0_minus_api,
 )
 from .quadrature import half_line_grid
@@ -159,14 +160,18 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     """int_0^inf Upsilon_j(t) exp(-rho t d) dt, d = x (AtZero) or 1-x (AtOne).
 
     d = 0 needs no special handling: the densities are integrable at both
-    ends of the half line and the grid covers (0, inf) in full.
+    ends of the half line and the grid covers (0, inf) in full. x is swept
+    in row blocks, as in PhaseTable, so no (points x nodes) array is built.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
     t, wu = _layer_samples(table, which)
     xx = _check_unit(x)
     d = xx if which is Layer.AT_ZERO else 1.0 - xx
-    val = np.exp(-rho * t[None, :] * d[:, None]) @ wu
+    rt = -rho * t
+    val = np.empty(d.size)
+    for i, j in _row_blocks(d.size):
+        val[i:j] = np.exp(rt * d[i:j, None]) @ wu
     return float(val[0]) if np.isscalar(x) else val
 
 

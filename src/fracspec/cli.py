@@ -399,7 +399,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
         xg, wg = gauss_legendre_01(50)
         Kg = kernel_K(xg[:, None], xg[None, :], order.alpha)
         sw = np.sqrt(wg)
-        ev = np.linalg.eigvalsh(0.5 * (Kg + Kg.T) * sw[:, None] * sw[None, :])
+        ev = np.linalg.eigvalsh(Kg * sw[:, None] * sw[None, :])
         neg = float(ev.min())
         ok = sym < 1e-12 and neg >= -1e-10
         return ok, f"asymmetry {sym:.3e}, min Gram eigenvalue {neg:.3e}"

@@ -54,6 +54,7 @@ from .phase import (
     PhaseTable,
     _check_unit,
     _first_quarter_sign,
+    _row_blocks,
     _sin_theta0_minus_api,
     b_alpha,
     g0,
@@ -521,22 +522,21 @@ def reconstruct_f_exact(
         * psi0_pole
     )
 
+    # the layer densities at 1 and at 0, times the weights
+    u1 = wt * tau ** (a - 1.0) * xcm * psi1 * np.sin(th) / gm
+    u0 = wt / tau * xcm * psi0 * _sin_theta0_minus_api(tau, a) / gm
+
     def values(pts):
+        # both layer integrals, swept over pts in row blocks
         t0 = np.real(amp * np.exp(1j * rho * pts))
-        e1 = np.exp(-rho * np.outer(1.0 - pts, tau))
-        i1 = (
-            e1
-            @ (wt * tau ** (a - 1.0) * xcm * psi1 * np.sin(th) / gm)
-            * (s_api / np.pi**2)
-            * rho ** (-a)
-        )
-        e2 = np.exp(-rho * np.outer(pts, tau))
-        i2 = -(
-            e2
-            @ (wt / tau * xcm * psi0 * _sin_theta0_minus_api(tau, a) / gm)
-            * (s_api / np.pi**2)
-            * rho ** (-a)
-        )
+        d1 = 1.0 - pts
+        e1u1 = np.empty(pts.size)
+        e2u0 = np.empty(pts.size)
+        for i, j in _row_blocks(pts.size):
+            e1u1[i:j] = np.exp(-rho * (d1[i:j, None] * tau)) @ u1
+            e2u0[i:j] = np.exp(-rho * (pts[i:j, None] * tau)) @ u0
+        i1 = e1u1 * (s_api / np.pi**2) * rho ** (-a)
+        i2 = -(e2u0 * (s_api / np.pi**2) * rho ** (-a))
         return t0 + i1 + i2
 
     # normalize on a fixed internal rule so the scale is x-independent

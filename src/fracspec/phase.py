@@ -39,7 +39,7 @@ __all__ = [
     "g0",
 ]
 
-_PV_ROWS = 32  # t rows per PV sweep block: 32 x 401 doubles, about 100 KB
+_ROWS = 32  # rows per sweep block: 32 x 713 doubles, about 180 KB
 
 
 class Variant(Enum):
@@ -94,6 +94,18 @@ def _check_unit(x):
     if np.any(~((xx >= 0) & (xx <= 1))):
         raise DomainError("x must lie in [0, 1]")
     return xx
+
+
+def _row_blocks(n: int):
+    """(i, j) bounds of n rows in blocks of _ROWS, for the row sweeps.
+
+    A lone last row is folded into the block before it: numpy reduces a
+    one-row block along another path, which changes the last bits of a sum.
+    """
+    edges = [*range(0, n, _ROWS), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
 
 
 def _first_quarter_sign(x, w, f, rho) -> float:
@@ -152,6 +164,12 @@ class PhaseTable:
     rule on x. Tanh-sinh levels nest, so each evaluation also yields the
     coarser level's value for free; the difference drives the accuracy-error
     contract.
+
+    The Cauchy and PV sums over an array of points are swept in blocks of
+    _ROWS points, so a block's (_ROWS x 401) temporaries stay in cache
+    instead of being page-faulted in on every call. Each row is computed
+    by the same expressions as in one full-size sweep, so the values and
+    error estimates do not depend on the blocking.
     """
 
     tol = 1e-10  # bound on every quadrature error estimate, else AccuracyError
@@ -187,15 +205,19 @@ class PhaseTable:
     def _cauchy(self, z):
         """(1/pi) int theta0(t)/(t - z) dt and its nesting error estimate."""
         z = np.asarray(z)
-        zz = z[..., None]
-        q1 = self._coef1 / (self._t1 - zz)
-        q2 = self._coef2 / (1.0 - self._x * zz)
-        fine = (q1.sum(axis=-1) + q2.sum(axis=-1)) / np.pi
-        coarse = (
-            2.0 * q1[..., self._even].sum(axis=-1)
-            + 2.0 * q2[..., self._even].sum(axis=-1)
-        ) / np.pi
-        return fine, np.abs(fine - coarse)
+        zf = z.reshape(-1)
+        fine = np.empty(zf.shape, dtype=np.result_type(zf, self._t1))
+        coarse = np.empty_like(fine)
+        for i, j in _row_blocks(zf.size):
+            zz = zf[i:j, None]
+            q1 = self._coef1 / (self._t1 - zz)
+            q2 = self._coef2 / (1.0 - self._x * zz)
+            fine[i:j] = (q1.sum(axis=-1) + q2.sum(axis=-1)) / np.pi
+            coarse[i:j] = (
+                2.0 * q1[:, self._even].sum(axis=-1)
+                + 2.0 * q2[:, self._even].sum(axis=-1)
+            ) / np.pi
+        return fine.reshape(z.shape), np.abs(fine - coarse).reshape(z.shape)
 
     def _pv_exponent(self, t):
         """Exponent of the PV weight, with singularity subtraction.
@@ -203,12 +225,7 @@ class PhaseTable:
         The PV integral (2t/pi) int theta0(tau)/(tau^2 - t^2) dtau is mapped
         by tau = t*sigma^{+-1} onto (0,1); subtracting theta0(t) removes the
         singularity and the difference of phases is evaluated through one
-        atan of a stable quotient.
-
-        t is swept in blocks of _PV_ROWS rows, so the block temporaries stay
-        in cache instead of being page-faulted in on every call. Each row is
-        computed by the same expressions as in one full-size sweep, so the
-        values and the error estimate do not depend on the blocking.
+        atan of a stable quotient. t is swept in row blocks, as in _cauchy.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         a = self.alpha
@@ -221,12 +238,7 @@ class PhaseTable:
 
         fine = np.empty(t.size)
         coarse = np.empty(t.size)
-        edges = [*range(0, t.size, _PV_ROWS), t.size]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            # numpy reduces a lone row along another path, which changes the
-            # last bits of the coarse sum: fold it into the block before
-            del edges[-2]
-        for i, j in zip(edges[:-1], edges[1:]):
+        for i, j in _row_blocks(t.size):
             tb = tt[i:j, None]
             d_hi = -tb * self._expm1_hi
             tau_hi = tb * self._sig_hi

@@ -53,7 +53,7 @@ def _tanh_sinh_cached(level: int):
 def tanh_sinh_rule():
     """Nodes, weights and complements (1 - nodes) of the tanh-sinh rule on (0,1).
 
-    The level is fixed at 6 (step 2^-6), ~770 nodes. The returned arrays are
+    The level is fixed at 6 (step 2^-6), 401 nodes. The returned arrays are
     read-only views of a cached rule; copy before writing.
     """
     return _tanh_sinh_cached(6)

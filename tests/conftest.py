@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import fracspec as fs
@@ -26,3 +28,20 @@ def bridge2000(order075):
 def roots075(table075):
     # refined secular roots for n = 5..20 (acceptance criterion range)
     return {n: fs.refine_rho(n, table075) for n in range(5, 21)}
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(fn, *args): fn(*args) and the peak of its allocations
+    above those before the call."""
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return peak

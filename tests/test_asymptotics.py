@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import fracspec as fs
-from fracspec.asymptotics import Layer, Order, boundary_layer, upsilon0, upsilon1
+from fracspec.asymptotics import (
+    Layer,
+    Order,
+    _layer_samples,
+    boundary_layer,
+    upsilon0,
+    upsilon1,
+)
 from fracspec.errors import DomainError
 
 
@@ -98,6 +105,28 @@ class TestLayers:
     def test_rho_domain(self, table075):
         with pytest.raises(DomainError):
             boundary_layer(0.5, 0.0, Layer.AT_ZERO, table075)
+
+    @pytest.mark.parametrize("which", list(Layer))
+    def test_blocks_agree_with_the_whole_grid(self, table075, which):
+        # the layer integral on the whole (points x nodes) meshgrid; 32-row
+        # blocks may round a gemv row differently, so not bit for bit
+        rho = fs.rho_asymptotic(10, table075.order)
+        t, wu = _layer_samples(table075, which)
+        for n in (1, 31, 32, 33, 501):
+            x = (np.arange(n) + 0.5) / n
+            d = x if which is Layer.AT_ZERO else 1.0 - x
+            want = np.exp(-rho * t[None, :] * d[:, None]) @ wu
+            got = boundary_layer(x, rho, which, table075)
+            assert np.max(np.abs(got - want)) <= 1e-15, n
+
+    def test_no_points_by_nodes_temporary(self, table075, traced_peak):
+        # measured 0.49 MiB; one 501 x 713 array alone is 2.7 MiB, and the
+        # whole-grid layers peaked at 6.6 MiB
+        x = np.linspace(0.0, 1.0, 501)
+        peak = traced_peak(
+            fs.eigenfunction_asymptotic, 10, x, table075.order, table075
+        )[1]
+        assert peak < 2**20
 
 
 class TestEigenfunction:

@@ -691,6 +691,26 @@ class TestReconstruct:
         assert calls == []
         assert np.array_equal(got, want)
 
+    def test_blocks_agree_with_the_whole_grid(self, roots075, table075, monkeypatch):
+        # one block over all points is the whole (points x nodes) meshgrid;
+        # 32-row blocks may round a gemv row differently, so not bit for bit
+        root = roots075[10]
+        for n in (1, 31, 32, 33, 501):
+            x = (np.arange(n) + 0.5) / n
+            got = reconstruct_f_exact(x, root.rho, table075, root.value)
+            with monkeypatch.context() as m:
+                m.setattr(integro, "_row_blocks", lambda size: [(0, size)])
+                want = reconstruct_f_exact(x, root.rho, table075, root.value)
+            assert np.max(np.abs(got - want)) <= 1e-15, n
+
+    def test_no_points_by_nodes_temporary(self, roots075, table075, traced_peak):
+        # measured 2.7 MiB, all of it _extend_batch's kernel on the layer
+        # rule; with whole (points x 713) layer arrays it was 8.3 MiB
+        root = roots075[10]
+        x = np.linspace(0.0, 1.0, 501)
+        peak = traced_peak(reconstruct_f_exact, x, root.rho, table075, root.value)[1]
+        assert peak < 4 * 2**20
+
     def test_value_at_other_rho_rejected(self, roots075, table075):
         root = roots075[10]
         with pytest.raises(DomainError):

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -208,17 +207,6 @@ class TestKernelMatrix:
         assert sum(points) <= m * (m + 1) // 2 + m + 1
 
 
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak of its allocations above those before the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestNystromMatrix:
     """B is symmetric bit for bit, and certified by tiles, in place."""
 
@@ -250,13 +238,13 @@ class TestNystromMatrix:
         assert np.array_equal(np.diag(B), want)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
-    def test_no_matrix_sized_temporary(self, order075, kind):
-        B, assembly = _traced_peak(
+    def test_no_matrix_sized_temporary(self, order075, kind, traced_peak):
+        B, assembly = traced_peak(
             nystrom._nystrom_matrix, KernelSpec(order075, kind), build_grid(1000)
         )
         assert assembly < 1.25 * B.nbytes
         mu1 = float(nystrom._lanczos(B, 1, False)[0][0])
-        certificate = _traced_peak(nystrom._certify_psd, B, mu1)[1]
+        certificate = traced_peak(nystrom._certify_psd, B, mu1)[1]
         assert certificate < B.nbytes / 4
 
     @pytest.mark.parametrize("m", [nystrom._TILE + 1, 300, 800])
@@ -626,10 +614,10 @@ class TestEigenfunctionAt:
             got = eigenfunction_at(bridge400, k, x)
             assert np.max(np.abs(got - want)) <= 1e-13, n
 
-    def test_no_points_by_nodes_temporary(self, bridge400):
+    def test_no_points_by_nodes_temporary(self, bridge400, traced_peak):
         # 81-point blocks; one 501 x 400 kernel array alone is 1.6 MB
         x = np.linspace(0.0, 1.0, 501)
-        peak = _traced_peak(eigenfunction_at, bridge400, 10, x)[1]
+        peak = traced_peak(eigenfunction_at, bridge400, 10, x)[1]
         assert peak < 4 * 2**20
 
     def test_k_out_of_range(self, bridge400):

@@ -237,6 +237,38 @@ class TestPvSweep:
             fs.pv_weight(np.geomspace(0.1, 10.0, 70), strict)
 
 
+def _cauchy_unblocked(table, z):
+    # the X_c0 sums over all z at once: the reference for the blocked sweep
+    x, w, _ = tanh_sinh_rule()
+    even = (np.arange(x.size) - x.size // 2) % 2 == 0
+    t1 = x * x
+    zz = np.asarray(z)[:, None]
+    q1 = w * fs.theta0(t1, table.order) * 2.0 * x / (t1 - zz)
+    q2 = w * fs.theta0(1.0 / x, table.order) / x / (1.0 - x * zz)
+    fine = (q1.sum(axis=-1) + q2.sum(axis=-1)) / np.pi
+    coarse = (
+        2.0 * q1[:, even].sum(axis=-1) + 2.0 * q2[:, even].sum(axis=-1)
+    ) / np.pi
+    return fine, np.abs(fine - coarse)
+
+
+class TestCauchySweep:
+    @pytest.mark.parametrize("alpha", [0.51, 0.75, 0.99])
+    def test_blocked_equals_unblocked(self, alpha):
+        # 32-row blocks, as in the PV sweep; 713 is the layer rule's size
+        table = fs.PhaseTable(fs.FractionalOrder(alpha))
+        rng = np.random.default_rng(11)
+        for size in (1, 31, 32, 33, 34, 65, 713):
+            r = np.geomspace(1e-5, 1e12, size) * rng.uniform(0.5, 2.0, size)
+            arg = rng.uniform(0.1, np.pi, size)
+            for z in (-r, r * np.exp(1j * arg)):
+                val, err = table._cauchy(z)
+                want_val, want_err = _cauchy_unblocked(table, z)
+                assert val.dtype == z.dtype, size
+                assert np.array_equal(val, want_val), (size, z.dtype)
+                assert np.array_equal(err, want_err), (size, z.dtype)
+
+
 class TestG0H0:
     def test_g0_frozen(self, table075):
         assert fs.g0(0.5, table075) == pytest.approx(-0.2469575045443444, abs=1e-12)
