@@ -10,7 +10,8 @@ Eigenfunctions (rl-bridge only): sqrt(2) sin(rho x + (pi/4)(1-alpha)) plus
 boundary layers, Laplace-type integrals of Upsilon0/Upsilon1 concentrated
 near x=0 and x=1. Layers are evaluated on a fixed double-exponential grid
 over (0, inf), so the same rule serves every (x, rho) including x at the
-endpoints; evaluation is deterministic and branch-free.
+endpoints; evaluation is deterministic and branch-free. integro's exact
+eigenfunction reads its layer densities and blocked Laplace sum from here.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .phase import (
     _check_positive,
     _check_unit,
     _row_blocks,
-    _sin_theta0_minus_api,
 )
 from .quadrature import half_line_grid
 
@@ -96,21 +96,41 @@ def lambda_two_term(n: int, alpha) -> float:
     return x ** (2 * a) + np.pi * (a - 1.0) * x ** (2 * a - 1.0)
 
 
+def _layer_densities(t, table: PhaseTable, k0, k1):
+    """k0 v0 and k1 v1 on an array of t > 0 from one X_c0(-t) sweep, where
+    v0 = (X_c0(-t)/t) sin(theta0 - a pi)/gamma0 and v1 = (X_c0(-t)/t)
+    sin(theta0)/gamma0 are the factors both boundary layers share. A weight
+    k is multiplied in first, so Upsilon0 and Upsilon1 (_upsilons) round as
+    their formulas read; integro.reconstruct_f_exact weights v0 by Psi0 and
+    v1 by t^a Psi1.
+    """
+    a = table.alpha
+    gm = gamma0(t, table.order)
+    xt = xc0(-t, table) / t
+    # sin(theta0 - a pi) = -sin(a pi) t^a / gamma0 exactly; the left side
+    # loses all digits as t -> 0, where its argument approaches -pi
+    s0 = -np.sin(a * np.pi) * t**a / gm
+    return k0 * xt * s0 / gm, k1 * xt * np.sin(theta0(t, table.order)) / gm
+
+
+def _upsilons(t, table: PhaseTable):
+    """Upsilon0(t) and Upsilon1(t) from one _layer_densities call: floats
+    for a scalar t, else arrays."""
+    a = table.alpha
+    tt = np.atleast_1d(_check_positive(t))
+    b = b_alpha(table.order)
+    c = np.sqrt(2 * a) / np.pi
+    k1 = c * (tt**a * (b - tt) / np.sqrt(b * b + 1.0))
+    u0, u1 = _layer_densities(tt, table, c, k1)
+    return (float(u0[0]), float(u1[0])) if np.isscalar(t) else (u0, u1)
+
+
 def upsilon0(t, table: PhaseTable):
     """Layer density at x=0:
 
     Upsilon0(t) = (sqrt(2a)/pi) (X_c0(-t)/t) sin(theta0(t) - a pi) / gamma0(t).
     """
-    a = table.alpha
-    scalar = np.isscalar(t)
-    tt = np.atleast_1d(_check_positive(t))
-    val = (
-        (np.sqrt(2 * a) / np.pi)
-        * (xc0(-tt, table) / tt)
-        * _sin_theta0_minus_api(tt, a)
-        / gamma0(tt, table.order)
-    )
-    return float(val[0]) if scalar else val
+    return _upsilons(t, table)[0]
 
 
 def upsilon1(t, table: PhaseTable):
@@ -122,56 +142,46 @@ def upsilon1(t, table: PhaseTable):
     Since b_a = cot(pi/(2a)) < 0 for a in (1/2, 1), the factor (b_a - t)
     is negative for all t > 0: the density never changes sign through it.
     """
-    a = table.alpha
-    b = b_alpha(table.order)
-    scalar = np.isscalar(t)
-    tt = np.atleast_1d(_check_positive(t))
-    val = (
-        (np.sqrt(2 * a) / np.pi)
-        * (tt**a * (b - tt) / np.sqrt(b * b + 1.0))
-        * (xc0(-tt, table) / tt)
-        * np.sin(theta0(tt, table.order))
-        / gamma0(tt, table.order)
-    )
-    return float(val[0]) if scalar else val
+    return _upsilons(t, table)[1]
 
 
 def _layer_rule():
     """half_line_grid() cut to 1e-10 < t < 1e12, for boundary-layer integrals.
 
-    The boundary-layer densities here and in integro.reconstruct_f_exact
-    vanish like a positive power of t at 0 and decay like t^{-1-a} to
-    t^{-2a} at infinity. X_c0's quadrature error estimate stays within
-    tolerance on the kept range, and fails it near the rule's extreme nodes.
+    Both layer evaluators, here and integro.reconstruct_f_exact, read
+    _layer_densities on it, which vanish like a positive power of t at 0 and
+    decay like t^{-1-a} to t^{-2a} at infinity. X_c0's quadrature error estimate
+    stays within tolerance on the kept range, and fails it near the extremes.
     """
     t, w = half_line_grid()
     keep = (t > 1e-10) & (t < 1e12)
     return t[keep], w[keep]
 
 
-def _layer_samples(table: PhaseTable, which: Layer):
-    """Nodes t and weighted samples w Upsilon_j(t) on the layer rule."""
-    t, w = _layer_rule()
-    ups = upsilon0(t, table) if which is Layer.AT_ZERO else upsilon1(t, table)
-    return t, w * ups
+def _laplace_sum(d, rho: float, t, wu):
+    """exp(-rho t d) @ wu for an array d: the layer integral with weighted
+    density samples wu on the nodes t. d is swept in row blocks, as in
+    PhaseTable, so no (points x nodes) array is built."""
+    rt = -rho * t
+    val = np.empty(d.size)
+    for i, j in _row_blocks(d.size):
+        val[i:j] = np.exp(rt * d[i:j, None]) @ wu
+    return val
 
 
 def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     """int_0^inf Upsilon_j(t) exp(-rho t d) dt, d = x (AtZero) or 1-x (AtOne).
 
     d = 0 needs no special handling: the densities are integrable at both
-    ends of the half line and the grid covers (0, inf) in full. x is swept
-    in row blocks, as in PhaseTable, so no (points x nodes) array is built.
+    ends of the half line and the grid covers (0, inf) in full.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    t, wu = _layer_samples(table, which)
+    t, w = _layer_rule()
+    u0, u1 = _upsilons(t, table)
     xx = _check_unit(x)
-    d = xx if which is Layer.AT_ZERO else 1.0 - xx
-    rt = -rho * t
-    val = np.empty(d.size)
-    for i, j in _row_blocks(d.size):
-        val[i:j] = np.exp(rt * d[i:j, None]) @ wu
+    d, u = (xx, u0) if which is Layer.AT_ZERO else (1.0 - xx, u1)
+    val = _laplace_sum(d, rho, t, w * u)
     return float(val[0]) if np.isscalar(x) else val
 
 
@@ -195,6 +205,8 @@ def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
     xx = _check_unit(x)
     val = np.sqrt(2.0) * np.sin(rho * xx + phi)
     if table is not None:
-        val = val + boundary_layer(xx, rho, Layer.AT_ZERO, table)
-        val = val + (-1.0) ** n * boundary_layer(xx, rho, Layer.AT_ONE, table)
+        t, w = _layer_rule()
+        u0, u1 = _upsilons(t, table)  # one X_c0 sweep for both layers
+        val = val + _laplace_sum(xx, rho, t, w * u0)
+        val = val + (-1.0) ** n * _laplace_sum(1.0 - xx, rho, t, w * u1)
     return float(val[0]) if np.isscalar(x) else val

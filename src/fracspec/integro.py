@@ -35,7 +35,8 @@ rho once; a root typically takes six or seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
-over the half line, normalized to unit L2 norm on (0,1).
+over the half line, normalized to unit L2 norm on (0,1). Its layer densities
+and blocked Laplace sum are asymptotics', as for the layered asymptote.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Order, _layer_rule, rho_asymptotic
+from .asymptotics import (
+    Order, _laplace_sum, _layer_densities, _layer_rule, rho_asymptotic
+)
 from .errors import (
     AccuracyError, BracketError, ConvergenceError, DomainError, FracspecError
 )
@@ -54,12 +57,8 @@ from .phase import (
     PhaseTable,
     _check_unit,
     _first_quarter_sign,
-    _row_blocks,
-    _sin_theta0_minus_api,
     b_alpha,
     g0,
-    gamma0,
-    theta0,
     xc0,
 )
 from .quadrature import gauss_legendre_01
@@ -226,9 +225,13 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
 
 
 def _extend_batch(sol: PQRSolution, z):
-    """Continuation of p, q, r at points z (array); returns three (2, M)."""
+    """Continuation of p, q, r at points z (array); returns three (2, M).
+    The (M x N) kernel is built in place, with no temporaries of its size."""
     zz = np.asarray(z)
-    kg = sol.e / (sol.grid[None, :] + zz[:, None]) / np.pi * sol.gv[None, :]
+    kg = sol.grid[None, :] + zz[:, None]
+    np.divide(sol.e, kg, out=kg)
+    kg /= np.pi
+    kg *= sol.gv
     p = np.stack([kg @ sol.p[1] + 1.0, kg @ sol.p[0]])
     r = np.stack([kg @ sol.r[1], kg @ sol.r[0] + zz])
     return p, p[::-1], r
@@ -287,7 +290,7 @@ def secular(rho: float, table: PhaseTable, *, _samples=None):
     pm, qm, rm = analytic_extend(sol, -1j)
     pp, qp, rp = analytic_extend(sol, 1j)
     x_i = sol.xc_i
-    x_mi = x_i.conjugate()  # theta0 is real, so X_c0(-i) = conj X_c0(i)
+    x_mi = x_i.conjugate()  # X_c0(conj z) = conj X_c0(z)
     X = x_i / (rho * 1j)
     Y = (rho * 1j) ** (a - 1.0) * x_mi
     ph = np.exp(-1j * rho)
@@ -504,10 +507,6 @@ def reconstruct_f_exact(
     tau, wt = _layer_rule()
     P, Q, R = _extend_batch(sol, tau)
     psi0, psi1 = P + crho * (bal * Q - R)
-
-    th = theta0(tau, table.order)
-    gm = gamma0(tau, table.order)
-    xcm = xc0(-tau, table)
     s_api = np.sin(a * np.pi)
 
     # residue term: Psi0 at the pole rho*i via the continuation at -i
@@ -522,22 +521,14 @@ def reconstruct_f_exact(
         * psi0_pole
     )
 
-    # the layer densities at 1 and at 0, times the weights
-    u1 = wt * tau ** (a - 1.0) * xcm * psi1 * np.sin(th) / gm
-    u0 = wt / tau * xcm * psi0 * _sin_theta0_minus_api(tau, a) / gm
+    # the layer densities at 0 and at 1, times the weights and prefactor
+    wk = wt * (s_api / np.pi**2) * rho ** (-a)
+    u0, u1 = _layer_densities(tau, table, wk * psi0, wk * tau**a * psi1)
 
     def values(pts):
-        # both layer integrals, swept over pts in row blocks
         t0 = np.real(amp * np.exp(1j * rho * pts))
-        d1 = 1.0 - pts
-        e1u1 = np.empty(pts.size)
-        e2u0 = np.empty(pts.size)
-        for i, j in _row_blocks(pts.size):
-            e1u1[i:j] = np.exp(-rho * (d1[i:j, None] * tau)) @ u1
-            e2u0[i:j] = np.exp(-rho * (pts[i:j, None] * tau)) @ u0
-        i1 = e1u1 * (s_api / np.pi**2) * rho ** (-a)
-        i2 = -(e2u0 * (s_api / np.pi**2) * rho ** (-a))
-        return t0 + i1 + i2
+        i1 = _laplace_sum(1.0 - pts, rho, tau, u1)
+        return t0 + i1 - _laplace_sum(pts, rho, tau, u0)
 
     # normalize on a fixed internal rule so the scale is x-independent
     xn, wn = gauss_legendre_01(400)

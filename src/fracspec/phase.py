@@ -149,13 +149,6 @@ def b_alpha(alpha) -> float:
     return 1.0 / np.tan(np.pi / (2.0 * a))
 
 
-def _sin_theta0_minus_api(t, a):
-    # sin(theta0 - a pi) == -sin(a pi) t^a / gamma0(t), an exact identity.
-    # Evaluating the left side directly loses all digits as t -> 0 (the
-    # argument approaches -pi), so the closed form is used.
-    return -np.sin(a * np.pi) * t**a / gamma0(t, FractionalOrder(a))
-
-
 class PhaseTable:
     """Quadrature data for one alpha, read-only: a tanh-sinh rule and phases.
 

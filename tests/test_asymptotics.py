@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -5,7 +6,7 @@ import fracspec as fs
 from fracspec.asymptotics import (
     Layer,
     Order,
-    _layer_samples,
+    _layer_rule,
     boundary_layer,
     upsilon0,
     upsilon1,
@@ -54,6 +55,32 @@ class TestLayers:
         t = np.geomspace(1e-6, 1e6, 60)
         assert np.all(upsilon0(t, table075) < 0)
         assert np.all(upsilon1(t, table075) > 0)
+
+    @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
+    def test_upsilon_formulas(self, a):
+        # the docstring formulas, factor by factor. In double precision
+        # sin(theta0 - a pi) loses every digit as t -> 0, where theta0 tends
+        # to (a - 1) pi, so that factor alone is taken at 40 digits from
+        # theta0's own formula
+        table = fs.PhaseTable(a)
+        o = table.order
+        t = np.geomspace(1e-6, 1e6, 60)
+        xt = fs.xc0(-t, table) / t
+        gm = fs.gamma0(t, o)
+        b = fs.b_alpha(o)
+        with mp.workdps(40):
+            api = a * mp.pi
+            s0 = np.array([
+                float(mp.sin(-mp.atan(mp.sin(api) / (mp.mpf(x) ** (2 * a)
+                                                     - mp.cos(api))) - api))
+                for x in t
+            ])
+        c = np.sqrt(2 * a) / np.pi
+        want0 = c * xt * s0 / gm
+        want1 = c * t**a * (b - t) / np.sqrt(b * b + 1.0) * xt * np.sin(
+            fs.theta0(t, o)) / gm
+        assert np.max(np.abs(upsilon0(t, table) / want0 - 1.0)) <= 1e-14
+        assert np.max(np.abs(upsilon1(t, table) / want1 - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize(
         "t", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"]
@@ -111,7 +138,9 @@ class TestLayers:
         # the layer integral on the whole (points x nodes) meshgrid; 32-row
         # blocks may round a gemv row differently, so not bit for bit
         rho = fs.rho_asymptotic(10, table075.order)
-        t, wu = _layer_samples(table075, which)
+        t, w = _layer_rule()
+        ups = upsilon0 if which is Layer.AT_ZERO else upsilon1
+        wu = w * ups(t, table075)
         for n in (1, 31, 32, 33, 501):
             x = (np.arange(n) + 0.5) / n
             d = x if which is Layer.AT_ZERO else 1.0 - x
@@ -127,6 +156,20 @@ class TestLayers:
             fs.eigenfunction_asymptotic, 10, x, table075.order, table075
         )[1]
         assert peak < 2**20
+
+    def test_one_xc0_sweep_for_both_layers(self, table075, monkeypatch):
+        # both layer densities come from one X_c0 sample of the 713-node rule
+        calls = []
+        original = fs.asymptotics.xc0
+
+        def spy(z, table):
+            calls.append(np.shape(z))
+            return original(z, table)
+
+        monkeypatch.setattr("fracspec.asymptotics.xc0", spy)
+        x = np.linspace(0.0, 1.0, 501)
+        fs.eigenfunction_asymptotic(10, x, table075.order, table075)
+        assert calls == [(713,)]
 
 
 class TestEigenfunction:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import fracspec as fs
-from fracspec import integro
+from fracspec import asymptotics, integro
 from fracspec.asymptotics import Order
 from fracspec.errors import BracketError, ConvergenceError, DomainError
 from fracspec.integro import (
@@ -316,7 +316,8 @@ class TestRefine:
         assert root.rho == pytest.approx(14.6550723, abs=2e-6)
 
     def test_one_xc0_per_root(self, table075, monkeypatch):
-        # X_c0(i) is sampled with the bracket's g0, never per evaluation
+        # X_c0(i) is sampled with the bracket's g0, never per evaluation;
+        # the layer densities sample X_c0 in asymptotics, so both are spied
         calls = []
         original = integro.xc0
 
@@ -325,6 +326,7 @@ class TestRefine:
             return original(z, table)
 
         monkeypatch.setattr("fracspec.integro.xc0", spy)
+        monkeypatch.setattr("fracspec.asymptotics.xc0", spy)
         for n in (1, 3, 10):
             calls.clear()
             root = refine_rho(n, table075)
@@ -699,17 +701,18 @@ class TestReconstruct:
             x = (np.arange(n) + 0.5) / n
             got = reconstruct_f_exact(x, root.rho, table075, root.value)
             with monkeypatch.context() as m:
-                m.setattr(integro, "_row_blocks", lambda size: [(0, size)])
+                m.setattr(asymptotics, "_row_blocks", lambda size: [(0, size)])
                 want = reconstruct_f_exact(x, root.rho, table075, root.value)
             assert np.max(np.abs(got - want)) <= 1e-15, n
 
     def test_no_points_by_nodes_temporary(self, roots075, table075, traced_peak):
-        # measured 2.7 MiB, all of it _extend_batch's kernel on the layer
-        # rule; with whole (points x 713) layer arrays it was 8.3 MiB
+        # measured 1.4 MiB, nearly all of it _extend_batch's one (713 x 240)
+        # kernel on the layer rule; 2.7 MiB when that kernel was built through
+        # chained temporaries, 8.3 MiB with whole (points x 713) layer arrays
         root = roots075[10]
         x = np.linspace(0.0, 1.0, 501)
         peak = traced_peak(reconstruct_f_exact, x, root.rho, table075, root.value)[1]
-        assert peak < 4 * 2**20
+        assert peak < 2 * 2**20
 
     def test_value_at_other_rho_rejected(self, roots075, table075):
         root = roots075[10]
