@@ -32,9 +32,6 @@ from .integro import (
     RefinedRoot,
     SecularValue,
     analytic_extend,
-    apply_A,
-    build_pqr_grid,
-    c_ratio,
     dump_integro_csv,
     reconstruct_f_exact,
     refine_rho,
@@ -52,7 +49,6 @@ from .nystrom import (
     discretize_and_solve,
     eigenfunction_at,
     kernel_K,
-    kernel_bridge,
     mercer_trace_gap,
 )
 from .phase import (
@@ -88,12 +84,9 @@ __all__ = [
     "SecularValue",
     "Variant",
     "analytic_extend",
-    "apply_A",
     "b_alpha",
     "boundary_layer",
     "build_grid",
-    "build_pqr_grid",
-    "c_ratio",
     "caputo_endpoint_value",
     "discretize_and_solve",
     "dump_integro_csv",
@@ -102,7 +95,6 @@ __all__ = [
     "g0",
     "gamma0",
     "kernel_K",
-    "kernel_bridge",
     "lambda_asymptotic",
     "lambda_two_term",
     "mercer_trace_gap",

@@ -28,10 +28,14 @@ What does not depend on rho is built once per refine_roots call (or lone
 refine_rho), over the octaves of every rho in its brackets: g0 (one sweep of
 the costly PV weight), the Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each
 evaluation slices its 240 nodes from there, bit for bit what a standalone
-solve_pqr builds. The PQRSolution carries the kernel data (g0, the weights
-times e^{-rho t} and X_c0(i)), so secular and reconstruct_f_exact sample
-nothing again. refine_rho takes alpha from its PhaseTable and evaluates each
-rho once; a root typically takes six or seven evaluations.
+solve_pqr builds. solve_pqr is the one place the operator exists: a sweep
+swaps the two components, scales them by e^{-rho t} w g0 / pi at the
+source nodes and multiplies by rho's window block of the Cauchy matrix, a
+view, so no per-rho matrix is built. The PQRSolution carries the kernel
+data (g0, the weights times e^{-rho t} and X_c0(i)), so secular and
+reconstruct_f_exact sample nothing again. refine_rho takes alpha from its
+PhaseTable and evaluates each rho once; a root typically takes six or
+seven evaluations.
 
 reconstruct_f_exact rebuilds the eigenfunction itself from the same
 solution: one oscillatory residue term plus two boundary-layer integrals
@@ -67,14 +71,11 @@ __all__ = [
     "PQRSolution",
     "SecularValue",
     "RefinedRoot",
-    "build_pqr_grid",
-    "apply_A",
     "solve_pqr",
     "analytic_extend",
     "secular",
     "refine_rho",
     "refine_roots",
-    "c_ratio",
     "reconstruct_f_exact",
     "dump_integro_csv",
 ]
@@ -102,18 +103,6 @@ def _octave_rule(lo: int, hi: int):
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
-
-
-def build_pqr_grid(rho: float):
-    """Composite Gauss rule on (0, T], dyadically refined toward 0.
-
-    T = 2^ceil(log2(40/rho)), so 40/rho <= T < 80/rho. Returns (nodes,
-    weights), strictly increasing nodes.
-    """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    top = _top_exponent(rho)
-    return _octave_rule(top - _OCTAVES, top)
 
 
 def _sample_octaves(lo: float, hi: float, table: PhaseTable):
@@ -152,52 +141,40 @@ class PQRSolution:
         return self.p[::-1]
 
 
-def _system_data(rho: float, table: PhaseTable, samples=None):
-    """Kernel data on rho's 240 nodes, build_pqr_grid(rho), sliced from
-    _sample_octaves output (by default, of rho's own window)."""
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    k0, *arrays, D, xc_i = samples or _sample_octaves(rho, rho, table)
-    i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
-    j = i + _OCTAVES * _PER_OCTAVE
-    if i < 0 or j > arrays[0].size:
-        raise DomainError(f"rho={rho:g} lies outside the sampled octaves")
-    t, w, gv = (x[i:j] for x in arrays)
-    e = w * np.exp(-rho * t)
-    # one block: W maps f2 samples to (A f)_1 and f1 samples to (A f)_2
-    W = D[i:j, i:j] * (e * gv)[None, :] / np.pi
-    return t, w, gv, e, xc_i, W
-
-
-def apply_A(f, rho: float, table: PhaseTable):
-    """Apply the integral operator to samples f of shape (2, N) on the grid."""
-    f = np.asarray(f, dtype=float)
-    t, w, gv, e, xc_i, W = _system_data(rho, table)
-    if f.shape != (2, t.size):
-        raise DomainError(f"f must have shape (2, {t.size})")
-    return f[::-1] @ W.T
-
-
 def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
-    """Solve the fixed-point systems of p and r on the dyadic grid; q is p
+    """Solve the fixed-point systems of p and r on rho's 240 nodes; q is p
     with its components swapped.
 
-    Stops when both families' sup-norm updates are below 1e-12; raises
-    ConvergenceError if the updates grow, or stay above that after 100
-    sweeps. refine_rho passes its bracket's _sample_octaves output as
-    _samples; the values are the same as sampled here.
+    The nodes and their kernel data are sliced from _sample_octaves output
+    over a window of octaves that holds rho's (by default, rho's own);
+    refine_rho passes its bracket's as _samples, of the same values. A sweep
+    applies the operator as swap, column scale and window block: the two
+    components are swapped, scaled by e g0 / pi at the source nodes, and
+    multiplied by the window's block of the shared Cauchy matrix, so no
+    per-rho matrix is built. Stops when both families' sup-norm updates are
+    below 1e-12; raises ConvergenceError if the updates grow, or stay above
+    that after 100 sweeps.
     """
-    t, w, gv, e, xc_i, W = _system_data(rho, table, samples=_samples)
+    if rho <= 0:
+        raise DomainError("rho must be positive")
+    k0, t, w, gv, D, xc_i = _samples or _sample_octaves(rho, rho, table)
+    i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
+    j = i + _OCTAVES * _PER_OCTAVE
+    if i < 0 or j > t.size:
+        raise DomainError(f"rho={rho:g} lies outside the sampled octaves")
+    t, w, gv = t[i:j], w[i:j], gv[i:j]
+    e = w * np.exp(-rho * t)
+    sc = e * gv / np.pi
+    C = D[i:j, i:j]  # a view: D is symmetric, so C maps sources to targets
     b = np.zeros((2, 2, t.size))
     b[0, 0] = 1.0  # p
     b[1, 1] = t  # r
     f = b.copy()
     prev = np.inf
     for it in range(1, _MAX_ITER + 1):
-        new = b + f[:, ::-1, :] @ W.T
-        res = np.abs(new - f).max(axis=(1, 2))
+        new = b + (f[:, ::-1] * sc) @ C
+        d = float(np.abs(new - f).max())
         f = new
-        d = float(res.max())
         if d < _STOP:
             break
         if d > 1.5 * prev and prev > _STOP:
@@ -467,12 +444,6 @@ def refine_roots(ns, table: PhaseTable):
     return roots, failures
 
 
-def c_ratio(rho: float, table: PhaseTable) -> float:
-    """Coefficient ratio c1/c0 = -Re(xi/eta) at rho."""
-    sv = secular(rho, table)
-    return float(-np.real(sv.xi / sv.eta))
-
-
 def reconstruct_f_exact(
     x, rho: float, table: PhaseTable, value: SecularValue | None = None
 ):
@@ -488,7 +459,7 @@ def reconstruct_f_exact(
     half-line integrals carrying the boundary layers at 1 and at 0. The
     integrals use the master half-line grid: their integrands decay only
     algebraically when x approaches an endpoint, far past the truncation
-    radius of the solver's own grid. With c1 = c_ratio, secular's formulas
+    radius of the solver's own grid. With c1 = -Re(xi/eta), secular's formulas
     give xi + c1 eta = X Psi0(-i) + rho^-a e^{-rho i} Y Psi1(i), where
     Psi = p + c1 rho^a (rho b q - rho r). Psi0 enters the residue and the
     layer at 0, Psi1 the layer at 1; both layers carry a factor rho^-a.

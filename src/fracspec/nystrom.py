@@ -74,7 +74,6 @@ __all__ = [
     "NystromGrid",
     "DiscreteSpectrum",
     "kernel_K",
-    "kernel_bridge",
     "build_grid",
     "discretize_and_solve",
     "eigenfunction_at",
@@ -196,15 +195,6 @@ def kernel_K(x, y, alpha):
         raise DomainError("diagonal of K requires alpha > 1/2")
     out = _kernel_raw(xx, yy, a)
     return float(out) if scalar else out
-
-
-def kernel_bridge(x, y, alpha):
-    """K(x,y) - K(x,1)K(1,y)/K(1,1); vanishes on the lines x=1 and y=1."""
-    a = _alpha_of(alpha)
-    if not 0.5 < a <= 1.0:
-        raise DomainError("bridge kernel requires alpha in (1/2, 1]")
-    rank_one = _bridge_term(kernel_K(x, 1.0, a), kernel_K(1.0, y, a), _k11(a))
-    return kernel_K(x, y, a) - rank_one
 
 
 def _k11(a: float) -> float:

@@ -104,6 +104,37 @@ def test_check_flags_an_unread_private_name():
     assert _unread_private_names({"m.py": mod, "n.py": other}) == unread
 
 
+# exported as the paper's formulas, which the solvers evaluate inside
+# eigenfunction_asymptotic rather than by name
+_PAPER_FORMULAS = {"boundary_layer", "upsilon0", "upsilon1"}
+
+
+def _unread_exports(exports, trees: dict[str, ast.Module]) -> list[str]:
+    """Names of exports that no tree reads (dunders, such as __version__,
+    are metadata and exempt)."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(n for n in exports if n not in read and not n.endswith("__"))
+
+
+def test_every_export_has_a_package_caller():
+    # an export only tests read is a second evaluation path to maintain
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES
+             if p.name != "__init__.py"}
+    unread = _unread_exports(fracspec.__all__, trees)
+    assert sorted(set(unread) - _PAPER_FORMULAS) == []
+
+
+def test_check_flags_an_unread_export():
+    mod = ast.parse("def f():\n    return g()\ndef g():\n    pass\nh = 1\n")
+    assert _unread_exports(["f", "g", "h", "__version__"], {"m.py": mod}) == ["f", "h"]
+
+
 def test_import_loads_no_scipy():
     # the package needs numpy alone; importing any scipy subpackage loads
     # scipy._lib._array_api, which pulls in numpy.f2py, numpy.testing,

@@ -14,9 +14,6 @@ from fracspec.errors import BracketError, ConvergenceError, DomainError
 from fracspec.integro import (
     _brentq,
     analytic_extend,
-    apply_A,
-    build_pqr_grid,
-    c_ratio,
     reconstruct_f_exact,
     refine_rho,
     refine_roots,
@@ -45,10 +42,22 @@ def _leading_deviation(sol):
     )
 
 
+def _dense_solution(sol, rhs):
+    # oracle: the 2N system x = A x + rhs assembled from its definition, the
+    # swap of the two components and the kernel e_l g0_l / (pi (t_k + t_l)),
+    # and solved directly, no fixed-point iteration
+    t = sol.grid
+    n = t.size
+    W = sol.e * sol.gv / (np.pi * (t[:, None] + t[None, :]))
+    A = np.block([[np.zeros((n, n)), W], [W, np.zeros((n, n))]])
+    return np.linalg.solve(np.eye(2 * n) - A, rhs.ravel()).reshape(2, n)
+
+
 class TestGridAndOperator:
-    def test_grid_shape(self):
+    def test_grid_shape(self, table075):
         # 40 octaves of 6 nodes below T = 2, the least power of two >= 40/25
-        t, w = build_pqr_grid(25.0)
+        sol = solve_pqr(25.0, table075)
+        t, w = sol.grid, sol.weights
         assert t.size == w.size == 240
         assert np.all(np.diff(t) > 0)
         assert np.all(w > 0)
@@ -57,18 +66,20 @@ class TestGridAndOperator:
         assert not t.flags.writeable
 
     @pytest.mark.parametrize("rho", [20.0, 40.0 / 3.0, 5.0, 0.7, 1e3])
-    def test_top_edge(self, rho):
-        t, w = build_pqr_grid(rho)
+    def test_top_edge(self, rho, table075):
+        sol = solve_pqr(rho, table075)
+        t, w = sol.grid, sol.weights
         top = 2.0 ** math.ceil(math.log2(40.0 / rho))
         assert 40.0 / rho <= top < 80.0 / rho
         assert top / 2 < t[-1] < top
         assert top * 2.0**-40 < t[0] < top * 2.0**-39
         assert w.sum() == pytest.approx(top, rel=1e-11)
 
-    def test_nodes_are_scaled_pattern(self):
+    def test_nodes_are_scaled_pattern(self, table075):
         # a node depends on its octave only, never on rho
-        t1, w1 = build_pqr_grid(25.0)
-        t2, w2 = build_pqr_grid(25.0 / 2.0**3)
+        s1 = solve_pqr(25.0, table075)
+        s2 = solve_pqr(25.0 / 2.0**3, table075)
+        t1, w1, t2, w2 = s1.grid, s1.weights, s2.grid, s2.weights
         assert np.array_equal(t1[6:], t1[:-6] * 2.0)
         assert np.array_equal(w1[6:], w1[:-6] * 2.0)
         assert np.array_equal(t2[:-18], t1[18:])
@@ -77,33 +88,13 @@ class TestGridAndOperator:
     def test_grid_rejects_nonpositive_rho(self, table075):
         for rho in (0.0, -1.0):
             with pytest.raises(DomainError):
-                build_pqr_grid(rho)
-            with pytest.raises(DomainError):
                 solve_pqr(rho, table075)
-            with pytest.raises(DomainError):
-                apply_A(np.zeros((2, 240)), rho, table075)
 
-    def test_apply_A_shape_check(self, table075):
-        with pytest.raises(DomainError):
-            apply_A(np.zeros((2, 7)), 20.0, table075)
-        with pytest.raises(DomainError):
-            apply_A(np.zeros(240), 20.0, table075)
-
-    def test_apply_A_linear(self, table075):
-        rng = np.random.default_rng(7)
-        t, w = build_pqr_grid(20.0)
-        f = rng.normal(size=(2, t.size))
-        g = rng.normal(size=(2, t.size))
-        left = apply_A(f + 2.5 * g, 20.0, table075)
-        right = apply_A(f, 20.0, table075) + 2.5 * apply_A(g, 20.0, table075)
-        assert np.allclose(left, right, atol=1e-13)
-
-    def test_apply_A_contracts(self, table075):
-        # the operator norm is well below one at moderate rho
-        t, w = build_pqr_grid(30.0)
-        f = np.ones((2, t.size))
-        out = apply_A(f, 30.0, table075)
-        assert np.abs(out).max() < 0.5
+    def test_rejects_rho_outside_samples(self, table075):
+        samples = integro._sample_octaves(20.0, 24.0, table075)
+        for rho in (5.0, 200.0):
+            with pytest.raises(DomainError, match="outside the sampled octaves"):
+                solve_pqr(rho, table075, _samples=samples)
 
 
 class TestSolvePqr:
@@ -117,23 +108,34 @@ class TestSolvePqr:
         with pytest.raises(ConvergenceError, match="did not converge in 2 sweeps"):
             solve_pqr(40.0, table075)
 
-    def test_fixed_point(self, table075):
-        # p = A p + e1 must hold on the grid after convergence
-        sol = solve_pqr(35.0, table075)
-        ap = apply_A(sol.p, 35.0, table075)
-        b = np.zeros_like(sol.p)
-        b[0] = 1.0
-        assert np.abs(sol.p - (ap + b)).max() < 1e-11
-        ar = apply_A(sol.r, 35.0, table075)
-        br = np.stack([np.zeros_like(sol.grid), sol.grid])
-        assert np.abs(sol.r - (ar + br)).max() < 1e-11
+    def test_fixed_point(self):
+        # p = A p + (1, 0) and r = A r + (0, t) against the dense solve, on
+        # the grid and kernel data of the solution
+        for a in (0.6, 0.75, 0.9):
+            table = fs.PhaseTable(a)
+            for rho in (0.9, 4.0, 12.0, 35.0):
+                sol = solve_pqr(rho, table)
+                one, t = np.ones_like(sol.grid), sol.grid
+                p = _dense_solution(sol, np.stack([one, 0 * one]))
+                r = _dense_solution(sol, np.stack([0 * one, t]))
+                for got, want in ((sol.p, p), (sol.r, r)):
+                    err = np.abs(got - want).max() / np.abs(want).max()
+                    assert err < 1e-12, (a, rho, err)
+
+    def test_memory_stays_below_a_kernel_matrix(self, table075, traced_peak):
+        # a sweep reads a view of the shared Cauchy matrix; a 240 x 240
+        # matrix of its own would take 450 KiB
+        samples = integro._sample_octaves(4.0 - np.pi / 2, 4.0 + np.pi / 2, table075)
+        sol, peak = traced_peak(lambda: solve_pqr(4.0, table075, _samples=samples))
+        assert sol.iterations > 1
+        assert peak < 128 * 1024
 
     def test_q_is_p_swapped(self, table075):
         # oracle: the dense 2N system (I - A) q = (0, 1), with A assembled
         # from g0 on the grid and solved directly, no fixed-point iteration
         rho = 35.0
         sol = solve_pqr(rho, table075)
-        t, w = build_pqr_grid(rho)
+        t, w = sol.grid, sol.weights
         n = t.size
         wg = w * np.exp(-rho * t) * fs.g0(t, table075)
         W = wg / (t[:, None] + t[None, :]) / np.pi
@@ -514,7 +516,7 @@ class TestRefine:
         monkeypatch.setattr(integro, "_T_OVER_RHO", 80.0)
         monkeypatch.setattr(integro, "_OCTAVES", 48)
         monkeypatch.setattr(integro, "_PER_OCTAVE", 12)
-        assert build_pqr_grid(30.0)[0].size == 48 * 12
+        assert solve_pqr(30.0, table).grid.size == 48 * 12
         for n, rho in zip(ns, coarse):
             fine = refine_rho(n, table).rho
             assert abs(rho - fine) < 1e-10 * fine
@@ -610,19 +612,22 @@ class TestBrentq:
         )
 
 
+def _c_ratio(root):
+    # the coefficient ratio c1/c0 = -Re(xi/eta) at a refined root
+    return float(-np.real(root.value.xi / root.value.eta))
+
+
 class TestCoefficientRatio:
-    def test_alternation_and_decay(self, roots075, table075):
-        cs = {n: c_ratio(roots075[n].rho, table075) for n in range(5, 13)}
+    def test_alternation_and_decay(self, roots075):
+        cs = {n: _c_ratio(roots075[n]) for n in range(5, 13)}
         for n, c in cs.items():
             assert np.sign(c) == (-1.0) ** (n + 1)
             assert 0.005 < n * abs(c) < 0.08
         mags = [abs(cs[n]) for n in range(5, 13)]
         assert np.all(np.diff(mags) < 0)
 
-    def test_frozen_value(self, roots075, table075):
-        assert c_ratio(roots075[10].rho, table075) == pytest.approx(
-            -0.002140, abs=2e-5
-        )
+    def test_frozen_value(self, roots075):
+        assert _c_ratio(roots075[10]) == pytest.approx(-0.002140, abs=2e-5)
 
 
 class TestCrossSolver:

@@ -20,7 +20,6 @@ from fracspec.nystrom import (
     caputo_endpoint_value,
     discretize_and_solve,
     eigenfunction_at,
-    kernel_bridge,
     kernel_K,
     mercer_trace_gap,
     _kernel_raw,
@@ -123,21 +122,37 @@ class TestKernel:
             want = [_kernel_oracle(x, y, 0.5) for x, y in pts]
         assert got == pytest.approx(want, rel=1e-13)
 
+    @staticmethod
+    def _bridge_matrix(x, a, sw):
+        # the bridge kernel as the solver assembles it: the block sweep on
+        # the sorted nodes x with the rank-one column K(x, 1)
+        return nystrom._kernel_matrix(x, a, sw, kernel_K(x, 1.0, a))
+
     def test_alpha_one_is_min(self):
-        x = np.array([0.2, 0.5, 0.9])[:, None]
-        y = np.array([0.1, 0.5, 1.0])[None, :]
-        assert np.allclose(kernel_K(x, y, 1.0), np.minimum(x, y), atol=1e-14)
-        got = kernel_bridge(x, y, 1.0)
-        assert np.allclose(got, np.minimum(x, y) - x * y, atol=1e-14)
+        x = np.array([0.1, 0.2, 0.5, 0.9, 1.0])
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        assert np.allclose(kernel_K(X, Y, 1.0), np.minimum(X, Y), atol=1e-14)
+        got = self._bridge_matrix(x, 1.0, np.ones(x.size))
+        assert np.allclose(got, np.minimum(X, Y) - X * Y, atol=1e-14)
 
     def test_bridge_vanishes_at_one(self, order075):
-        y = np.linspace(0.05, 1.0, 7)
-        assert np.max(np.abs(kernel_bridge(1.0, y, order075))) < 1e-15
-        assert abs(kernel_bridge(0.37, 1.0, order075)) < 1e-15
+        # (K(x_i, x_j) - K(x_i, 1) K(1, x_j) / K(1, 1)) sw_i sw_j, built from
+        # kernel_K; its row and column at x = 1 vanish
+        x = np.linspace(0.05, 1.0, 7)
+        sw = np.sqrt(np.linspace(0.5, 1.5, 7))
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        k1 = kernel_K(x, 1.0, order075)
+        k11 = kernel_K(1.0, 1.0, order075)
+        want = kernel_K(X, Y, order075) - np.outer(k1, k1) / k11
+        got = self._bridge_matrix(x, 0.75, sw)
+        assert np.allclose(got, want * np.outer(sw, sw), rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(got[-1])) < 1e-15
+        assert np.max(np.abs(got[:, -1])) < 1e-15
 
     def test_zero_edge(self, order075):
         assert kernel_K(0.0, 0.5, order075) == 0.0
-        assert kernel_bridge(0.0, 0.5, order075) == 0.0
+        got = self._bridge_matrix(np.array([0.0, 0.5, 1.0]), 0.75, np.ones(3))
+        assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
 
     def test_diagonal_rejected_small_alpha(self):
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
