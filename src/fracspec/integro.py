@@ -201,33 +201,27 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     )
 
 
-def _extend_batch(sol: PQRSolution, z):
-    """Continuation of p, q, r at points z (array); returns three (2, M).
-    The (M x N) kernel is built in place, with no temporaries of its size."""
-    zz = np.asarray(z)
+def analytic_extend(sol: PQRSolution, z):
+    """Evaluate the continuations of p, q, r at z off (-inf, 0].
+
+    One point z gives three (2,) complex arrays, a 1-d array of M points
+    three (2, M) arrays of its dtype. On (-inf, 0] the kernel 1/(tau + z)
+    hits the integration range, so the formula does not define a
+    continuation there. Values at conjugate points are conjugate (all grid
+    data is real); at a grid node the continuation reproduces the grid
+    value. The (M x N) kernel, from sol's data, is built in place.
+    """
+    one = np.ndim(z) == 0
+    zz = np.asarray([complex(z)]) if one else np.asarray(z)
+    if np.any((zz.imag == 0.0) & (zz.real <= 0.0)):
+        raise DomainError("continuation undefined on (-inf, 0]")
     kg = sol.grid[None, :] + zz[:, None]
     np.divide(sol.e, kg, out=kg)
     kg /= np.pi
     kg *= sol.gv
     p = np.stack([kg @ sol.p[1] + 1.0, kg @ sol.p[0]])
     r = np.stack([kg @ sol.r[1], kg @ sol.r[0] + zz])
-    return p, p[::-1], r
-
-
-def analytic_extend(sol: PQRSolution, z):
-    """Evaluate the continuations of p, q, r at one point z off (-inf, 0].
-
-    On (-inf, 0] the kernel 1/(tau + z) hits the integration range, so the
-    formula does not define a continuation there. Values at conjugate points
-    are conjugate (all grid data is real); at a grid node the continuation
-    reproduces the grid value. The kernel data come from sol.
-    """
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real <= 0.0:
-        raise DomainError("continuation undefined on (-inf, 0]")
-    zz = np.asarray([zc])
-    p, q, r = _extend_batch(sol, zz)
-    return p[:, 0], q[:, 0], r[:, 0]
+    return (p[:, 0], p[::-1, 0], r[:, 0]) if one else (p, p[::-1], r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +470,7 @@ def reconstruct_f_exact(
     crho = c1 * rho**a * rho  # Psi = p + crho (b q - r)
 
     tau, wt = _layer_rule()
-    P, Q, R = _extend_batch(sol, tau)
+    P, Q, R = analytic_extend(sol, tau)
     psi0, psi1 = P + crho * (bal * Q - R)
     s_api = np.sin(a * np.pi)
 

@@ -51,7 +51,7 @@ converge, takes one dense LAPACK call (eigvalsh, or eigh with vectors)
 whose smallest eigenvalue is tested directly.
 Eigenfunction values between nodes come from the matching corrected
 interpolation f(x) = [sum_j w_j K(x,x_j) f_j] / (mu - S(x) + Q(x)), whose
-kernel is evaluated in row blocks of the same size.
+kernel is evaluated in row blocks of the same size, from phase._row_blocks.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import ConvergenceError, DomainError
-from .phase import FractionalOrder, Variant, _check_unit, _first_quarter_sign
+from .phase import FractionalOrder, Variant, _check_unit, _first_quarter_sign, _row_blocks
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
 __all__ = [
@@ -206,33 +206,29 @@ def _bridge_term(kx1, ky1, k11: float):
     return kx1 * ky1 / k11
 
 
-def _row_integral_rl(x, a: float):
+def _row_integral(x, a: float, kx1=None):
     # int_0^1 K(x,y) dy = J(x) / (a Gamma(a)^2) with J = int_0^x (x-t)^{a-1}
     # (1-t)^a dt = (1-x)^{2a} B_x(a, -2a); two steps of q B_z(p, q) =
-    # (p+q) B_z(p, q+1) - z^p (1-z)^q reach the kernel's I_x(a, 2-2a)
+    # (p+q) B_z(p, q+1) - z^p (1-z)^q reach the kernel's I_x(a, 2-2a). Of
+    # the bridge kernel if kx1 = K(x,1) is given, whose rank-one part
+    # integrates to kx1 (2a-1)/(2a^2) = kx1 int K(y,1) dy / K(1,1)
     x = np.asarray(x, dtype=float)
     if a == 1.0:
-        return x - x * x / 2
-    b = 2.0 - 2.0 * a
-    c = (1.0 - a) * _beta(a, b)
-    xa = x**a
-    # 1 - x is exact where _betainc reads it (x > 1/2)
-    ib = _betainc(a, b, x, 1.0 - x)
-    J = xa / (2 * a) + (xa * (1 - x) - c * (1 - x) ** (2 * a) * ib) / (2 * (2 * a - 1))
-    return J / (a * math.gamma(a) ** 2)
+        s = x - x * x / 2
+    else:
+        b = 2.0 - 2.0 * a
+        c = (1.0 - a) * _beta(a, b)
+        xa = x**a
+        # 1 - x is exact where _betainc reads it (x > 1/2)
+        ib = _betainc(a, b, x, 1.0 - x)
+        J = xa / (2 * a) + (xa * (1 - x) - c * (1 - x) ** (2 * a) * ib) / (2 * (2 * a - 1))
+        s = J / (a * math.gamma(a) ** 2)
+    return s if kx1 is None else s - kx1 * (2 * a - 1) / (2 * a * a)
 
 
-def _row_integral(x, a: float, kx1=None):
-    # int_0^1 K(x,y) dy; of the bridge kernel if kx1 = K(x,1) is given, whose
-    # rank-one part integrates to kx1 (2a-1)/(2a^2) = kx1 int K(y,1) dy / K(1,1)
-    if kx1 is None:
-        return _row_integral_rl(x, a)
-    return _row_integral_rl(x, a) - kx1 * (2 * a - 1) / (2 * a * a)
-
-
-# cells of one row block of the kernel matrix and of the interpolation's
-# kernel: 256 KB of float64, so a block's _series sweep stays in cache and its
-# temporaries below B / 4 at m >= 1000
+# cells of one row block (_BLOCK_CELLS // m rows) of the kernel matrix and of
+# the interpolation's kernel: 256 KB of float64, so a block's _series sweep
+# stays in cache and its temporaries below B / 4 at m >= 1000
 _BLOCK_CELLS = 32768
 # tile width of _certify_psd (fastest at m = 400-800)
 _TILE = 128
@@ -243,12 +239,13 @@ def _kernel_matrix(x, a: float, sw, kx1=None):
 
     kx1 = K(x, 1) is the bridge kernel's rank-one column (None: no such
     term), sw the square roots of the weights. The upper triangle is swept
-    in blocks of b = _BLOCK_CELLS // m rows, each entry finished where it is
-    evaluated, and each block then mirrored: the matrix is symmetric bit for
-    bit, and equals the formula on the full meshgrid bit for bit, since
-    _kernel_raw depends on (x, y) only through min and max. Each block's
-    rectangle right of its diagonal square is one broadcast call, and the
-    upper triangles of all diagonal squares (m b / 2 cells) one gathered call.
+    in the blocks of _row_blocks(m, _BLOCK_CELLS // m), each entry finished
+    where it is evaluated, and each block then mirrored: the matrix is
+    symmetric bit for bit, and equals the formula on the full meshgrid bit
+    for bit, since _kernel_raw depends on (x, y) only through min and max.
+    Each block's rectangle right of its diagonal square (the last has none)
+    is one broadcast call, and the triangles of all diagonal squares one
+    gathered call.
     """
     m = x.size
     k11 = _k11(a) if kx1 is not None else None
@@ -262,17 +259,16 @@ def _kernel_matrix(x, a: float, sw, kx1=None):
         return out * (sw[i] * sw[j])
 
     B = np.empty((m, m))
-    b = min(m, max(1, _BLOCK_CELLS // m))
-    for r0 in range(0, m - b, b):
-        r1 = r0 + b
+    blocks = list(_row_blocks(m, max(1, _BLOCK_CELLS // m)))
+    for r0, r1 in blocks[:-1]:
         blk = finished(np.s_[r0:r1, None], np.s_[None, r1:])
         B[r0:r1, r1:] = blk
         B[r1:, r0:r1] = blk.T
-    i, j = np.triu_indices(b)
-    starts = np.arange(0, m, b)[:, None]
-    i, j = (starts + i).ravel(), (starts + j).ravel()
-    keep = j < m  # the last square may be smaller than b
-    i, j = i[keep], j[keep]
+    # every triangle cut from the largest one: triu_indices per block is slow
+    r0, r1 = np.array(blocks).T[:, :, None]
+    ti, tj = np.triu_indices(int((r1 - r0).max()))
+    keep = tj < r1 - r0
+    i, j = (r0 + ti)[keep], (r0 + tj)[keep]
     B[i, j] = B[j, i] = finished(i, j)
     return B
 
@@ -281,15 +277,22 @@ def _kernel_matrix(x, a: float, sw, kx1=None):
 class NystromGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    m: int
 
     def __post_init__(self):
+        x, w = self.nodes, self.weights
+        if not (isinstance(x, np.ndarray) and isinstance(w, np.ndarray)
+                and x.ndim == 1 and x.shape == w.shape):
+            raise DomainError("nodes and weights must be 1-d arrays of one length")
         if self.m < 2:
             raise DomainError("grid needs m >= 2")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise DomainError("grid weights must sum to 1")
         if np.any(np.diff(self.nodes) <= 0) or np.any(self.weights <= 0):
             raise DomainError("nodes must increase strictly, weights be positive")
+
+    @property
+    def m(self) -> int:
+        return self.nodes.size
 
 
 def build_grid(m: int) -> NystromGrid:
@@ -298,7 +301,7 @@ def build_grid(m: int) -> NystromGrid:
     if m < 2:
         raise DomainError("grid needs m >= 2")
     x, w = gauss_legendre_01(m)
-    return NystromGrid(nodes=x.copy(), weights=w.copy(), m=int(m))
+    return NystromGrid(nodes=x.copy(), weights=w.copy())
 
 
 @dataclass(frozen=True)
@@ -445,8 +448,8 @@ def discretize_and_solve(
     a = spec.alpha.alpha
     if a <= 0.5:
         raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
-    if n_modes is not None and n_modes < 1:
-        raise DomainError("n_modes must be >= 1")
+    if n_modes is not None and not (isinstance(n_modes, numbers.Integral) and n_modes >= 1):
+        raise DomainError(f"n_modes must be >= 1 and an integer, got {n_modes!r}")
     B = _nystrom_matrix(spec, grid)
     x, w, m = grid.nodes, grid.weights, grid.m
     # Lanczos costs O(m^2) per step and about 4 k + 48 steps for k modes, a
@@ -478,8 +481,8 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
     norm stays 1.
     """
     r = spectrum.vectors.shape[1]
-    if not 1 <= k <= r:
-        raise DomainError(f"k must be in [1, {r}]")
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= r):
+        raise DomainError(f"k must be an integer in [1, {r}], got {k!r}")
     a = spectrum.spec.alpha.alpha
     xx = _check_unit(x)
     xg, w = spectrum.grid.nodes, spectrum.grid.weights
@@ -490,14 +493,12 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
         kx1, kg1, k11 = _kernel_raw(xx, 1.0, a), _kernel_raw(xg, 1.0, a), _k11(a)
     S = _row_integral(xx, a, kx1)
     num, Q = np.empty(xx.size), np.empty(xx.size)
-    # blocks of b points, so that no (points x m) array is made
-    b = max(1, _BLOCK_CELLS // xg.size)
-    for p0 in range(0, xx.size, b):
-        p = slice(p0, p0 + b)
-        Kxy = _kernel_raw(xx[p, None], xg[None, :], a)
+    # row blocks of points, so that no (points x m) array is made
+    for i, j in _row_blocks(xx.size, max(1, _BLOCK_CELLS // xg.size)):
+        Kxy = _kernel_raw(xx[i:j, None], xg[None, :], a)
         if kx1 is not None:
-            Kxy = Kxy - _bridge_term(kx1[p, None], kg1[None, :], k11)
-        num[p], Q[p] = Kxy @ wf, Kxy @ w
+            Kxy = Kxy - _bridge_term(kx1[i:j, None], kg1[None, :], k11)
+        num[i:j], Q[i:j] = Kxy @ wf, Kxy @ w
     val = num / (spectrum.mu[k - 1] - S + Q)
     return float(val[0]) if np.isscalar(x) else val
 

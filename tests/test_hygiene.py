@@ -135,6 +135,43 @@ def test_check_flags_an_unread_export():
     assert _unread_exports(["f", "g", "h", "__version__"], {"m.py": mod}) == ["f", "h"]
 
 
+def _stepped_loops(trees: dict[str, ast.Module]) -> list[str]:
+    """'module: function' for each three-argument range or np.arange call,
+    by the function around it (None at module level)."""
+    found = []
+    for mod, tree in trees.items():
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        owner = {id(c): f.name for f in funcs for c in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and len(node.args) == 3 and (
+                (isinstance(node.func, ast.Name) and node.func.id == "range")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "arange"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+            ):
+                found.append(f"{mod}: {owner.get(id(node))}")
+    return sorted(found)
+
+
+# the row-block generator, and the Cholesky tiles of the PSD certificate
+_STEPPED = ["nystrom.py: _certify_psd"] * 2 + ["phase.py: _row_blocks"]
+
+
+def test_row_sweeps_take_their_edges_from_one_generator():
+    # a stepped loop of its own is a second row-block mechanism to keep in step
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert _stepped_loops(trees) == _STEPPED
+
+
+def test_check_flags_a_stepped_loop():
+    mod = ast.parse(
+        "import numpy as np\n"
+        "def f(n):\n    return [range(0, n, 2), range(n), np.arange(0, n)]\n"
+        "def g(n):\n    def h():\n        return np.arange(0, n, 4)\n    return h\n"
+        "e = list(range(0, 9, 3))\n"
+    )
+    assert _stepped_loops({"m.py": mod}) == ["m.py: None", "m.py: f", "m.py: h"]
+
+
 def test_import_loads_no_scipy():
     # the package needs numpy alone; importing any scipy subpackage loads
     # scipy._lib._array_api, which pulls in numpy.f2py, numpy.testing,

@@ -181,6 +181,19 @@ class TestExtension:
         for z in (0.0, -1.0, complex(-3.0, 0.0)):
             with pytest.raises(DomainError):
                 analytic_extend(sol, z)
+        for z in (np.array([0.5, 0.0]), np.array([1j, -2.0 + 0j])):
+            with pytest.raises(DomainError):
+                analytic_extend(sol, z)
+
+    def test_array_matches_points(self, table075):
+        # an array gives (2, M) values of its own dtype, each column the
+        # one-point continuation up to the rounding of a multi-row product
+        sol = solve_pqr(28.0, table075)
+        for z in (np.array([0.4 + 0.9j, -1j, 1j, 3.0 + 0j]), np.array([1e-3, 0.5, 40.0])):
+            out = analytic_extend(sol, z)
+            for got, want in zip(out, zip(*(analytic_extend(sol, v) for v in z))):
+                assert (got.shape, got.dtype) == ((2, z.size), z.dtype)
+                assert np.allclose(got, np.stack(want, axis=1), rtol=1e-14, atol=0)
 
 
 class TestKernelData:
@@ -711,7 +724,7 @@ class TestReconstruct:
             assert np.max(np.abs(got - want)) <= 1e-15, n
 
     def test_no_points_by_nodes_temporary(self, roots075, table075, traced_peak):
-        # measured 1.4 MiB, nearly all of it _extend_batch's one (713 x 240)
+        # measured 1.4 MiB, nearly all of analytic_extend's one (713 x 240)
         # kernel on the layer rule; 2.7 MiB when that kernel was built through
         # chained temporaries, 8.3 MiB with whole (points x 713) layer arrays
         root = roots075[10]

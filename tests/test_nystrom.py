@@ -196,7 +196,7 @@ class TestKernelMatrix:
             # pairs closer than 1e-8 relative, where a hypergeometric series
             # in min/max would lose digits
             x = np.array([0.2, 0.5, 0.5 * (1 + 5e-9), 0.5 * (1 + 2e-8), 0.9])
-            grid = NystromGrid(nodes=x, weights=np.array([2, 1, 2, 1, 2]) / 8, m=5)
+            grid = NystromGrid(nodes=x, weights=np.array([2, 1, 2, 1, 2]) / 8)
         else:
             grid = build_grid(int(nodes[1:]))
         x, sw = grid.nodes, np.sqrt(grid.weights)
@@ -207,19 +207,23 @@ class TestKernelMatrix:
         assert np.array_equal(B[off], want[off])
 
     def test_bridge_solve_evaluates_triangle_and_one_column(self, order075, monkeypatch):
-        raw = nystrom._kernel_raw
-        points = []
+        # every K value of the solve passes through _kernel_sorted
+        real = nystrom._kernel_sorted
+        cells = []
 
-        def counting(x, y, a):
-            points.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
-            return raw(x, y, a)
+        def counting(lo, hi, a):
+            cells.append(np.broadcast(lo, hi).size)
+            return real(lo, hi, a)
 
-        monkeypatch.setattr(nystrom, "_kernel_raw", counting)
-        monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)  # 6 row blocks, 7 rows each
-        m = 40
-        discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(m))
-        # the upper triangle, the column K(x, 1) and K(1, 1)
-        assert sum(points) <= m * (m + 1) // 2 + m + 1
+        monkeypatch.setattr(nystrom, "_kernel_sorted", counting)
+        monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)
+        # m = 40: five blocks of 7 rows and one of 5; m = 43: blocks of 6
+        # rows, whose lone last row folds into a block of 7
+        for m, want in ((40, 861), (43, 990)):
+            cells.clear()
+            discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(m))
+            # the upper triangle, the column K(x, 1) and K(1, 1), each once
+            assert sum(cells) == m * (m + 1) // 2 + m + 1 == want
 
 
 class TestNystromMatrix:
@@ -233,10 +237,18 @@ class TestNystromMatrix:
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bitwise_symmetric_ragged_last_block(self, order075, kind, monkeypatch):
-        # 5 blocks of 7 rows, and a last diagonal square of 5
+        # m = 40: 5 blocks of 7 rows, and a last diagonal square of 5; m = 43:
+        # 6 blocks of 6 rows, the lone 43rd row folded into a last square of 7
         monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)
-        B = nystrom._nystrom_matrix(KernelSpec(order075, kind), build_grid(40))
-        assert np.array_equal(B, B.T)
+        for m in (40, 43):
+            grid = build_grid(m)
+            B = nystrom._nystrom_matrix(KernelSpec(order075, kind), grid)
+            assert np.array_equal(B, B.T)
+            x, sw = grid.nodes, np.sqrt(grid.weights)
+            X, Y = np.meshgrid(x, x, indexing="ij")
+            want = _kernel_of_kind(X, Y, 0.75, kind) * (sw[:, None] * sw[None, :])
+            off = ~np.eye(m, dtype=bool)
+            assert np.array_equal(B[off], want[off]), m
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("m", [2, 40, 400])
@@ -299,16 +311,12 @@ class TestRowIntegral:
             want = float(
                 mp.quad(lambda y: _kernel_oracle(x, float(y), a), [0, x, 1])
             )
-            from fracspec.nystrom import _row_integral_rl
-
-            got = float(_row_integral_rl(np.array([x]), a)[0])
+            got = float(nystrom._row_integral(np.array([x]), a)[0])
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_rl_alpha_one(self):
-        from fracspec.nystrom import _row_integral_rl
-
         x = np.linspace(0.1, 1.0, 5)
-        assert np.allclose(_row_integral_rl(x, 1.0), x - x**2 / 2, atol=1e-13)
+        assert np.allclose(nystrom._row_integral(x, 1.0), x - x**2 / 2, atol=1e-13)
 
     def test_bridge_alpha_one(self):
         from fracspec.nystrom import _kernel_raw, _row_integral
@@ -365,7 +373,7 @@ class TestSpecialFunctions:
         )
         with mp.workdps(40):
             want = np.array([_mp_row_integral(v, a) for v in x])
-        assert np.max(np.abs(nystrom._row_integral_rl(x, a) / want - 1)) < tol
+        assert np.max(np.abs(nystrom._row_integral(x, a) / want - 1)) < tol
 
     @pytest.mark.parametrize("s", [1.001, 1.2, 1.5, 1.75, 2.0])
     def test_hurwitz_zeta(self, s):
@@ -393,6 +401,22 @@ class TestGrid:
     def test_bad_m(self):
         with pytest.raises(DomainError):
             build_grid(1)
+
+    def test_m_is_the_node_count(self):
+        g = build_grid(5)
+        assert g.m == 5
+        with pytest.raises(TypeError):  # no longer a field that could disagree
+            NystromGrid(nodes=g.nodes, weights=g.weights, m=7)
+
+    @pytest.mark.parametrize("nodes, weights", [
+        (np.arange(1, 6) / 6, np.full(4, 0.25)),
+        (np.arange(1, 6) / 6, np.full(6, 1 / 6)),
+        (np.arange(1, 5).reshape(2, 2) / 5, np.full((2, 2), 0.25)),
+        ([0.25, 0.75], [0.5, 0.5]),
+    ], ids=["fewer-weights", "more-weights", "2-d", "lists"])
+    def test_rejects_mismatched_nodes_and_weights(self, nodes, weights):
+        with pytest.raises(DomainError, match="1-d arrays of one length"):
+            NystromGrid(nodes=nodes, weights=weights)
 
 
 class TestSolve:
@@ -588,6 +612,20 @@ class TestPartialSolve:
         with pytest.raises(DomainError):
             discretize_and_solve(spec, build_grid(20), n_modes=n_modes)
 
+    @pytest.mark.parametrize("n_modes", [2.5, 3.0, 30.0])
+    def test_non_integer_n_modes(self, order075, n_modes):
+        # at m = 60, 2.5 and 3.0 ask for the Lanczos route, 30.0 for the dense one
+        spec = KernelSpec(order075, KernelKind.RL)
+        with pytest.raises(DomainError, match="an integer"):
+            discretize_and_solve(spec, build_grid(60), n_modes=n_modes)
+
+    def test_numpy_integer_n_modes(self, order075):
+        spec = KernelSpec(order075, KernelKind.RL)
+        one = discretize_and_solve(spec, build_grid(60), n_modes=np.int64(3))
+        two = discretize_and_solve(spec, build_grid(60), n_modes=3)
+        assert np.array_equal(one.mu, two.mu)
+        assert np.array_equal(one.vectors, two.vectors)
+
 
 class TestEigenfunctionAt:
     def test_reproduces_node_values(self, bridge400):
@@ -640,6 +678,16 @@ class TestEigenfunctionAt:
             eigenfunction_at(bridge400, 0, 0.5)
         with pytest.raises(DomainError):
             eigenfunction_at(bridge400, 10**6, 0.5)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2"])
+    def test_k_must_be_an_integer(self, bridge400, k):
+        with pytest.raises(DomainError, match="an integer"):
+            eigenfunction_at(bridge400, k, 0.5)
+
+    def test_numpy_integer_k(self, bridge400):
+        assert eigenfunction_at(bridge400, np.int64(3), 0.3) == eigenfunction_at(
+            bridge400, 3, 0.3
+        )
 
 
 class TestMercer:
