@@ -32,7 +32,6 @@ from .integro import (
     RefinedRoot,
     SecularValue,
     analytic_extend,
-    dump_integro_csv,
     reconstruct_f_exact,
     refine_rho,
     refine_roots,
@@ -89,7 +88,6 @@ __all__ = [
     "build_grid",
     "caputo_endpoint_value",
     "discretize_and_solve",
-    "dump_integro_csv",
     "eigenfunction_asymptotic",
     "eigenfunction_at",
     "g0",

@@ -32,6 +32,7 @@ from .phase import (
     _check_positive,
     _check_unit,
     _row_blocks,
+    _shaped,
 )
 from .quadrature import half_line_grid
 
@@ -114,15 +115,15 @@ def _layer_densities(t, table: PhaseTable, k0, k1):
 
 
 def _upsilons(t, table: PhaseTable):
-    """Upsilon0(t) and Upsilon1(t) from one _layer_densities call: floats
-    for a scalar t, else arrays."""
+    """Upsilon0(t) and Upsilon1(t) from one _layer_densities call, each in
+    the shape of t (_shaped)."""
     a = table.alpha
-    tt = np.atleast_1d(_check_positive(t))
+    tt = _check_positive(t)
     b = b_alpha(table.order)
     c = np.sqrt(2 * a) / np.pi
     k1 = c * (tt**a * (b - tt) / np.sqrt(b * b + 1.0))
     u0, u1 = _layer_densities(tt, table, c, k1)
-    return (float(u0[0]), float(u1[0])) if np.isscalar(t) else (u0, u1)
+    return _shaped(u0, t), _shaped(u1, t)
 
 
 def upsilon0(t, table: PhaseTable):
@@ -181,8 +182,7 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     u0, u1 = _upsilons(t, table)
     xx = _check_unit(x)
     d, u = (xx, u0) if which is Layer.AT_ZERO else (1.0 - xx, u1)
-    val = _laplace_sum(d, rho, t, w * u)
-    return float(val[0]) if np.isscalar(x) else val
+    return _shaped(_laplace_sum(d, rho, t, w * u), x)
 
 
 def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
@@ -209,4 +209,4 @@ def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
         u0, u1 = _upsilons(t, table)  # one X_c0 sweep for both layers
         val = val + _laplace_sum(xx, rho, t, w * u0)
         val = val + (-1.0) ** n * _laplace_sum(1.0 - xx, rho, t, w * u1)
-    return float(val[0]) if np.isscalar(x) else val
+    return _shaped(val, x)

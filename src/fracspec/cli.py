@@ -9,12 +9,12 @@ before the command line's own, so argparse checks file values exactly as
 flags, and the command line wins.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
-failure. Output files are deterministic for a fixed configuration: floats
-%.12e, comma-separated, LF endings. The per-n root refinements of one
-spectrum run share one PhaseTable and one g0 sample (refine_roots); each
-command creates its output directory before it computes anything, and
-writes its files once, at the end, each through a temporary file that then
-replaces the target.
+failure. Output files, all formatted here, are deterministic for a fixed
+configuration: floats %.12e, comma-separated, LF endings. The per-n root
+refinements of one spectrum run share one PhaseTable and one g0 sample
+(refine_roots); each command creates its output directory before it
+computes anything, and writes its files once, at the end, each through a
+temporary file that then replaces the target.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import os
 import sys
 
@@ -33,11 +32,10 @@ from .asymptotics import (
     eigenfunction_asymptotic,
     lambda_asymptotic,
     lambda_two_term,
+    rho_asymptotic,
 )
 from .errors import FracspecError
-from .integro import (
-    PhaseTable, dump_integro_csv, reconstruct_f_exact, refine_rho, refine_roots
-)
+from .integro import PhaseTable, reconstruct_f_exact, refine_rho, refine_roots
 from .nystrom import (
     KernelKind,
     KernelSpec,
@@ -182,6 +180,16 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.12e}"
 
 
+def _integro_csv(roots) -> str:
+    """integro.csv; rho_asym2 is the two-term asymptote at each root's order."""
+    lines = ["n,rho_refined,rho_asym2,condition_residual,iterations"]
+    for rt in roots:
+        r2 = rho_asymptotic(rt.n, rt.order, Order.SECOND)
+        lines.append(f"{rt.n},{_fmt(rt.rho)},{_fmt(r2)},"
+                     f"{_fmt(rt.condition_residual)},{rt.iterations}")
+    return "\n".join(lines) + "\n"
+
+
 # -- spectrum --------------------------------------------------------------
 
 
@@ -236,11 +244,7 @@ def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
         )
     spectrum_csv = "\n".join(lines) + "\n"
 
-    integro_csv = None
-    if "integro" in methods:
-        buf = io.StringIO()
-        dump_integro_csv(refined, buf)
-        integro_csv = buf.getvalue()
+    integro_csv = _integro_csv(refined) if "integro" in methods else None
     return spectrum_csv, integro_csv, failures
 
 
@@ -297,7 +301,7 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
     f_layers = eigenfunction_asymptotic(n, x, order, table)
     if exact:
         root = refine_rho(n, table)
-        f_exact = reconstruct_f_exact(x, root.rho, table, root.value)
+        f_exact = reconstruct_f_exact(x, root.value, table)
 
     header = "x,f_nystrom,f_asym_nolayers,f_asym_layers" + (",f_exact" if exact else "")
     cols = [x, f_ny, f_nolayers, f_layers] + ([f_exact] if exact else [])

@@ -35,10 +35,10 @@ view, so no per-rho matrix is built. The PQRSolution carries the kernel
 data (g0, the weights times e^{-rho t} and X_c0(i)), so secular and
 reconstruct_f_exact sample nothing again. refine_rho takes alpha from its
 PhaseTable and evaluates each rho once; a root typically takes six or
-seven evaluations.
+seven evaluations, and its RefinedRoot keeps the root's value.
 
-reconstruct_f_exact rebuilds the eigenfunction itself from the same
-solution: one oscillatory residue term plus two boundary-layer integrals
+reconstruct_f_exact rebuilds the eigenfunction from one secular value, with
+no solve: one oscillatory residue term plus two boundary-layer integrals
 over the half line, normalized to unit L2 norm on (0,1). Its layer densities
 and blocked Laplace sum are asymptotics', as for the layered asymptote.
 """
@@ -61,6 +61,7 @@ from .phase import (
     PhaseTable,
     _check_unit,
     _first_quarter_sign,
+    _shaped,
     b_alpha,
     g0,
     xc0,
@@ -77,7 +78,6 @@ __all__ = [
     "refine_rho",
     "refine_roots",
     "reconstruct_f_exact",
-    "dump_integro_csv",
 ]
 
 _T_OVER_RHO = 40.0  # truncation: e^{-rho tau} < 5e-18 past tau = 40/rho
@@ -347,8 +347,6 @@ def _bracket(n: int, table: PhaseTable):
         raise DomainError(
             "refinement requires alpha in (1/2, 1); alpha = 1 has exact roots"
         )
-    if n < 1:
-        raise DomainError("n must be >= 1")
     rho0 = rho_asymptotic(n, table.order, Order.SECOND)
     return rho0, max(rho0 - np.pi / 2.0, 1e-3), rho0 + np.pi / 2.0
 
@@ -371,23 +369,16 @@ def refine_rho(n: int, table: PhaseTable, *, _samples=None) -> RefinedRoot:
     """
     rho0, lo, hi = _bracket(n, table)
     samples = _samples or _sample_octaves(lo, hi, table)  # sliced by every rho
-    # the bracket search visits each node from two intervals, _brentq
-    # re-evaluates the bracket ends, and the root it returns is its best
-    # iterate, in practice the rho of smallest |condition| seen. Each rho is
-    # evaluated once; only that best value keeps its solution, so memory
-    # stays flat. Any other root is re-solved.
-    normalized = {}
-    best = None
+    # the bracket search visits each node from two intervals and _brentq
+    # re-evaluates the bracket ends: each rho is evaluated once and its value
+    # kept, and the root, one of _brentq's iterates, reads its value back
+    seen = {}
 
     def fn(r):
-        nonlocal best
         key = float(r)
-        if key not in normalized:
-            sv = secular(key, table, _samples=samples)
-            normalized[key] = sv.normalized
-            if best is None or abs(sv.normalized) < abs(best.normalized):
-                best = sv
-        return normalized[key]
+        if key not in seen:
+            seen[key] = secular(key, table, _samples=samples)
+        return seen[key].normalized
 
     rs = np.linspace(lo, hi, _SCAN_POINTS)
     mids = 0.5 * (rs[:-1] + rs[1:])
@@ -401,11 +392,8 @@ def refine_rho(n: int, table: PhaseTable, *, _samples=None) -> RefinedRoot:
             f" for n={n}, alpha={table.alpha:g} ({_SCAN_POINTS} samples)"
         )
     root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
-    sv = best if best.rho == root else secular(root, table, _samples=samples)
-    rt = RefinedRoot(
-        n=n, rho=float(root), value=sv, bracket=(float(lo), float(hi)),
-        order=table.order,
-    )
+    rt = RefinedRoot(n=n, rho=root, value=seen[root], bracket=(float(lo), float(hi)),
+                     order=table.order)
     if rt.condition_residual >= 1e-10:
         raise AccuracyError(
             f"root at rho={root:.12g} fails the residual contract:"
@@ -438,16 +426,14 @@ def refine_roots(ns, table: PhaseTable):
     return roots, failures
 
 
-def reconstruct_f_exact(
-    x, rho: float, table: PhaseTable, value: SecularValue | None = None
-):
+def reconstruct_f_exact(x, value: SecularValue, table: PhaseTable):
     """Eigenfunction values at x from the integral representation.
 
-    Intended for rho already refined by refine_rho; at non-eigenvalue rho
-    the formula still evaluates but satisfies no boundary condition. The
-    result has unit L2 norm on (0,1) and is positive on its first
-    quarter-oscillation. The secular value already computed at this rho
-    (RefinedRoot.value) can be passed to skip the solve.
+    The eigenfunction at rho = value.rho, from value's solution with no
+    solve: at a root value is RefinedRoot.value, elsewhere secular(rho,
+    table), where the formula evaluates but satisfies no boundary condition.
+    The result has unit L2 norm on (0,1) and is positive on its first
+    quarter-oscillation.
 
     One oscillatory term (the residue at the poles +-i rho) plus two real
     half-line integrals carrying the boundary layers at 1 and at 0. The
@@ -458,14 +444,10 @@ def reconstruct_f_exact(
     Psi = p + c1 rho^a (rho b q - rho r). Psi0 enters the residue and the
     layer at 0, Psi1 the layer at 1; both layers carry a factor rho^-a.
     """
-    a = table.alpha
+    a, rho = table.alpha, value.rho
     xx = _check_unit(x)
-
-    if value is not None and value.rho != float(rho):
-        raise DomainError("supplied value was computed at a different rho")
-    sv = value if value is not None else secular(rho, table)
-    sol = sv.solution
-    c1 = float(-np.real(sv.xi / sv.eta))
+    sol = value.solution
+    c1 = float(-np.real(value.xi / value.eta))
     bal = b_alpha(table.order)
     crho = c1 * rho**a * rho  # Psi = p + crho (b q - r)
 
@@ -502,18 +484,5 @@ def reconstruct_f_exact(
     if nrm == 0.0:
         raise AccuracyError("reconstructed eigenfunction vanished identically")
     out = _first_quarter_sign(xn, wn, fn, rho) * values(xx) / nrm
-    return float(out[0]) if np.isscalar(x) else out
+    return _shaped(out, x)
 
-
-def dump_integro_csv(roots, fh) -> None:
-    """Write `n,rho_refined,rho_asym2,condition_residual,iterations` rows.
-
-    rho_asym2 is the two-term asymptote at each root's own order.
-    """
-    fh.write("n,rho_refined,rho_asym2,condition_residual,iterations\n")
-    for rt in roots:
-        r2 = rho_asymptotic(rt.n, rt.order, Order.SECOND)
-        fh.write(
-            f"{rt.n},{rt.rho:.12e},{r2:.12e},"
-            f"{rt.condition_residual:.12e},{rt.iterations}\n"
-        )

@@ -65,7 +65,9 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import ConvergenceError, DomainError
-from .phase import FractionalOrder, Variant, _check_unit, _first_quarter_sign, _row_blocks
+from .phase import (
+    FractionalOrder, Variant, _check_unit, _first_quarter_sign, _row_blocks, _shaped
+)
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
 __all__ = [
@@ -298,8 +300,6 @@ class NystromGrid:
 def build_grid(m: int) -> NystromGrid:
     """The m-point Gauss-Legendre rule on (0,1), as writable copies of the
     cached rule (see ``quadrature``: Newton on the Legendre recurrence, O(m^2))."""
-    if m < 2:
-        raise DomainError("grid needs m >= 2")
     x, w = gauss_legendre_01(m)
     return NystromGrid(nodes=x.copy(), weights=w.copy())
 
@@ -499,8 +499,7 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
         if kx1 is not None:
             Kxy = Kxy - _bridge_term(kx1[i:j, None], kg1[None, :], k11)
         num[i:j], Q[i:j] = Kxy @ wf, Kxy @ w
-    val = num / (spectrum.mu[k - 1] - S + Q)
-    return float(val[0]) if np.isscalar(x) else val
+    return _shaped(num / (spectrum.mu[k - 1] - S + Q), x)
 
 
 def caputo_endpoint_value(alpha, n: int, m: int) -> float:

@@ -12,9 +12,9 @@ Everything is scale-free: the frequency rho never enters any function here,
 and the signatures enforce that structurally.
 
 A PhaseTable bundles the quadrature data for one alpha. It holds no state
-that evaluations change, so threads can share one table. xc0, pv_weight and
-g0 each evaluate through one vectorized path; a scalar argument is
-evaluated as a one-element array and unwrapped at the end.
+that evaluations change, so threads can share one table. Each evaluator
+sweeps its points flattened to 1-d in one vectorized path and returns the
+values in their shape (_shaped), xc0 a complex for a scalar.
 """
 
 from __future__ import annotations
@@ -82,18 +82,25 @@ def _as_order(alpha) -> FractionalOrder:
 
 
 def _check_positive(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(~(t > 0.0)):  # NaN is not positive either
+    tt = np.asarray(t, dtype=float)
+    tt = tt if tt.ndim == 1 else tt.reshape(-1)  # as in _check_unit
+    if np.any(~(tt > 0.0)):  # NaN is not positive either
         raise DomainError("t must be positive")
-    return t
+    return tt
 
 
 def _check_unit(x):
-    """x as a 1-d float array, which must lie in [0, 1]; NaN does not."""
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    """x flattened to a 1-d float array, which must lie in [0, 1]; NaN does not."""
+    xx = np.asarray(x, dtype=float)
+    xx = xx if xx.ndim == 1 else xx.reshape(-1)  # no new view of a 1-d x
     if np.any(~((xx >= 0) & (xx <= 1))):
         raise DomainError("x must lie in [0, 1]")
     return xx
+
+
+def _shaped(val, x):
+    """val, computed on x flattened, in the shape of x; a float for 0-d x."""
+    return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
 
 
 def _row_blocks(n: int, rows: int = _ROWS):
@@ -134,7 +141,7 @@ def theta0(t, alpha):
     a = order.alpha
     tt = _check_positive(t)
     val = -np.arctan(np.sin(a * np.pi) / (tt ** (2 * a) - np.cos(a * np.pi)))
-    return float(val) if np.isscalar(t) else val
+    return _shaped(val, t)
 
 
 def gamma0(t, alpha):
@@ -142,7 +149,7 @@ def gamma0(t, alpha):
     a = _as_order(alpha).alpha
     tt = _check_positive(t)
     val = np.sqrt(tt ** (2 * a) - 2.0 * np.cos(a * np.pi) + tt ** (-2 * a))
-    return float(val) if np.isscalar(t) else val
+    return _shaped(val, t)
 
 
 def b_alpha(alpha) -> float:
@@ -200,13 +207,11 @@ class PhaseTable:
     # -- Cauchy transform ------------------------------------------------
 
     def _cauchy(self, z):
-        """(1/pi) int theta0(t)/(t - z) dt and its nesting error estimate."""
-        z = np.asarray(z)
-        zf = z.reshape(-1)
-        fine = np.empty(zf.shape, dtype=np.result_type(zf, self._t1))
+        """(1/pi) int theta0(t)/(t - z) dt and its nesting error, on 1-d z."""
+        fine = np.empty(z.shape, dtype=np.result_type(z, self._t1))
         coarse = np.empty_like(fine)
-        for i, j in _row_blocks(zf.size):
-            zz = zf[i:j, None]
+        for i, j in _row_blocks(z.size):
+            zz = z[i:j, None]
             q1 = self._coef1 / (self._t1 - zz)
             q2 = self._coef2 / (1.0 - self._x * zz)
             fine[i:j] = (q1.sum(axis=-1) + q2.sum(axis=-1)) / np.pi
@@ -214,7 +219,7 @@ class PhaseTable:
                 2.0 * q1[:, self._even].sum(axis=-1)
                 + 2.0 * q2[:, self._even].sum(axis=-1)
             ) / np.pi
-        return fine.reshape(z.shape), np.abs(fine - coarse).reshape(z.shape)
+        return fine, np.abs(fine - coarse)
 
     def _pv_exponent(self, t):
         """Exponent of the PV weight, with singularity subtraction.
@@ -222,9 +227,9 @@ class PhaseTable:
         The PV integral (2t/pi) int theta0(tau)/(tau^2 - t^2) dtau is mapped
         by tau = t*sigma^{+-1} onto (0,1); subtracting theta0(t) removes the
         singularity and the difference of phases is evaluated through one
-        atan of a stable quotient. t is swept in row blocks, as in _cauchy.
+        atan of a stable quotient. t, a 1-d array, is swept in row blocks,
+        as in _cauchy.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         a = self.alpha
         c = np.cos(a * np.pi)
         s2 = np.sin(a * np.pi)
@@ -267,26 +272,24 @@ def xc0(z, table: PhaseTable):
     it on the imaginary axis below |z| = 9.9e-6 and near the cut (at
     arg z = pi/4 below |z| = 1e-2).
     """
-    scalar = np.isscalar(z)
-    zz = np.asarray([complex(z)]) if scalar else np.asarray(z)
+    scalar = np.ndim(z) == 0
+    zz = np.asarray([complex(z)]) if scalar else np.asarray(z).reshape(-1)
     if np.any((zz.imag == 0.0) & (zz.real >= 0.0)):
         raise DomainError("xc0 is undefined on the cut [0, inf)")
     val, err = table._cauchy(zz)
     _check_tol(err, table, "xc0")
     out = np.exp(val)
     if not scalar:
-        return out
+        return out.reshape(np.shape(z))
     out = complex(out[0])
     return complex(out.real, 0.0) if out.imag == 0.0 else out
 
 
 def pv_weight(t, table: PhaseTable):
     """exp(-(2t/pi) PV int theta0(tau)/(tau^2 - t^2) dtau), for t > 0."""
-    tt = _check_positive(t)
-    expo, err = table._pv_exponent(tt)
+    expo, err = table._pv_exponent(_check_positive(t))
     _check_tol(err, table, "pv")
-    w = np.exp(expo)
-    return float(w[0]) if np.isscalar(t) else w
+    return _shaped(np.exp(expo), t)
 
 
 def g0(t, table: PhaseTable):
@@ -295,6 +298,6 @@ def g0(t, table: PhaseTable):
     One sweep of the PV weight, the costly part, per call.
     """
     a = table.alpha
-    tt = np.atleast_1d(_check_positive(t))
+    tt = _check_positive(t)
     g = tt**a * np.sin(theta0(tt, table.order)) * pv_weight(tt, table)
-    return float(g[0]) if np.isscalar(t) else g
+    return _shaped(g, t)

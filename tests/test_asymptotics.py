@@ -245,7 +245,9 @@ def test_eigenfunctions_reject_x_outside_unit_interval(evaluate, x, table075):
         "eigenfunction_asymptotic": lambda x: fs.eigenfunction_asymptotic(
             3, x, table075.order, table075
         ),
-        "reconstruct_f_exact": lambda x: fs.reconstruct_f_exact(x, 10.0, table075),
+        "reconstruct_f_exact": lambda x: fs.reconstruct_f_exact(
+            x, fs.secular(10.0, table075), table075
+        ),
     }[evaluate]
     for arg in (x, np.array([0.5, x])):
         with pytest.raises(DomainError, match=r"x must lie in \[0, 1\]"):

@@ -172,6 +172,23 @@ def test_check_flags_a_stepped_loop():
     assert _stepped_loops({"m.py": mod}) == ["m.py: None", "m.py: f", "m.py: h"]
 
 
+def _formats_outside_the_cli(texts: dict[str, str]) -> list[str]:
+    """Modules other than cli.py whose text holds the CSV float format."""
+    return sorted(name for name, text in texts.items()
+                  if name != "cli.py" and ".12e" in text)
+
+
+def test_output_formats_live_in_the_cli():
+    # every output file is formatted by cli; a .12e elsewhere is a second
+    # place that the byte format of an output is kept
+    assert _formats_outside_the_cli({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_check_flags_a_format_outside_the_cli():
+    texts = {"cli.py": 'f"{v:.12e}"', "m.py": 'f"{v:.12e}"', "n.py": 'f"{v:.12g}"'}
+    assert _formats_outside_the_cli(texts) == ["m.py"]
+
+
 def test_import_loads_no_scipy():
     # the package needs numpy alone; importing any scipy subpackage loads
     # scipy._lib._array_api, which pulls in numpy.f2py, numpy.testing,

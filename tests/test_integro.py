@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import fracspec as fs
-from fracspec import asymptotics, integro
+from fracspec import asymptotics, cli, integro
 from fracspec.asymptotics import Order
 from fracspec.errors import BracketError, ConvergenceError, DomainError
 from fracspec.integro import (
@@ -346,7 +346,7 @@ class TestRefine:
             calls.clear()
             root = refine_rho(n, table075)
             assert calls == [1j]
-            reconstruct_f_exact(0.5, root.rho, table075, root.value)
+            reconstruct_f_exact(0.5, root.value, table075)
             # the layers' array of points only, no second X_c0(i)
             assert len(calls) == 2 and not np.isscalar(calls[1])
 
@@ -364,20 +364,25 @@ class TestRefine:
         ]
         assert gaps[-1] < gaps[0]
 
-    def test_each_rho_evaluated_once(self, table075, monkeypatch):
-        # the scan's bracket ends and _brentq's last iterate are reused
-        seen = []
+    def test_each_rho_evaluated_once(self, monkeypatch):
+        # the scan's nodes and _brentq's iterates are each solved once, and
+        # the root carries the very value secular returned at it
+        seen = {}
         original = secular
 
         def spy(rho, table, **kw):
-            seen.append(float(rho))
-            return original(rho, table, **kw)
+            assert float(rho) not in seen
+            seen[float(rho)] = original(rho, table, **kw)
+            return seen[float(rho)]
 
         monkeypatch.setattr("fracspec.integro.secular", spy)
-        root = refine_rho(3, table075)
-        assert len(seen) == len(set(seen))
-        assert root.rho in seen
-        assert root.value.rho == root.rho
+        for alpha in (0.6, 0.9):
+            table = fs.PhaseTable(alpha)
+            for n in (1, 3, 10, 20):
+                seen.clear()
+                root = refine_rho(n, table)
+                assert root.value is seen[root.rho], (alpha, n)
+                assert root.value.rho == root.rho
 
     @staticmethod
     def _scan_nodes(n, order):
@@ -655,9 +660,9 @@ class TestCrossSolver:
 
 class TestReconstruct:
     def test_matches_nystrom_eigenfunction(self, roots075, bridge2000, table075):
-        rho = roots075[10].rho
+        sv = secular(roots075[10].rho, table075)
         x = np.linspace(0.0, 1.0, 201)
-        f = reconstruct_f_exact(x, rho, table075)
+        f = reconstruct_f_exact(x, sv, table075)
         g = eigenfunction_at(bridge2000, 10, x)
         if np.sign(f[5]) != np.sign(g[5]):
             g = -g
@@ -666,8 +671,8 @@ class TestReconstruct:
         assert np.max(np.abs(f - g)) < 1e-5
 
     def test_endpoint_values_small(self, roots075, table075):
-        rho = roots075[10].rho
-        ends = reconstruct_f_exact(np.array([0.0, 1.0]), rho, table075)
+        sv = secular(roots075[10].rho, table075)
+        ends = reconstruct_f_exact(np.array([0.0, 1.0]), sv, table075)
         # measured |f(0)| = 3.9e-10 and |f(1)| = 5.0e-7; f(1) is the part of
         # the layer integral at 1 cut off past tau = 1e12, of order
         # 1e12^(1-2a), and does not shrink with n
@@ -676,9 +681,9 @@ class TestReconstruct:
     def test_unit_l2(self, roots075, table075):
         from fracspec.quadrature import gauss_legendre_01
 
-        rho = roots075[10].rho
+        sv = secular(roots075[10].rho, table075)
         x, w = gauss_legendre_01(400)
-        f = reconstruct_f_exact(x, rho, table075)
+        f = reconstruct_f_exact(x, sv, table075)
         assert w @ f**2 == pytest.approx(1.0, abs=1e-6)
 
     def test_high_alpha_agreement(self):
@@ -690,25 +695,25 @@ class TestReconstruct:
             KernelSpec(order, KernelKind.BRIDGE), build_grid(1200), n_modes=8
         )
         x = np.linspace(0.0, 1.0, 201)
-        f = reconstruct_f_exact(x, root.rho, table)
+        f = reconstruct_f_exact(x, secular(root.rho, table), table)
         g = eigenfunction_at(spectrum, 8, x)
         if np.sign(f[5]) != np.sign(g[5]):
             g = -g
         assert np.max(np.abs(f - g)) < 5e-6
 
     def test_value_skips_the_solve(self, roots075, table075, monkeypatch):
+        # the root's value, sliced from refine_roots' shared sample, gives
+        # the bits of a standalone secular value at the same rho
         root = roots075[10]
         x = np.linspace(0.0, 1.0, 101)
-        want = reconstruct_f_exact(x, root.rho, table075)
-        calls = []
+        want = reconstruct_f_exact(x, secular(root.rho, table075), table075)
 
-        def counting(rho, table):
-            calls.append(rho)
-            return solve_pqr(rho, table)
+        def forbidden(*args, **kw):
+            raise AssertionError("reconstruct_f_exact solved again")
 
-        monkeypatch.setattr("fracspec.integro.solve_pqr", counting)
-        got = reconstruct_f_exact(x, root.rho, table075, root.value)
-        assert calls == []
+        monkeypatch.setattr("fracspec.integro.solve_pqr", forbidden)
+        monkeypatch.setattr("fracspec.integro.secular", forbidden)
+        got = reconstruct_f_exact(x, root.value, table075)
         assert np.array_equal(got, want)
 
     def test_blocks_agree_with_the_whole_grid(self, roots075, table075, monkeypatch):
@@ -717,10 +722,10 @@ class TestReconstruct:
         root = roots075[10]
         for n in (1, 31, 32, 33, 501):
             x = (np.arange(n) + 0.5) / n
-            got = reconstruct_f_exact(x, root.rho, table075, root.value)
+            got = reconstruct_f_exact(x, root.value, table075)
             with monkeypatch.context() as m:
                 m.setattr(asymptotics, "_row_blocks", lambda size: [(0, size)])
-                want = reconstruct_f_exact(x, root.rho, table075, root.value)
+                want = reconstruct_f_exact(x, root.value, table075)
             assert np.max(np.abs(got - want)) <= 1e-15, n
 
     def test_no_points_by_nodes_temporary(self, roots075, table075, traced_peak):
@@ -729,30 +734,20 @@ class TestReconstruct:
         # chained temporaries, 8.3 MiB with whole (points x 713) layer arrays
         root = roots075[10]
         x = np.linspace(0.0, 1.0, 501)
-        peak = traced_peak(reconstruct_f_exact, x, root.rho, table075, root.value)[1]
+        peak = traced_peak(reconstruct_f_exact, x, root.value, table075)[1]
         assert peak < 2 * 2**20
-
-    def test_value_at_other_rho_rejected(self, roots075, table075):
-        root = roots075[10]
-        with pytest.raises(DomainError):
-            reconstruct_f_exact(np.array([0.5]), root.rho + 1e-3, table075, root.value)
 
     def test_domain_check(self, roots075, table075):
         with pytest.raises(DomainError):
-            reconstruct_f_exact(np.array([-0.1, 0.5]), roots075[10].rho, table075)
+            reconstruct_f_exact(np.array([-0.1, 0.5]), roots075[10].value, table075)
         with pytest.raises(DomainError):
-            reconstruct_f_exact(np.array([0.5, 1.2]), roots075[10].rho, table075)
+            reconstruct_f_exact(np.array([0.5, 1.2]), roots075[10].value, table075)
 
 
 def test_dump_integro_csv(roots075, order075):
-    import io
-
-    from fracspec.integro import dump_integro_csv
-
-    buf = io.StringIO()
+    # integro.csv is written by the CLI, with every other output format
     roots = [roots075[n] for n in sorted(roots075)]
-    dump_integro_csv(roots, buf)
-    lines = buf.getvalue().split("\n")
+    lines = cli._integro_csv(roots).split("\n")
     assert lines[0] == "n,rho_refined,rho_asym2,condition_residual,iterations"
     assert len(lines) == 2 + len(roots)
     first = lines[1].split(",")
@@ -763,13 +758,7 @@ def test_dump_integro_csv(roots075, order075):
 
 def test_dump_integro_csv_uses_each_roots_order():
     # the asymptote printed next to a root is the one at the root's own order
-    import io
-
-    from fracspec.integro import dump_integro_csv
-
     root = refine_rho(5, fs.PhaseTable(0.6))
     assert root.order == fs.FractionalOrder(0.6)
-    buf = io.StringIO()
-    dump_integro_csv([root], buf)
-    row = buf.getvalue().split("\n")[1].split(",")
+    row = cli._integro_csv([root]).split("\n")[1].split(",")
     assert row[2] == "1.466076571675e+01"

@@ -402,6 +402,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             build_grid(1)
 
+    @pytest.mark.parametrize("m", [7.9, 2.5, 2.0, 0])
+    def test_non_integral_or_empty_m(self, m):
+        # build_grid(7.9) once gave 7 nodes and build_grid(2.5) two
+        with pytest.raises(DomainError, match="integer >= 1"):
+            build_grid(m)
+
     def test_m_is_the_node_count(self):
         g = build_grid(5)
         assert g.m == 5

@@ -341,6 +341,45 @@ class TestSinglePath:
             for f in (fs.pv_weight, fs.g0):
                 assert f(t, table) == f(np.array([t]), table)[0], (f.__name__, t)
 
+    @pytest.mark.parametrize("name", [
+        "theta0", "gamma0", "pv_weight", "g0", "xc0", "upsilon0", "upsilon1",
+        "boundary_layer", "eigenfunction_at", "eigenfunction_asymptotic",
+        "layered_asymptote", "reconstruct_f_exact",
+    ])
+    def test_points_keep_their_shape(self, name, table075):
+        # a 2-d array of points gives the 1-d values reshaped, a 0-d array
+        # the one-element array's value as a float (xc0: as a complex)
+        tb = table075
+        t = np.array([[0.5, 2.0], [3.0, 0.1]])
+        x = np.array([[0.1, 0.4], [0.7, 1.0]])
+        spectrum = fs.discretize_and_solve(
+            fs.KernelSpec(tb.order, fs.KernelKind.BRIDGE), fs.build_grid(20), n_modes=2
+        )
+        f, pts = {
+            "theta0": (lambda p: fs.theta0(p, tb.order), t),
+            "gamma0": (lambda p: fs.gamma0(p, tb.order), t),
+            "pv_weight": (lambda p: fs.pv_weight(p, tb), t),
+            "g0": (lambda p: fs.g0(p, tb), t),
+            "xc0": (lambda p: fs.xc0(p, tb), t * (-1.0 + 1.0j)),
+            "upsilon0": (lambda p: fs.upsilon0(p, tb), t),
+            "upsilon1": (lambda p: fs.upsilon1(p, tb), t),
+            "boundary_layer": (
+                lambda p: fs.boundary_layer(p, 10.0, fs.Layer.AT_ONE, tb), x),
+            "eigenfunction_at": (lambda p: fs.eigenfunction_at(spectrum, 2, p), x),
+            "eigenfunction_asymptotic": (
+                lambda p: fs.eigenfunction_asymptotic(3, p, tb.order), x),
+            "layered_asymptote": (
+                lambda p: fs.eigenfunction_asymptotic(3, p, tb.order, tb), x),
+            "reconstruct_f_exact": (
+                lambda p: fs.reconstruct_f_exact(p, fs.secular(28.0, tb), tb), x),
+        }[name]
+        got = f(pts)
+        assert got.shape == pts.shape
+        assert np.array_equal(got, f(pts.ravel()).reshape(pts.shape))
+        one = f(np.asarray(pts[1, 0]))
+        assert type(one) is (complex if name == "xc0" else float)
+        assert one == f(pts[1:, :1].ravel())[0]
+
     def test_table_unchanged_by_evaluation(self):
         table = fs.PhaseTable(fs.FractionalOrder(0.75))
         before = {
@@ -349,7 +388,7 @@ class TestSinglePath:
         x = np.linspace(0.0, 1.0, 11)
         sv = fs.secular(28.0, table)
         fs.eigenfunction_asymptotic(9, x, table.order, table=table)
-        fs.reconstruct_f_exact(x, 28.0, table, sv)
+        fs.reconstruct_f_exact(x, sv, table)
         after = vars(table)
         assert after.keys() == before.keys()
         for k, v in before.items():

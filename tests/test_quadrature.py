@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec import quadrature
+from fracspec.errors import DomainError
 from fracspec.quadrature import gauss_legendre_01, half_line_grid, tanh_sinh_rule
 
 
@@ -81,6 +82,19 @@ def _mp_gauss_legendre(m, u):
         dp = m * (p0 - u * p1) / (1 - u * u)
         u -= p1 / dp
     return u, 2 / ((1 - u * u) * dp * dp)
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.0, 2.5, 7.9, "3", None])
+def test_gauss_legendre_01_needs_an_integral_count(m):
+    # a float is never truncated to a smaller rule; DomainError is a ValueError
+    with pytest.raises(DomainError, match="integer >= 1"):
+        gauss_legendre_01(m)
+
+
+def test_gauss_legendre_01_takes_numpy_integers():
+    x, w = gauss_legendre_01(np.int64(5))
+    assert np.array_equal(x, gauss_legendre_01(5)[0])
+    assert np.array_equal(w, gauss_legendre_01(5)[1])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 50, 301, 800, 2000])
