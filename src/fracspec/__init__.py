@@ -44,7 +44,6 @@ from .nystrom import (
     KernelSpec,
     NystromGrid,
     build_grid,
-    caputo_endpoint_value,
     discretize_and_solve,
     eigenfunction_at,
     kernel_K,
@@ -86,7 +85,6 @@ __all__ = [
     "b_alpha",
     "boundary_layer",
     "build_grid",
-    "caputo_endpoint_value",
     "discretize_and_solve",
     "eigenfunction_asymptotic",
     "eigenfunction_at",

@@ -16,6 +16,7 @@ eigenfunction reads its layer densities and blocked Laplace sum from here.
 
 from __future__ import annotations
 
+import numbers
 from enum import Enum
 
 import numpy as np
@@ -66,8 +67,8 @@ def rho_asymptotic(n: int, alpha, order: Order = Order.SECOND) -> float:
     caputo: pi n - pi/2 for both orders (the expansion has no second-order
     phase shift to add; the order argument is accepted for symmetry).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"n must be >= 1 and an integer, got {n!r}")
     o = _as_order(alpha)
     if o.variant is Variant.CAPUTO:
         return np.pi * n - np.pi / 2
@@ -90,8 +91,8 @@ def lambda_two_term(n: int, alpha) -> float:
     Unlike the power form rho_2^{2a} this truncates at O(n^{2a-2}) exactly,
     which is the right comparison curve for relative-error studies.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"n must be >= 1 and an integer, got {n!r}")
     a = _as_order(alpha).alpha
     x = np.pi * n
     return x ** (2 * a) + np.pi * (a - 1.0) * x ** (2 * a - 1.0)
@@ -176,7 +177,7 @@ def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
     d = 0 needs no special handling: the densities are integrable at both
     ends of the half line and the grid covers (0, inf) in full.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError("rho must be positive")
     t, w = _layer_rule()
     u0, u1 = _upsilons(t, table)

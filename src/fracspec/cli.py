@@ -14,7 +14,9 @@ configuration: floats %.12e, comma-separated, LF endings. The per-n root
 refinements of one spectrum run share one PhaseTable and one g0 sample
 (refine_roots); each command creates its output directory before it
 computes anything, and writes its files once, at the end, each through a
-temporary file that then replaces the target.
+temporary file that then replaces the target. Every Nystrom reference
+solve of every command goes through _nystrom, the one place that picks the
+kernel for the variant.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .nystrom import (
     KernelKind,
     KernelSpec,
     build_grid,
-    caputo_endpoint_value,
     discretize_and_solve,
     eigenfunction_at,
     kernel_K,
@@ -180,6 +181,14 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.12e}"
 
 
+def _nystrom(order: FractionalOrder, m: int, n_modes: int, vectors: bool = True):
+    """The CLI's one reference solve: the bridge kernel for rl-bridge, the
+    RL kernel for caputo, on the m-point grid."""
+    kind = KernelKind.BRIDGE if order.variant is Variant.RL_BRIDGE else KernelKind.RL
+    return discretize_and_solve(KernelSpec(order, kind), build_grid(m),
+                                n_modes=n_modes, vectors=vectors)
+
+
 def _integro_csv(roots) -> str:
     """integro.csv; rho_asym2 is the two-term asymptote at each root's order."""
     lines = ["n,rho_refined,rho_asym2,condition_residual,iterations"]
@@ -205,11 +214,7 @@ def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
 
     lam_ny = {}
     if "nystrom" in methods:
-        kind = KernelKind.BRIDGE if rl_bridge else KernelKind.RL
-        spectrum = discretize_and_solve(
-            KernelSpec(order, kind), build_grid(m), n_modes=ns[-1], vectors=False
-        )
-        lam = spectrum.lam
+        lam = _nystrom(order, m, ns[-1], vectors=False).lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
 
     refined, failures = [], []
@@ -291,10 +296,7 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
     _make_out_dir(out)
 
     x = np.linspace(0.0, 1.0, grid_points)
-    spectrum = discretize_and_solve(
-        KernelSpec(order, KernelKind.BRIDGE), build_grid(m), n_modes=n
-    )
-    f_ny = eigenfunction_at(spectrum, n, x)
+    f_ny = eigenfunction_at(_nystrom(order, m, n), n, x)
 
     table = PhaseTable(order)
     f_nolayers = eigenfunction_asymptotic(n, x, order)
@@ -305,7 +307,7 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
 
     header = "x,f_nystrom,f_asym_nolayers,f_asym_layers" + (",f_exact" if exact else "")
     cols = [x, f_ny, f_nolayers, f_layers] + ([f_exact] if exact else [])
-    lines = [header] + [",".join(f"{c[i]:.12e}" for c in cols) for i in range(x.size)]
+    lines = [header] + [",".join(_fmt(c[i]) for c in cols) for i in range(x.size)]
 
     series = [
         ("f_asym_nolayers - f_nystrom", x, f_nolayers - f_ny, "#d62728"),
@@ -353,44 +355,29 @@ def cmd_validate(alpha, variant, m, out) -> int:
         return worst < 1e-8, f"max deviation {worst:.3e} (5 alphas)"
 
     def check_alpha1():
-        one = FractionalOrder(1.0)
-        sp_b = discretize_and_solve(
-            KernelSpec(one, KernelKind.BRIDGE), build_grid(800), n_modes=20,
-            vectors=False,
-        )
         ns = np.arange(1, 21)
-        worst_b = float(
-            np.max(np.abs(sp_b.lam[:20] / (np.pi * ns) ** 2 - 1.0))
-        )
-        one_c = FractionalOrder(1.0, Variant.CAPUTO)
-        sp_r = discretize_and_solve(
-            KernelSpec(one_c, KernelKind.RL), build_grid(800), n_modes=20,
-            vectors=False,
-        )
-        worst_r = float(
-            np.max(np.abs(sp_r.rho[:20] / (np.pi * ns - np.pi / 2) - 1.0))
-        )
+        lam_b = _nystrom(FractionalOrder(1.0), 800, 20, vectors=False).lam
+        worst_b = float(np.max(np.abs(lam_b / (np.pi * ns) ** 2 - 1.0)))
+        caputo = FractionalOrder(1.0, Variant.CAPUTO)
+        rho_r = _nystrom(caputo, 800, 20, vectors=False).rho
+        worst_r = float(np.max(np.abs(rho_r / (np.pi * ns - np.pi / 2) - 1.0)))
         worst = max(worst_b, worst_r)
         return worst < 1e-4, f"max relative error {worst:.3e} (m=800, n<=20)"
 
     def check_caputo_endpoint():
         target = np.sqrt(2.0 * alpha)
-        v = caputo_endpoint_value(alpha, 20, m)
+        sp = _nystrom(FractionalOrder(alpha, Variant.CAPUTO), m, 20)
+        v = abs(eigenfunction_at(sp, 20, 1.0))
         rel = abs(v - target) / target
         return rel < 0.01, f"|f_20(1)| = {v:.6f} vs sqrt(2a) = {target:.6f} ({rel:.2%})"
 
     @functools.cache  # orthonormality and mercer_trace share one solve
-    def bridge_spectrum():
-        rl_bridge = order.variant is Variant.RL_BRIDGE
-        return discretize_and_solve(
-            KernelSpec(order, KernelKind.BRIDGE if rl_bridge else KernelKind.RL),
-            build_grid(m),
-            # orthonormality reads 10 vectors, mercer its default head's values
-            n_modes=max(10, _mercer_head(m)),
-        )
+    def reference_spectrum():
+        # orthonormality reads 10 vectors, mercer its default head's values
+        return _nystrom(order, m, max(10, _mercer_head(m)))
 
     def check_orthonormality():
-        sp = bridge_spectrum()
+        sp = reference_spectrum()
         F = sp.vectors[:, :10]
         G = F.T @ (sp.grid.weights[:, None] * F)
         dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
@@ -409,7 +396,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
         return ok, f"asymmetry {sym:.3e}, min Gram eigenvalue {neg:.3e}"
 
     def check_mercer():
-        gap = mercer_trace_gap(bridge_spectrum())
+        gap = mercer_trace_gap(reference_spectrum())
         return gap <= 1e-3, f"trace gap {gap:.3e} (m={m})"
 
     def check_determinism():

@@ -155,7 +155,7 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     below 1e-12; raises ConvergenceError if the updates grow, or stay above
     that after 100 sweeps.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError("rho must be positive")
     k0, t, w, gv, D, xc_i = _samples or _sample_octaves(rho, rho, table)
     i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
@@ -204,24 +204,25 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
 def analytic_extend(sol: PQRSolution, z):
     """Evaluate the continuations of p, q, r at z off (-inf, 0].
 
-    One point z gives three (2,) complex arrays, a 1-d array of M points
-    three (2, M) arrays of its dtype. On (-inf, 0] the kernel 1/(tau + z)
+    One point z gives three (2,) complex arrays, an array of points three
+    (2,) + z.shape arrays of its dtype. On (-inf, 0] the kernel 1/(tau + z)
     hits the integration range, so the formula does not define a
     continuation there. Values at conjugate points are conjugate (all grid
     data is real); at a grid node the continuation reproduces the grid
     value. The (M x N) kernel, from sol's data, is built in place.
     """
     one = np.ndim(z) == 0
-    zz = np.asarray([complex(z)]) if one else np.asarray(z)
+    zz = np.asarray([complex(z)]) if one else np.asarray(z).reshape(-1)
     if np.any((zz.imag == 0.0) & (zz.real <= 0.0)):
         raise DomainError("continuation undefined on (-inf, 0]")
     kg = sol.grid[None, :] + zz[:, None]
     np.divide(sol.e, kg, out=kg)
     kg /= np.pi
     kg *= sol.gv
-    p = np.stack([kg @ sol.p[1] + 1.0, kg @ sol.p[0]])
-    r = np.stack([kg @ sol.r[1], kg @ sol.r[0] + zz])
-    return (p[:, 0], p[::-1, 0], r[:, 0]) if one else (p, p[::-1], r)
+    shape = (2,) + np.shape(z)  # (2,) for one point
+    p = np.stack([kg @ sol.p[1] + 1.0, kg @ sol.p[0]]).reshape(shape)
+    r = np.stack([kg @ sol.r[1], kg @ sol.r[0] + zz]).reshape(shape)
+    return p, p[::-1], r
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,7 +66,7 @@ from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import ConvergenceError, DomainError
 from .phase import (
-    FractionalOrder, Variant, _check_unit, _first_quarter_sign, _row_blocks, _shaped
+    FractionalOrder, _check_unit, _first_quarter_sign, _row_blocks, _shaped
 )
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
@@ -79,7 +79,6 @@ __all__ = [
     "build_grid",
     "discretize_and_solve",
     "eigenfunction_at",
-    "caputo_endpoint_value",
     "mercer_trace_gap",
 ]
 
@@ -97,13 +96,6 @@ class KernelSpec:
         a = self.alpha.alpha
         if self.kind is KernelKind.BRIDGE and not 0.5 < a <= 1.0:
             raise DomainError("bridge kernel requires alpha in (1/2, 1]")
-
-
-def _alpha_of(alpha) -> float:
-    # not phase._as_order: that builds an rl-bridge order, rejecting caputo a <= 1/2
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
-    return float(alpha)
 
 
 def _beta(a: float, b: float) -> float:
@@ -189,7 +181,8 @@ def kernel_K(x, y, alpha):
     The diagonal needs alpha > 1/2 (otherwise the defining integral
     diverges there); off-diagonal values exist for any alpha in (0,1].
     """
-    a = _alpha_of(alpha)
+    # not phase._as_order: that builds an rl-bridge order, rejecting caputo a <= 1/2
+    a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
     scalar = np.isscalar(x) and np.isscalar(y)
     xx = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
@@ -500,19 +493,6 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
             Kxy = Kxy - _bridge_term(kx1[i:j, None], kg1[None, :], k11)
         num[i:j], Q[i:j] = Kxy @ wf, Kxy @ w
     return _shaped(num / (spectrum.mu[k - 1] - S + Q), x)
-
-
-def caputo_endpoint_value(alpha, n: int, m: int) -> float:
-    """|f_n(1)| for the caputo problem (RL kernel), expected near sqrt(2a)."""
-    a = _alpha_of(alpha)
-    order = (
-        alpha
-        if isinstance(alpha, FractionalOrder)
-        else FractionalOrder(a, Variant.CAPUTO)
-    )
-    spec = KernelSpec(order, KernelKind.RL)
-    spectrum = discretize_and_solve(spec, build_grid(m), n_modes=n)
-    return abs(eigenfunction_at(spectrum, n, 1.0))
 
 
 # B_2, B_4, ..., B_16

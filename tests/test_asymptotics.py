@@ -41,6 +41,23 @@ class TestFrequencies:
         with pytest.raises(DomainError):
             fs.lambda_two_term(0, order075)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0)])
+    def test_n_must_be_an_integer(self, order075, table075, n):
+        # a float n gave rho at int(n)'s value, or complex layered values
+        x = np.array([0.2, 0.7])
+        for f in (
+            lambda: fs.rho_asymptotic(n, order075),
+            lambda: fs.lambda_asymptotic(n, order075),
+            lambda: fs.lambda_two_term(n, order075),
+            lambda: fs.eigenfunction_asymptotic(n, x, order075, table075),
+        ):
+            with pytest.raises(DomainError, match="n must be >= 1 and an integer"):
+                f()
+
+    def test_n_takes_numpy_integers(self, order075):
+        assert fs.rho_asymptotic(np.int64(3), order075) == fs.rho_asymptotic(3, order075)
+        assert fs.lambda_two_term(np.int32(3), order075) == fs.lambda_two_term(3, order075)
+
     def test_two_term_vs_power_form(self):
         # the additive form differs from rho_2^{2a} at O(n^{2a-2}) only
         for a in (0.6, 0.75, 0.9):
@@ -130,8 +147,10 @@ class TestLayers:
         assert abs(near) > 100 * abs(far)
 
     def test_rho_domain(self, table075):
-        with pytest.raises(DomainError):
-            boundary_layer(0.5, 0.0, Layer.AT_ZERO, table075)
+        # a NaN rho once passed rho <= 0 and gave a NaN layer
+        for rho in (0.0, np.nan):
+            with pytest.raises(DomainError, match="rho must be positive"):
+                boundary_layer(0.5, rho, Layer.AT_ZERO, table075)
 
     @pytest.mark.parametrize("which", list(Layer))
     def test_blocks_agree_with_the_whole_grid(self, table075, which):

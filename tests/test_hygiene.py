@@ -172,6 +172,42 @@ def test_check_flags_a_stepped_loop():
     assert _stepped_loops({"m.py": mod}) == ["m.py: None", "m.py: f", "m.py: h"]
 
 
+def _calls_by_function(tree: ast.Module, names: set) -> list[str]:
+    """'function: name' for each call of one of names, bare or as an
+    attribute, by the innermost function around it (None at module level)."""
+    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    owner = {id(c): f.name for f in funcs for c in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in names:
+                found.append(f"{owner.get(id(node))}: {name}")
+    return sorted(found)
+
+
+_REFERENCE_SOLVE = {"KernelSpec", "build_grid", "discretize_and_solve"}
+
+
+def test_the_cli_builds_its_reference_solve_in_one_place():
+    # the variant's kernel, the grid and the solve are chosen in cli._nystrom
+    # alone, so a change of reference route touches one function
+    tree = ast.parse((Path(fracspec.__file__).parent / "cli.py").read_text())
+    calls = _calls_by_function(tree, _REFERENCE_SOLVE)
+    assert calls == [f"_nystrom: {n}" for n in sorted(_REFERENCE_SOLVE)]
+
+
+def test_check_flags_a_call_outside_its_function():
+    mod = ast.parse(
+        "def _nystrom(o):\n    return solve(Spec(o))\n"
+        "def f():\n    def g():\n        return m.Spec(1)\n    return Spec(2)\n"
+        "Spec(3)\n"
+    )
+    assert _calls_by_function(mod, {"Spec", "solve"}) == [
+        "None: Spec", "_nystrom: Spec", "_nystrom: solve", "f: Spec", "g: Spec",
+    ]
+
+
 def _formats_outside_the_cli(texts: dict[str, str]) -> list[str]:
     """Modules other than cli.py whose text holds the CSV float format."""
     return sorted(name for name, text in texts.items()

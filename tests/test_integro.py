@@ -86,9 +86,11 @@ class TestGridAndOperator:
         assert np.array_equal(w2[:-18], w1[18:])
 
     def test_grid_rejects_nonpositive_rho(self, table075):
-        for rho in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                solve_pqr(rho, table075)
+        # a NaN rho once passed rho <= 0 and ran 100 sweeps to a ConvergenceError
+        for rho in (0.0, -1.0, np.nan):
+            for f in (solve_pqr, secular):
+                with pytest.raises(DomainError, match="rho must be positive"):
+                    f(rho, table075)
 
     def test_rejects_rho_outside_samples(self, table075):
         samples = integro._sample_octaves(20.0, 24.0, table075)
@@ -547,6 +549,14 @@ class TestRefine:
             refine_rho(5, fs.PhaseTable(1.0))
         with pytest.raises(DomainError, match="n must be >= 1"):
             refine_rho(0, table075)
+
+    def test_non_integral_n_rejected(self, table075):
+        # refine_rho(2.5) returned rho_2 labelled n=2.5
+        with pytest.raises(DomainError, match="n must be >= 1 and an integer"):
+            refine_rho(2.5, table075)
+        roots, failures = refine_roots([2.5], table075)
+        assert roots == []
+        assert failures == [(2.5, "DomainError: n must be >= 1 and an integer, got 2.5")]
 
 
 def _polish(solver, f, a, b, **kw):

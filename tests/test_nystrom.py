@@ -17,7 +17,6 @@ from fracspec.nystrom import (
     KernelSpec,
     NystromGrid,
     build_grid,
-    caputo_endpoint_value,
     discretize_and_solve,
     eigenfunction_at,
     kernel_K,
@@ -457,7 +456,9 @@ class TestSolve:
             assert w[win] @ bridge400.vectors[win, k] > 0
 
     def test_caputo_endpoint(self):
-        v = caputo_endpoint_value(0.75, 20, 800)
+        spec = KernelSpec(fs.FractionalOrder(0.75, fs.Variant.CAPUTO), KernelKind.RL)
+        sp = discretize_and_solve(spec, build_grid(800), n_modes=20)
+        v = abs(eigenfunction_at(sp, 20, 1.0))
         assert v == pytest.approx(np.sqrt(1.5), rel=1e-3)
 
     def test_nonfinite_kernel_raises(self, order075, monkeypatch):

@@ -344,11 +344,12 @@ class TestSinglePath:
     @pytest.mark.parametrize("name", [
         "theta0", "gamma0", "pv_weight", "g0", "xc0", "upsilon0", "upsilon1",
         "boundary_layer", "eigenfunction_at", "eigenfunction_asymptotic",
-        "layered_asymptote", "reconstruct_f_exact",
+        "layered_asymptote", "reconstruct_f_exact", "analytic_extend",
     ])
     def test_points_keep_their_shape(self, name, table075):
         # a 2-d array of points gives the 1-d values reshaped, a 0-d array
-        # the one-element array's value as a float (xc0: as a complex)
+        # the one-element array's value as a float (xc0: as a complex;
+        # analytic_extend: p, q, r as (2,) complex arrays, stacked here)
         tb = table075
         t = np.array([[0.5, 2.0], [3.0, 0.1]])
         x = np.array([[0.1, 0.4], [0.7, 1.0]])
@@ -372,13 +373,20 @@ class TestSinglePath:
                 lambda p: fs.eigenfunction_asymptotic(3, p, tb.order, tb), x),
             "reconstruct_f_exact": (
                 lambda p: fs.reconstruct_f_exact(p, fs.secular(28.0, tb), tb), x),
+            "analytic_extend": (
+                lambda p: np.stack(fs.analytic_extend(fs.solve_pqr(28.0, tb), p)),
+                t * (1.0 + 1.0j)),
         }[name]
+        lead = (3, 2) if name == "analytic_extend" else ()
         got = f(pts)
-        assert got.shape == pts.shape
-        assert np.array_equal(got, f(pts.ravel()).reshape(pts.shape))
+        assert got.shape == lead + pts.shape
+        assert np.array_equal(got, f(pts.ravel()).reshape(got.shape))
         one = f(np.asarray(pts[1, 0]))
-        assert type(one) is (complex if name == "xc0" else float)
-        assert one == f(pts[1:, :1].ravel())[0]
+        if lead:
+            assert (one.shape, one.dtype) == (lead, complex)
+        else:
+            assert type(one) is (complex if name == "xc0" else float)
+        assert np.array_equal(one, f(pts[1:, :1].ravel())[..., 0])
 
     def test_table_unchanged_by_evaluation(self):
         table = fs.PhaseTable(fs.FractionalOrder(0.75))
