@@ -16,12 +16,11 @@ eigenfunction reads its layer densities and blocked Laplace sum from here.
 
 from __future__ import annotations
 
-import numbers
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .phase import (
     PhaseTable,
     Variant,
@@ -67,8 +66,7 @@ def rho_asymptotic(n: int, alpha, order: Order = Order.SECOND) -> float:
     caputo: pi n - pi/2 for both orders (the expansion has no second-order
     phase shift to add; the order argument is accepted for symmetry).
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"n must be >= 1 and an integer, got {n!r}")
+    _check_count(n, "n")
     o = _as_order(alpha)
     if o.variant is Variant.CAPUTO:
         return np.pi * n - np.pi / 2
@@ -91,8 +89,7 @@ def lambda_two_term(n: int, alpha) -> float:
     Unlike the power form rho_2^{2a} this truncates at O(n^{2a-2}) exactly,
     which is the right comparison curve for relative-error studies.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"n must be >= 1 and an integer, got {n!r}")
+    _check_count(n, "n")
     a = _as_order(alpha).alpha
     x = np.pi * n
     return x ** (2 * a) + np.pi * (a - 1.0) * x ** (2 * a - 1.0)

@@ -373,7 +373,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
 
     @functools.cache  # orthonormality and mercer_trace share one solve
     def reference_spectrum():
-        # orthonormality reads 10 vectors, mercer its default head's values
+        # orthonormality reads 10 vectors, mercer its head's values
         return _nystrom(order, m, max(10, _mercer_head(m)))
 
     def check_orthonormality():

@@ -1,4 +1,7 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, and the one check of
+a count argument."""
+
+import numbers
 
 
 class FracspecError(Exception):
@@ -19,3 +22,11 @@ class ConvergenceError(FracspecError, ArithmeticError):
 
 class BracketError(ConvergenceError):
     """Root bracketing found no sign change; reported instead of guessed."""
+
+
+def _check_count(value, name: str) -> int:
+    """value as an int if it is an integer >= 1, a numpy one too; any other
+    value, a bool or an integral float included, raises DomainError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

@@ -57,14 +57,13 @@ kernel is evaluated in row blocks of the same size, from phase._row_blocks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_count
 from .phase import (
     FractionalOrder, _check_unit, _first_quarter_sign, _row_blocks, _shaped
 )
@@ -89,13 +88,17 @@ class KernelKind(Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """A kernel of either kind at an order alpha > 1/2, where its diagonal
+    is finite (FractionalOrder keeps alpha <= 1)."""
+
     alpha: FractionalOrder
     kind: KernelKind
 
     def __post_init__(self):
-        a = self.alpha.alpha
-        if self.kind is KernelKind.BRIDGE and not 0.5 < a <= 1.0:
-            raise DomainError("bridge kernel requires alpha in (1/2, 1]")
+        if not (isinstance(self.alpha, FractionalOrder) and self.alpha.alpha > 0.5):
+            raise DomainError(
+                f"a kernel needs a FractionalOrder with alpha > 1/2, got {self.alpha!r}"
+            )
 
 
 def _beta(a: float, b: float) -> float:
@@ -270,31 +273,28 @@ def _kernel_matrix(x, a: float, sw, kx1=None):
 
 @dataclass(frozen=True)
 class NystromGrid:
-    nodes: np.ndarray
-    weights: np.ndarray
+    """The m-point Gauss-Legendre rule on (0,1), m an integer >= 2. Its nodes
+    and weights are the read-only cached rule of ``gauss_legendre_01``
+    (Newton on the Legendre recurrence, O(m^2))."""
+
+    m: int
 
     def __post_init__(self):
-        x, w = self.nodes, self.weights
-        if not (isinstance(x, np.ndarray) and isinstance(w, np.ndarray)
-                and x.ndim == 1 and x.shape == w.shape):
-            raise DomainError("nodes and weights must be 1-d arrays of one length")
-        if self.m < 2:
+        if _check_count(self.m, "m") < 2:
             raise DomainError("grid needs m >= 2")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise DomainError("grid weights must sum to 1")
-        if np.any(np.diff(self.nodes) <= 0) or np.any(self.weights <= 0):
-            raise DomainError("nodes must increase strictly, weights be positive")
 
     @property
-    def m(self) -> int:
-        return self.nodes.size
+    def nodes(self) -> np.ndarray:
+        return gauss_legendre_01(self.m)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return gauss_legendre_01(self.m)[1]
 
 
 def build_grid(m: int) -> NystromGrid:
-    """The m-point Gauss-Legendre rule on (0,1), as writable copies of the
-    cached rule (see ``quadrature``: Newton on the Legendre recurrence, O(m^2))."""
-    x, w = gauss_legendre_01(m)
-    return NystromGrid(nodes=x.copy(), weights=w.copy())
+    """NystromGrid(m), the m-point Gauss-Legendre rule on (0,1)."""
+    return NystromGrid(m)
 
 
 @dataclass(frozen=True)
@@ -439,10 +439,8 @@ def discretize_and_solve(
     positive modes raise DomainError.
     """
     a = spec.alpha.alpha
-    if a <= 0.5:
-        raise DomainError("solver requires alpha > 1/2 (kernel diagonal)")
-    if n_modes is not None and not (isinstance(n_modes, numbers.Integral) and n_modes >= 1):
-        raise DomainError(f"n_modes must be >= 1 and an integer, got {n_modes!r}")
+    if n_modes is not None:
+        n_modes = _check_count(n_modes, "n_modes")
     B = _nystrom_matrix(spec, grid)
     x, w, m = grid.nodes, grid.weights, grid.m
     # Lanczos costs O(m^2) per step and about 4 k + 48 steps for k modes, a
@@ -474,8 +472,10 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
     norm stays 1.
     """
     r = spectrum.vectors.shape[1]
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= r):
-        raise DomainError(f"k must be an integer in [1, {r}], got {k!r}")
+    if r == 0:
+        raise DomainError("the spectrum holds no eigenvectors (solved with vectors=False)")
+    if _check_count(k, "k") > r:
+        raise DomainError(f"k={k} exceeds the {r} eigenvectors of the spectrum")
     a = spectrum.spec.alpha.alpha
     xx = _check_unit(x)
     xg, w = spectrum.grid.nodes, spectrum.grid.weights
@@ -518,22 +518,22 @@ def _hurwitz_zeta(s: float, q: float) -> float:
 
 
 def _mercer_head(m: int) -> int:
-    """mercer_trace_gap's default n_head on m points; 20 n_head <= m once m >= 20."""
+    """mercer_trace_gap's head length on m points; 20 times it is <= m if m >= 20."""
     return max(1, min(30, m // 20))
 
 
-def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> float:
+def mercer_trace_gap(spectrum: DiscreteSpectrum) -> float:
     """Relative gap between the spectral sum and the diagonal integral.
 
-    The spectral side sums the first n_head computed eigenvalues and closes
-    the tail with the two-term frequency asymptotics (a Hurwitz zeta value):
-    a raw sum over the m discrete modes misses the operator tail by
+    The spectral side sums the head of computed eigenvalues and closes the
+    tail with the two-term frequency asymptotics (a Hurwitz zeta value): a
+    raw sum over the m discrete modes misses the operator tail by
     O(m^{1-2a}), which no practical m brings under the tolerances used
     here. The asymptotics are sharp by n = 20-30 while the Nystrom error of
-    mode n grows with n, so the default head is short, min(30, m // 20) and
-    at least 1; over a in [0.501, 1] and both kernels its gap is at most
+    mode n grows with n, so the head is short, min(30, m // 20) modes and
+    at least 1; over a in [0.501, 1] and both kernels the gap is at most
     5.1e-4 at m = 20, 5.2e-6 at m = 100, 1.5e-6 at m = 300 and 2.6e-8 at
-    m = 2000. Fewer than n_head modes in the spectrum raise DomainError.
+    m = 2000. A spectrum shorter than the head raises DomainError.
     """
     a = spectrum.spec.alpha.alpha
     trace_rl = 1.0 / (2 * a * (2 * a - 1) * math.gamma(a) ** 2)
@@ -545,14 +545,12 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum, n_head: int | None = None) -> f
     else:
         trace = trace_rl
         shift = -np.pi / 2.0
-    if n_head is None:
-        n_head = _mercer_head(spectrum.grid.m)
-    if not isinstance(n_head, numbers.Integral) or n_head < 1:
-        raise DomainError(f"n_head must be >= 1 and an integer, got {n_head!r}")
-    if n_head > spectrum.mu.size:
+    head = _mercer_head(spectrum.grid.m)
+    if head > spectrum.mu.size:
         raise DomainError(
-            f"n_head={n_head} exceeds the {spectrum.mu.size} modes of the spectrum"
+            f"the Mercer head of {head} modes exceeds the {spectrum.mu.size}"
+            " modes of the spectrum"
         )
-    tail = np.pi ** (-2 * a) * _hurwitz_zeta(2 * a, n_head + 1 + shift / np.pi)
-    total = float(spectrum.mu[:n_head].sum()) + float(tail)
+    tail = np.pi ** (-2 * a) * _hurwitz_zeta(2 * a, head + 1 + shift / np.pi)
+    total = float(spectrum.mu[:head].sum()) + float(tail)
     return abs(total - trace) / trace

@@ -21,12 +21,11 @@ Everything here is deterministic: no adaptivity, no randomness. Levels nest
 phase module exploits for cheap error estimates.
 """
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_count
 
 __all__ = [
     "tanh_sinh_rule",
@@ -129,7 +128,5 @@ def _gl_cached(m: int):
 
 def gauss_legendre_01(m: int):
     """Gauss-Legendre nodes and weights mapped to (0,1), read-only and cached;
-    m must be an integer >= 1 (a numpy one too), never a float."""
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    return _gl_cached(int(m))
+    m must be an integer >= 1 (a numpy one too), never a float or a bool."""
+    return _gl_cached(_check_count(m, "m"))

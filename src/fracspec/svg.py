@@ -21,10 +21,11 @@ _MARGIN_T = 36
 _MARGIN_B = 44
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
+    # about 5 ticks, on steps of 1, 2, 2.5 or 5 times a power of ten
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -39,12 +40,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return ticks
 
 
-def svg_line_chart(
-    series,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-) -> str:
+def svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render series [(label, xs, ys, color), ...] as one SVG document."""
     if not series:
         raise DomainError("need at least one series")
@@ -75,12 +71,9 @@ def svg_line_chart(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}"'
         ' fill="none" stroke="#888" stroke-width="1"/>',
+        f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle"'
+        f' font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle"'
-            f' font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for tx in _ticks(x0, x1):
         xp = px(tx)
         out.append(
@@ -101,19 +94,15 @@ def svg_line_chart(
             f'<text x="{_MARGIN_L - 8}" y="{yp + 4:.6g}" text-anchor="end"'
             f' font-family="sans-serif" font-size="11">{ty:.3g}</text>'
         )
-    if xlabel:
-        out.append(
-            f'<text x="{_MARGIN_L + pw // 2}" y="{_HEIGHT - 8}"'
-            ' text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{xlabel}</text>"
-        )
-    if ylabel:
-        yc = _MARGIN_T + ph // 2
-        out.append(
-            f'<text x="14" y="{yc}" text-anchor="middle"'
-            f' font-family="sans-serif" font-size="12"'
-            f' transform="rotate(-90 14 {yc})">{ylabel}</text>'
-        )
+    yc = _MARGIN_T + ph // 2
+    out += [
+        f'<text x="{_MARGIN_L + pw // 2}" y="{_HEIGHT - 8}"'
+        ' text-anchor="middle" font-family="sans-serif" font-size="12">'
+        f"{xlabel}</text>",
+        f'<text x="14" y="{yc}" text-anchor="middle"'
+        f' font-family="sans-serif" font-size="12"'
+        f' transform="rotate(-90 14 {yc})">{ylabel}</text>',
+    ]
     for label, xs, ys, color in series:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)

@@ -51,7 +51,7 @@ class TestFrequencies:
             lambda: fs.lambda_two_term(n, order075),
             lambda: fs.eigenfunction_asymptotic(n, x, order075, table075),
         ):
-            with pytest.raises(DomainError, match="n must be >= 1 and an integer"):
+            with pytest.raises(DomainError, match="n must be an integer >= 1"):
                 f()
 
     def test_n_takes_numpy_integers(self, order075):

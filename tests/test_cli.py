@@ -344,7 +344,7 @@ class TestEigenvectorSolves:
     def test_validate(self, solves, capsys):
         assert main(["validate", "--alpha", "0.75", "--m", "300"]) == 0
         # caputo_endpoint reads f_20: one dense eigh. Orthonormality's 10
-        # vectors and Mercer's 15 values (its default head) share one Lanczos
+        # vectors and Mercer's 15 values (its head) share one Lanczos
         # run; every other solve reads 20 or fewer values
         assert [s for s in solves if s[2]] == [("dense", 300, True), ("lanczos", 300, True)]
         assert ("dense", 300, False) not in solves

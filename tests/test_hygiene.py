@@ -135,6 +135,34 @@ def test_check_flags_an_unread_export():
     assert _unread_exports(["f", "g", "h", "__version__"], {"m.py": mod}) == ["f", "h"]
 
 
+def _package_reads(tree: ast.Module, package: str) -> set[str]:
+    """Every name read as an attribute of the module imported as package."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == package}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+
+
+# the benchmark's own scripts that call the library by its public names
+_BENCH_CALLERS = ["perfbench/make_reference.py", "perfbench/tests/test_checks.py"]
+
+
+@pytest.mark.parametrize("name", _BENCH_CALLERS)
+def test_benchmark_reads_only_exports(name):
+    # a name dropped from the package then fails here, not in the benchmark
+    tree = ast.parse((Path(__file__).parents[1] / name).read_text())
+    reads = _package_reads(tree, "fracspec")
+    assert reads and sorted(reads - set(fracspec.__all__)) == []
+
+
+def test_check_finds_the_package_reads():
+    mod = ast.parse("import fracspec as fs\nimport numpy as np\n"
+                    "fs.a(np.b, fs.c.d)\nx = fs\n")
+    assert _package_reads(mod, "fracspec") == {"a", "c"}
+
+
 def _stepped_loops(trees: dict[str, ast.Module]) -> list[str]:
     """'module: function' for each three-argument range or np.arange call,
     by the function around it (None at module level)."""

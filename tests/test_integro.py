@@ -547,16 +547,16 @@ class TestRefine:
             fs.PhaseTable(fs.FractionalOrder(0.75, fs.Variant.CAPUTO))
         with pytest.raises(DomainError, match="alpha = 1 has exact roots"):
             refine_rho(5, fs.PhaseTable(1.0))
-        with pytest.raises(DomainError, match="n must be >= 1"):
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
             refine_rho(0, table075)
 
     def test_non_integral_n_rejected(self, table075):
         # refine_rho(2.5) returned rho_2 labelled n=2.5
-        with pytest.raises(DomainError, match="n must be >= 1 and an integer"):
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
             refine_rho(2.5, table075)
         roots, failures = refine_roots([2.5], table075)
         assert roots == []
-        assert failures == [(2.5, "DomainError: n must be >= 1 and an integer, got 2.5")]
+        assert failures == [(2.5, "DomainError: n must be an integer >= 1, got 2.5")]
 
 
 def _polish(solver, f, a, b, **kw):

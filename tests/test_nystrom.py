@@ -23,6 +23,7 @@ from fracspec.nystrom import (
     mercer_trace_gap,
     _kernel_raw,
 )
+from fracspec.quadrature import gauss_legendre_01
 
 
 def _kernel_of_kind(x, y, a, kind):
@@ -193,16 +194,19 @@ class TestKernelMatrix:
         # every off-diagonal entry of the finished B, bit for bit
         if nodes == "near":
             # pairs closer than 1e-8 relative, where a hypergeometric series
-            # in min/max would lose digits
+            # in min/max would lose digits; no grid has them, so the block
+            # sweep itself is held to the oracle on these nodes
             x = np.array([0.2, 0.5, 0.5 * (1 + 5e-9), 0.5 * (1 + 2e-8), 0.9])
-            grid = NystromGrid(nodes=x, weights=np.array([2, 1, 2, 1, 2]) / 8)
+            sw = np.sqrt(np.array([2, 1, 2, 1, 2]) / 8)
+            kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
+            B = nystrom._kernel_matrix(x, a, sw, kx1)
         else:
             grid = build_grid(int(nodes[1:]))
-        x, sw = grid.nodes, np.sqrt(grid.weights)
+            x, sw = grid.nodes, np.sqrt(grid.weights)
+            B = nystrom._nystrom_matrix(KernelSpec(fs.FractionalOrder(a), kind), grid)
         X, Y = np.meshgrid(x, x, indexing="ij")
         want = _kernel_of_kind(X, Y, a, kind) * (sw[:, None] * sw[None, :])
-        B = nystrom._nystrom_matrix(KernelSpec(fs.FractionalOrder(a), kind), grid)
-        off = ~np.eye(grid.m, dtype=bool)
+        off = ~np.eye(x.size, dtype=bool)
         assert np.array_equal(B[off], want[off])
 
     def test_bridge_solve_evaluates_triangle_and_one_column(self, order075, monkeypatch):
@@ -376,7 +380,7 @@ class TestSpecialFunctions:
 
     @pytest.mark.parametrize("s", [1.001, 1.2, 1.5, 1.75, 2.0])
     def test_hurwitz_zeta(self, s):
-        # mercer_trace_gap reads s = 2a in (1, 2] and q = n_head + 1/2 or
+        # mercer_trace_gap reads s = 2a in (1, 2] and q = its head + 1/2 or
         # more; measured at most 2.6e-16
         for q in (1.5, 2.3, 10.25, 100.5, 600.0):
             want = float(mp.zeta(s, q))
@@ -409,19 +413,16 @@ class TestGrid:
 
     def test_m_is_the_node_count(self):
         g = build_grid(5)
-        assert g.m == 5
-        with pytest.raises(TypeError):  # no longer a field that could disagree
-            NystromGrid(nodes=g.nodes, weights=g.weights, m=7)
+        assert g == NystromGrid(5)
+        assert g.m == g.nodes.size == g.weights.size == 5
+        with pytest.raises(TypeError):  # a grid is its size: no nodes to pass
+            NystromGrid(nodes=g.nodes, weights=g.weights)
 
-    @pytest.mark.parametrize("nodes, weights", [
-        (np.arange(1, 6) / 6, np.full(4, 0.25)),
-        (np.arange(1, 6) / 6, np.full(6, 1 / 6)),
-        (np.arange(1, 5).reshape(2, 2) / 5, np.full((2, 2), 0.25)),
-        ([0.25, 0.75], [0.5, 0.5]),
-    ], ids=["fewer-weights", "more-weights", "2-d", "lists"])
-    def test_rejects_mismatched_nodes_and_weights(self, nodes, weights):
-        with pytest.raises(DomainError, match="1-d arrays of one length"):
-            NystromGrid(nodes=nodes, weights=weights)
+    def test_nodes_and_weights_are_the_cached_rule(self):
+        g = NystromGrid(6)
+        x, w = gauss_legendre_01(6)
+        assert g.nodes is x and g.weights is w
+        assert not g.nodes.flags.writeable and not g.weights.flags.writeable
 
 
 class TestSolve:
@@ -484,9 +485,17 @@ class TestSolve:
             assert poisoned, ndim
 
     def test_rejects_small_alpha(self):
+        # the kernel diagonal needs alpha > 1/2, for either kind
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
-        with pytest.raises(DomainError):
-            discretize_and_solve(KernelSpec(o, KernelKind.RL), build_grid(20))
+        for kind in KernelKind:
+            with pytest.raises(DomainError, match="alpha > 1/2"):
+                KernelSpec(o, kind)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_spec_needs_a_fractional_order(self, kind):
+        # a bare float once raised AttributeError at the bridge kernel's check
+        with pytest.raises(DomainError, match="FractionalOrder"):
+            KernelSpec(0.75, kind)
 
 
 
@@ -696,46 +705,50 @@ class TestEigenfunctionAt:
             bridge400, 3, 0.3
         )
 
+    def test_spectrum_without_vectors(self, rl400):
+        # once "k must be an integer in [1, 0], got 1"
+        with pytest.raises(DomainError, match="holds no eigenvectors"):
+            eigenfunction_at(rl400, 1, 0.5)
+
 
 class TestMercer:
     def test_bridge_fine(self, bridge2000):
-        # the default head, min(30, m // 20) = 30 modes: measured 7.2e-9
+        # the head, min(30, m // 20) = 30 modes: measured 7.2e-9
         assert mercer_trace_gap(bridge2000) < 1e-7
 
     @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
     @pytest.mark.parametrize("kind", [KernelKind.BRIDGE, KernelKind.RL])
     def test_default_head_at_m300(self, kind, a):
-        # the default head at m = 300 is 15 modes; measured at most 1.5e-6
+        # the head at m = 300 is 15 modes; measured at most 1.5e-6
         spec = KernelSpec(fs.FractionalOrder(a), kind)
         sp = discretize_and_solve(spec, build_grid(300), n_modes=15, vectors=False)
         assert mercer_trace_gap(sp) < 1e-5
 
-    def test_short_spectrum_raises(self, bridge400, bridge2000):
+    def test_short_spectrum_raises(self, bridge2000):
         # a head cut to the modes at hand would change the gap silently
         short = dataclasses.replace(bridge2000, mu=bridge2000.mu[:29])
-        with pytest.raises(DomainError, match="n_head=30 exceeds the 29 modes"):
+        with pytest.raises(DomainError, match="head of 30 modes exceeds the 29 modes"):
             mercer_trace_gap(short)
-        with pytest.raises(DomainError):
-            mercer_trace_gap(bridge400, n_head=101)
-
-    @pytest.mark.parametrize("n_head", [0, -1])
-    def test_head_below_one_raises(self, n_head, bridge400):
-        with pytest.raises(DomainError, match="n_head must be >= 1"):
-            mercer_trace_gap(bridge400, n_head=n_head)
-
-    def test_head_must_be_an_integer(self, bridge400):
-        with pytest.raises(DomainError, match="an integer"):
-            mercer_trace_gap(bridge400, n_head=2.7)
-        assert mercer_trace_gap(bridge400, n_head=np.int64(3)) == mercer_trace_gap(
-            bridge400, n_head=3
-        )
 
     def test_both_kinds_moderate(self, bridge400, rl400):
-        # the default head at m = 400 is 20 modes: measured 7.0e-7 and 4.2e-7
+        # the head at m = 400 is 20 modes: measured 7.0e-7 and 4.2e-7
         assert mercer_trace_gap(bridge400) < 1e-5
         assert mercer_trace_gap(rl400) < 1e-5
 
-    def test_head_choice_insensitive(self, bridge400):
-        a = mercer_trace_gap(bridge400, n_head=60)
-        b = mercer_trace_gap(bridge400, n_head=100)
-        assert abs(a - b) < 1e-3
+
+_COUNTS = {
+    "rho_asymptotic": lambda o, sp: fs.rho_asymptotic(True, o),
+    "lambda_two_term": lambda o, sp: fs.lambda_two_term(True, o),
+    "n_modes": lambda o, sp: discretize_and_solve(
+        KernelSpec(o, KernelKind.RL), build_grid(20), n_modes=True),
+    "k": lambda o, sp: eigenfunction_at(sp, True, 0.5),
+    "gauss_legendre_01": lambda o, sp: gauss_legendre_01(True),
+    "NystromGrid": lambda o, sp: NystromGrid(True),
+}
+
+
+@pytest.mark.parametrize("entry", list(_COUNTS))
+def test_counts_refuse_bool(entry, order075, bridge400):
+    # True == 1 is an Integral, and each of these once took it for 1
+    with pytest.raises(DomainError, match="must be an integer >= 1, got True"):
+        _COUNTS[entry](order075, bridge400)

@@ -21,6 +21,7 @@ def test_structure():
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") == 2
     assert "demo" in svg and "one" in svg and "two" in svg
+    assert ">x</text>" in svg and ">y</text>" in svg
     assert 'width="720"' in svg and 'height="480"' in svg
 
 
