@@ -31,6 +31,7 @@ from .phase import (
     _as_order,
     _check_positive,
     _check_unit,
+    _rl_bridge_order,
     _row_blocks,
     _shaped,
 )
@@ -193,9 +194,7 @@ def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
     with numerically vanishing layers. The residual O(1/n) term of the
     underlying expansion is never evaluated.
     """
-    o = _as_order(alpha)
-    if o.variant is not Variant.RL_BRIDGE:
-        raise DomainError("eigenfunction asymptotics exist for rl-bridge only")
+    o = _rl_bridge_order(alpha, "the eigenfunction asymptotics")
     if table is not None and table.order != o:
         raise DomainError(f"the PhaseTable of alpha={table.alpha} given for {o.alpha}")
     rho = rho_asymptotic(n, o, Order.SECOND)

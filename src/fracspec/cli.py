@@ -12,11 +12,11 @@ Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure. Output files, all formatted here, are deterministic for a fixed
 configuration: floats %.12e, comma-separated, LF endings. The per-n root
 refinements of one spectrum run share one PhaseTable and one g0 sample
-(refine_roots); each command creates its output directory before it
-computes anything, and writes its files once, at the end, each through a
-temporary file that then replaces the target. Every Nystrom reference
-solve of every command goes through _nystrom, the one place that picks the
-kernel for the variant.
+(refine_roots). Each command builds its run objects from the library's
+types inside _usage, which makes a type's refusal a usage error, then
+creates its output directory, computes with those objects, and writes its
+files once, at the end, each through a temporary file that then replaces
+the target. _reference picks the kernel for the variant, _nystrom solves.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .asymptotics import (
     lambda_two_term,
     rho_asymptotic,
 )
-from .errors import FracspecError
+from .errors import FracspecError, _check_count
 from .integro import PhaseTable, reconstruct_f_exact, refine_rho, refine_roots
 from .nystrom import (
     KernelKind,
     KernelSpec,
+    NystromGrid,
     build_grid,
     discretize_and_solve,
     eigenfunction_at,
@@ -125,20 +126,25 @@ def _config_flags(path: str, command: str) -> list:
     return flags
 
 
-def _validated_order(alpha, variant, m, nystrom: bool) -> FractionalOrder:
-    """The run's order; nystrom says whether the command runs that solver."""
-    if m < 2:
-        raise UsageError("m must be at least 2")
+@contextlib.contextmanager
+def _usage():
+    """Report a library type's refusal of a run's input as a UsageError."""
     try:
-        order = FractionalOrder(alpha, Variant(variant))
+        yield
     except FracspecError as e:
         raise UsageError(str(e)) from e
-    if nystrom and order.alpha <= 0.5:
-        # only caputo gets here: the kernel diagonal needs alpha > 1/2
-        raise UsageError(
-            f"the Nystrom solver requires alpha > 1/2, got {order.alpha}"
-        )
-    return order
+
+
+def _check_modes(n: int, m: int, what: str) -> None:
+    """An m-point grid has m modes: reading mode n, for what, needs n <= m."""
+    if n > m:
+        raise UsageError(f"need m >= {n} for {what}: an m-point grid has m modes, got m={m}")
+
+
+def _check_refinable(order: FractionalOrder, what: str) -> None:
+    """Refinement needs alpha < 1: at alpha = 1 the closed forms are exact."""
+    if order.alpha == 1.0:
+        raise UsageError(f"{what} requires alpha < 1, got alpha=1, where asym2 and f_asym_nolayers are exact")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -181,12 +187,16 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.12e}"
 
 
-def _nystrom(order: FractionalOrder, m: int, n_modes: int, vectors: bool = True):
-    """The CLI's one reference solve: the bridge kernel for rl-bridge, the
-    RL kernel for caputo, on the m-point grid."""
+def _reference(order: FractionalOrder, m: int):
+    """The (KernelSpec, grid) pair: bridge kernel for rl-bridge, RL for caputo."""
     kind = KernelKind.BRIDGE if order.variant is Variant.RL_BRIDGE else KernelKind.RL
-    return discretize_and_solve(KernelSpec(order, kind), build_grid(m),
-                                n_modes=n_modes, vectors=vectors)
+    return KernelSpec(order, kind), build_grid(m)
+
+
+def _nystrom(reference, n_modes: int, vectors: bool = True):
+    """The CLI's one reference solve, of a _reference pair."""
+    spec, grid = reference
+    return discretize_and_solve(spec, grid, n_modes=n_modes, vectors=vectors)
 
 
 def _integro_csv(roots) -> str:
@@ -202,9 +212,10 @@ def _integro_csv(roots) -> str:
 # -- spectrum --------------------------------------------------------------
 
 
-def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
-                    reference: str):
-    """Compute everything cmd_spectrum serializes, for the mode indices ns.
+def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, reference: str,
+                    nystrom_ref=None, table: PhaseTable | None = None):
+    """Compute everything cmd_spectrum serializes, for the mode indices ns,
+    from the run's _reference pair and PhaseTable (None: method not run).
 
     Returns (spectrum_csv, integro_csv or None, failures) where failures is
     a list of (n, message) for integro refinements that raised.
@@ -213,13 +224,13 @@ def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
     rl_bridge = order.variant is Variant.RL_BRIDGE
 
     lam_ny = {}
-    if "nystrom" in methods:
-        lam = _nystrom(order, m, ns[-1], vectors=False).lam
+    if nystrom_ref is not None:
+        lam = _nystrom(nystrom_ref, ns[-1], vectors=False).lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
 
     refined, failures = [], []
-    if "integro" in methods:
-        refined, failures = refine_roots(ns, PhaseTable(order))
+    if table is not None:
+        refined, failures = refine_roots(ns, table)
     lam_int = {rt.n: rt.rho ** (2.0 * a) for rt in refined}
     lam_ref = lam_ny if reference == "nystrom" else lam_int
 
@@ -249,26 +260,25 @@ def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, m: int,
         )
     spectrum_csv = "\n".join(lines) + "\n"
 
-    integro_csv = _integro_csv(refined) if "integro" in methods else None
+    integro_csv = _integro_csv(refined) if table is not None else None
     return spectrum_csv, integro_csv, failures
 
 
 def cmd_spectrum(alpha, variant, n_min, n_max, methods, m, out, reference) -> int:
-    if "integro" in methods and variant != "rl-bridge":
-        raise UsageError("integro refinement applies to the rl-bridge variant only")
     if n_min < 1 or n_max < n_min:
         raise UsageError("need 1 <= n_min <= n_max")
-    order = _validated_order(alpha, variant, m, nystrom="nystrom" in methods)
-    if "nystrom" in methods and n_max > m:
-        raise UsageError(f"need n_max <= m for nystrom, got n_max={n_max}, m={m}")
-    if "integro" in methods and order.alpha == 1.0:
-        raise UsageError(
-            "integro refinement requires alpha < 1; at alpha = 1 the roots"
-            " are exact (rho_n = pi n) and asym2 gives them"
-        )
+    with _usage():
+        order = FractionalOrder(alpha, Variant(variant))
+        NystromGrid(m)  # --m 1 is refused even when no solve reads the grid
+        nystrom_ref = _reference(order, m) if "nystrom" in methods else None
+        table = PhaseTable(order) if "integro" in methods else None
+    if nystrom_ref is not None:
+        _check_modes(n_max, m, f"n_max={n_max}")
+    if table is not None:
+        _check_refinable(order, "integro refinement")
     _make_out_dir(out)
     spectrum_csv, integro_csv, failures = _build_spectrum(
-        order, range(n_min, n_max + 1), methods, m, reference
+        order, range(n_min, n_max + 1), methods, reference, nystrom_ref, table
     )
     files = [("spectrum.csv", spectrum_csv)]
     if integro_csv is not None:
@@ -285,20 +295,19 @@ def cmd_spectrum(alpha, variant, n_min, n_max, methods, m, out, reference) -> in
 def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
     if grid_points < 11:
         raise UsageError("grid_points must be at least 11")
-    order = _validated_order(alpha, "rl-bridge", m, nystrom=True)
-    if not 1 <= n <= m:
-        raise UsageError(f"need 1 <= n <= m, got n={n}, m={m}")
-    if exact and order.alpha == 1.0:
-        raise UsageError(
-            "--exact requires alpha < 1; at alpha = 1 the eigenfunctions are"
-            " exact sines and f_asym_nolayers gives them"
-        )
+    with _usage():
+        _check_count(n, "n")
+        order = FractionalOrder(alpha)
+        nystrom_ref = _reference(order, m)
+        table = PhaseTable(order)
+    _check_modes(n, m, f"n={n}")
+    if exact:
+        _check_refinable(order, "--exact")
     _make_out_dir(out)
 
     x = np.linspace(0.0, 1.0, grid_points)
-    f_ny = eigenfunction_at(_nystrom(order, m, n), n, x)
+    f_ny = eigenfunction_at(_nystrom(nystrom_ref, n), n, x)
 
-    table = PhaseTable(order)
     f_nolayers = eigenfunction_asymptotic(n, x, order)
     f_layers = eigenfunction_asymptotic(n, x, order, table)
     if exact:
@@ -333,9 +342,10 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
 
 
 def cmd_validate(alpha, variant, m, out) -> int:
-    if m < 20:  # caputo_endpoint reads f_20
-        raise UsageError("validate needs m >= 20")
-    order = _validated_order(alpha, variant, m, nystrom=True)
+    with _usage():
+        order = FractionalOrder(alpha, Variant(variant))
+        nystrom_ref = _reference(order, m)
+    _check_modes(20, m, "caputo_endpoint, which reads f_20")
     results = []
 
     def run(name, fn):
@@ -356,17 +366,17 @@ def cmd_validate(alpha, variant, m, out) -> int:
 
     def check_alpha1():
         ns = np.arange(1, 21)
-        lam_b = _nystrom(FractionalOrder(1.0), 800, 20, vectors=False).lam
+        lam_b = _nystrom(_reference(FractionalOrder(1.0), 800), 20, vectors=False).lam
         worst_b = float(np.max(np.abs(lam_b / (np.pi * ns) ** 2 - 1.0)))
         caputo = FractionalOrder(1.0, Variant.CAPUTO)
-        rho_r = _nystrom(caputo, 800, 20, vectors=False).rho
+        rho_r = _nystrom(_reference(caputo, 800), 20, vectors=False).rho
         worst_r = float(np.max(np.abs(rho_r / (np.pi * ns - np.pi / 2) - 1.0)))
         worst = max(worst_b, worst_r)
         return worst < 1e-4, f"max relative error {worst:.3e} (m=800, n<=20)"
 
     def check_caputo_endpoint():
         target = np.sqrt(2.0 * alpha)
-        sp = _nystrom(FractionalOrder(alpha, Variant.CAPUTO), m, 20)
+        sp = _nystrom(_reference(FractionalOrder(alpha, Variant.CAPUTO), m), 20)
         v = abs(eigenfunction_at(sp, 20, 1.0))
         rel = abs(v - target) / target
         return rel < 0.01, f"|f_20(1)| = {v:.6f} vs sqrt(2a) = {target:.6f} ({rel:.2%})"
@@ -374,7 +384,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
     @functools.cache  # orthonormality and mercer_trace share one solve
     def reference_spectrum():
         # orthonormality reads 10 vectors, mercer its head's values
-        return _nystrom(order, m, max(10, _mercer_head(m)))
+        return _nystrom(nystrom_ref, max(10, _mercer_head(m)))
 
     def check_orthonormality():
         sp = reference_spectrum()
@@ -400,7 +410,8 @@ def cmd_validate(alpha, variant, m, out) -> int:
         return gap <= 1e-3, f"trace gap {gap:.3e} (m={m})"
 
     def check_determinism():
-        small = (order, range(1, 6), ("asym1", "asym2", "nystrom"), 200, "nystrom")
+        small = (order, range(1, 6), ("asym1", "asym2", "nystrom"), "nystrom",
+                 _reference(order, 200))
         one = _build_spectrum(*small)[0]
         two = _build_spectrum(*small)[0]
         return one == two, f"two runs, {len(one)} bytes each, identical={one == two}"

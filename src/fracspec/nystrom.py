@@ -16,10 +16,8 @@ turn it into one regularized incomplete beta I_R:
 
 c = (1-a) B(a, 2-2a). The one expression holds on the diagonal (R = 1,
 d = 0 give x^{2a-1}/((2a-1) Gamma(a)^2)) and next to it, where the
-hypergeometric series at argument near 1 would lose digits. At a = 1/2 the
-expression is 0/0; there K = (2/pi) artanh(sqrt(R)), evaluated as
-(2/pi) ln((sqrt(hi) + sqrt(lo)) / sqrt(d)) to keep its digits near the
-diagonal.
+hypergeometric series at argument near 1 would lose digits. Every kernel
+has a > 1/2 (KernelSpec), where the diagonal is finite.
 
 The special functions need numpy and math alone. I_x(a, b) is the power
 series x^a sum_k (1-b)_k/k! x^k/(a+k) / B(a, b) (DLMF 8.17.7-8.17.8) for
@@ -65,7 +63,7 @@ from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
 
 from .errors import ConvergenceError, DomainError, _check_count
 from .phase import (
-    FractionalOrder, _check_unit, _first_quarter_sign, _row_blocks, _shaped
+    FractionalOrder, _as_order, _check_unit, _first_quarter_sign, _row_blocks, _shaped
 )
 from .quadrature import gauss_legendre_01, tanh_sinh_rule
 
@@ -95,10 +93,11 @@ class KernelSpec:
     kind: KernelKind
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, FractionalOrder) and self.alpha.alpha > 0.5):
-            raise DomainError(
-                f"a kernel needs a FractionalOrder with alpha > 1/2, got {self.alpha!r}"
-            )
+        o = self.alpha
+        if not isinstance(o, FractionalOrder):
+            raise DomainError(f"a kernel needs a FractionalOrder, got {o!r}")
+        if not o.alpha > 0.5:
+            raise DomainError(f"a kernel needs alpha > 1/2, got alpha={o.alpha} ({o.variant.value})")
 
 
 def _beta(a: float, b: float) -> float:
@@ -161,38 +160,26 @@ def _kernel_sorted(lo, hi, a: float):
     d = hi - lo
     if a == 1.0:
         return np.broadcast_to(lo, d.shape)
-    # lo = 0 (0/0, 0^(a-1)) is masked below; for a <= 1/2 the diagonal is
-    # infinite, and kernel_K rejects it
+    # lo = 0 (0/0, 0^(a-1)) is masked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        if a == 0.5:
-            # (2/pi) artanh(sqrt(lo/hi)), written with d to keep its digits
-            # next to the diagonal
-            out = (2.0 / np.pi) * np.log((np.sqrt(hi) + np.sqrt(lo)) / np.sqrt(d))
-        else:
-            b = 2.0 - 2.0 * a
-            c = (1.0 - a) * _beta(a, b)
-            # 1 - lo/hi passed as d/hi keeps its digits next to the diagonal
-            ib = _betainc(a, b, lo / hi, d / hi)
-            out = hi ** (a - 1.0) * lo**a - c * d ** (2.0 * a - 1.0) * ib
-            out /= (2.0 * a - 1.0) * math.gamma(a) ** 2
+        b = 2.0 - 2.0 * a
+        c = (1.0 - a) * _beta(a, b)
+        # 1 - lo/hi passed as d/hi keeps its digits next to the diagonal
+        ib = _betainc(a, b, lo / hi, d / hi)
+        out = hi ** (a - 1.0) * lo**a - c * d ** (2.0 * a - 1.0) * ib
+        out /= (2.0 * a - 1.0) * math.gamma(a) ** 2
     return np.where(lo <= 0, 0.0, out)
 
 
 def kernel_K(x, y, alpha):
     """The covariance kernel K(x,y); symmetric, nonnegative on [0,1]^2.
 
-    The diagonal needs alpha > 1/2 (otherwise the defining integral
-    diverges there); off-diagonal values exist for any alpha in (0,1].
+    alpha > 1/2 (KernelSpec's rule; below it K diverges on the diagonal), a
+    FractionalOrder or a float. x and y broadcast; a 0-d result is a float.
     """
-    # not phase._as_order: that builds an rl-bridge order, rejecting caputo a <= 1/2
-    a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
-    scalar = np.isscalar(x) and np.isscalar(y)
-    xx = np.asarray(x, dtype=float)
-    yy = np.asarray(y, dtype=float)
-    if a <= 0.5 and np.any(np.asarray(xx == yy) & (xx > 0)):
-        raise DomainError("diagonal of K requires alpha > 1/2")
-    out = _kernel_raw(xx, yy, a)
-    return float(out) if scalar else out
+    a = KernelSpec(_as_order(alpha), KernelKind.RL).alpha.alpha
+    out = _kernel_raw(x, y, a)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _k11(a: float) -> float:
@@ -281,7 +268,7 @@ class NystromGrid:
 
     def __post_init__(self):
         if _check_count(self.m, "m") < 2:
-            raise DomainError("grid needs m >= 2")
+            raise DomainError(f"a grid needs m >= 2, got m={self.m}")
 
     @property
     def nodes(self) -> np.ndarray:

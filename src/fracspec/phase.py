@@ -81,6 +81,14 @@ def _as_order(alpha) -> FractionalOrder:
     return FractionalOrder(float(alpha))
 
 
+def _rl_bridge_order(alpha, what: str) -> FractionalOrder:
+    """_as_order(alpha), refused unless rl-bridge: what exists for it only."""
+    order = _as_order(alpha)
+    if order.variant is not Variant.RL_BRIDGE:
+        raise DomainError(f"{what} exists for the rl-bridge variant only, got {order.variant.value}")
+    return order
+
+
 def _check_positive(t):
     tt = np.asarray(t, dtype=float)
     tt = tt if tt.ndim == 1 else tt.reshape(-1)  # as in _check_unit
@@ -135,10 +143,7 @@ def theta0(t, alpha):
     Only defined for the rl-bridge variant (the denominator stays positive
     exactly when a > 1/2).
     """
-    order = _as_order(alpha)
-    if order.variant is not Variant.RL_BRIDGE:
-        raise DomainError("theta0 is defined for the rl-bridge variant only")
-    a = order.alpha
+    a = _rl_bridge_order(alpha, "theta0").alpha
     tt = _check_positive(t)
     val = -np.arctan(np.sin(a * np.pi) / (tt ** (2 * a) - np.cos(a * np.pi)))
     return _shaped(val, t)
@@ -153,10 +158,8 @@ def gamma0(t, alpha):
 
 
 def b_alpha(alpha) -> float:
-    """The constant b_alpha = cot(pi / (2 alpha)), for alpha in (1/2, 1]."""
-    a = _as_order(alpha).alpha
-    if not 0.5 < a <= 1.0:
-        raise DomainError(f"b_alpha requires alpha in (1/2, 1], got {a}")
+    """The constant b_alpha = cot(pi / (2 alpha)), rl-bridge only."""
+    a = _rl_bridge_order(alpha, "b_alpha").alpha
     return 1.0 / np.tan(np.pi / (2.0 * a))
 
 
@@ -179,10 +182,7 @@ class PhaseTable:
     tol = 1e-10  # bound on every quadrature error estimate, else AccuracyError
 
     def __init__(self, order):
-        order = _as_order(order)
-        if order.variant is not Variant.RL_BRIDGE:
-            raise DomainError("PhaseTable requires the rl-bridge variant")
-        self.order = order
+        self.order = order = _rl_bridge_order(order, "a PhaseTable")
         self.alpha = order.alpha
         a = self.alpha
 

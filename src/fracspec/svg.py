@@ -19,6 +19,7 @@ _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 36
 _MARGIN_B = 44
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # for every label
 
 
 def _ticks(lo: float, hi: float):
@@ -72,7 +73,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}"'
         ' fill="none" stroke="#888" stroke-width="1"/>',
         f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="14">{title}</text>',
+        f' font-family="sans-serif" font-size="14">{title.translate(_XML_TEXT)}</text>',
     ]
     for tx in _ticks(x0, x1):
         xp = px(tx)
@@ -98,10 +99,10 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     out += [
         f'<text x="{_MARGIN_L + pw // 2}" y="{_HEIGHT - 8}"'
         ' text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{xlabel}</text>",
+        f"{xlabel.translate(_XML_TEXT)}</text>",
         f'<text x="14" y="{yc}" text-anchor="middle"'
         f' font-family="sans-serif" font-size="12"'
-        f' transform="rotate(-90 14 {yc})">{ylabel}</text>',
+        f' transform="rotate(-90 14 {yc})">{ylabel.translate(_XML_TEXT)}</text>',
     ]
     for label, xs, ys, color in series:
         xs = np.asarray(xs, dtype=float)
@@ -119,7 +120,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
         )
         out.append(
             f'<text x="{_MARGIN_L + 40}" y="{ly}" font-family="sans-serif"'
-            f' font-size="11">{label}</text>'
+            f' font-size="11">{str(label).translate(_XML_TEXT)}</text>'
         )
         ly += 16
     out.append("</svg>")

@@ -500,6 +500,25 @@ class TestConfig:
         assert "argument --variant: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+# Every input the CLI refuses before it makes --out: (command, flags, the
+# refused value as stderr names it). A flag of value None takes no value.
+_REFUSED = [
+    ("spectrum", {"m": "1", "methods": "asym1"}, "m=1"),
+    ("spectrum", {"m": "1"}, "m=1"),
+    ("eigenfunction", {"m": "1"}, "m=1"),
+    ("validate", {"m": "1"}, "m=1"),
+    ("spectrum", {"variant": "caputo", "alpha": "0.4", "methods": "nystrom"}, "alpha=0.4"),
+    ("validate", {"variant": "caputo", "alpha": "0.4"}, "alpha=0.4"),
+    ("spectrum", {"variant": "caputo", "methods": "asym1,integro"}, "caputo"),
+    ("spectrum", {"methods": "nystrom", "n-max": "40", "m": "30"}, "n_max=40"),
+    ("eigenfunction", {"n": "25", "m": "20"}, "n=25"),
+    ("eigenfunction", {"n": "0"}, "got 0"),
+    ("validate", {"m": "19"}, "m=19"),
+    ("spectrum", {"alpha": "1", "methods": "asym2,integro"}, "alpha=1"),
+    ("eigenfunction", {"alpha": "1", "exact": None}, "alpha=1"),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -585,6 +604,32 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "asym2" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "command, flags, named", _REFUSED,
+        ids=[f"{c}-" + "-".join(f"{k}={v}" for k, v in f.items()) for c, f, _ in _REFUSED],
+    )
+    def test_refused_input_names_its_value(self, command, flags, named, via, tmp_path,
+                                           capsys):
+        # refused by the library type that owns the rule (FractionalOrder,
+        # NystromGrid, KernelSpec, PhaseTable) or by one of the two rules the
+        # CLI keeps, before --out is made; the same from a config file
+        out = tmp_path / "out"
+        argv, lines = [command, "--out", str(out)], []
+        for key, value in flags.items():
+            if via == "config" and key not in ("n", "exact"):  # not config keys
+                lines.append(f"{key} = {value}")
+            else:
+                argv += [f"--{key}"] + ([] if value is None else [value])
+        if lines:
+            (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag, value",

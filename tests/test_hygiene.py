@@ -163,13 +163,19 @@ def test_check_finds_the_package_reads():
     assert _package_reads(mod, "fracspec") == {"a", "c"}
 
 
+def _owners(tree: ast.Module) -> dict:
+    """id(node) -> name of the innermost function around node (ast.walk
+    visits outer functions first, so inner ones overwrite them)."""
+    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    return {id(c): f.name for f in funcs for c in ast.walk(f)}
+
+
 def _stepped_loops(trees: dict[str, ast.Module]) -> list[str]:
     """'module: function' for each three-argument range or np.arange call,
     by the function around it (None at module level)."""
     found = []
     for mod, tree in trees.items():
-        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        owner = {id(c): f.name for f in funcs for c in ast.walk(f)}
+        owner = _owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and len(node.args) == 3 and (
                 (isinstance(node.func, ast.Name) and node.func.id == "range")
@@ -203,8 +209,7 @@ def test_check_flags_a_stepped_loop():
 def _calls_by_function(tree: ast.Module, names: set) -> list[str]:
     """'function: name' for each call of one of names, bare or as an
     attribute, by the innermost function around it (None at module level)."""
-    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    owner = {id(c): f.name for f in funcs for c in ast.walk(f)}
+    owner = _owners(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -214,15 +219,16 @@ def _calls_by_function(tree: ast.Module, names: set) -> list[str]:
     return sorted(found)
 
 
-_REFERENCE_SOLVE = {"KernelSpec", "build_grid", "discretize_and_solve"}
+CLI_TREE = ast.parse((Path(fracspec.__file__).parent / "cli.py").read_text())
 
 
 def test_the_cli_builds_its_reference_solve_in_one_place():
-    # the variant's kernel, the grid and the solve are chosen in cli._nystrom
-    # alone, so a change of reference route touches one function
-    tree = ast.parse((Path(fracspec.__file__).parent / "cli.py").read_text())
-    calls = _calls_by_function(tree, _REFERENCE_SOLVE)
-    assert calls == [f"_nystrom: {n}" for n in sorted(_REFERENCE_SOLVE)]
+    # the variant's kernel and the grid are chosen in cli._reference alone,
+    # and solved in cli._nystrom alone, so a change of reference route
+    # touches one function
+    calls = _calls_by_function(CLI_TREE, {"KernelSpec", "build_grid", "discretize_and_solve"})
+    assert calls == ["_nystrom: discretize_and_solve", "_reference: KernelSpec",
+                     "_reference: build_grid"]
 
 
 def test_check_flags_a_call_outside_its_function():
@@ -234,6 +240,35 @@ def test_check_flags_a_call_outside_its_function():
     assert _calls_by_function(mod, {"Spec", "solve"}) == [
         "None: Spec", "_nystrom: Spec", "_nystrom: solve", "f: Spec", "g: Spec",
     ]
+
+
+def _catches_by_function(tree: ast.Module, name: str) -> list[str]:
+    """The innermost function around each except clause that names the
+    exception class name, alone or in a tuple (None at module level)."""
+    owner = _owners(tree)
+    return sorted(
+        str(owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and name in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+    )
+
+
+def test_the_cli_turns_library_refusals_into_usage_errors_in_one_place():
+    # a run's inputs are checked by the library types that own each rule;
+    # cli._usage maps their refusal to exit 2 and main any later one to 3,
+    # so no command catches a FracspecError to restate a rule of its own
+    assert _catches_by_function(CLI_TREE, "FracspecError") == ["_usage", "main"]
+
+
+def test_check_flags_a_catch_outside_its_function():
+    mod = ast.parse(
+        "def _usage():\n    try:\n        pass\n    except E as e:\n        pass\n"
+        "def f():\n    try:\n        pass\n    except (OSError, m.E):\n        pass\n"
+        "    except ValueError:\n        pass\n"
+        "try:\n    pass\nexcept E:\n    pass\nexcept:\n    pass\n"
+    )
+    assert _catches_by_function(mod, "E") == ["None", "_usage", "f"]
 
 
 def _formats_outside_the_cli(texts: dict[str, str]) -> list[str]:

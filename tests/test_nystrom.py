@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -112,16 +111,6 @@ class TestKernel:
         rel = np.abs(_kernel_raw(x, y, a) / np.array(want) - 1)
         assert rel.max() < tol
 
-    def test_alpha_half_off_diagonal(self):
-        # K = (2/pi) artanh(sqrt(min/max)); the general form is 0/0 here
-        pts = [(0.3, 0.7), (0.9, 0.2), (1.0, 0.6), (0.5, 0.5 * (1 + 1e-9))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = [kernel_K(x, y, 0.5) for x, y in pts]
-        with mp.workdps(30):
-            want = [_kernel_oracle(x, y, 0.5) for x, y in pts]
-        assert got == pytest.approx(want, rel=1e-13)
-
     @staticmethod
     def _bridge_matrix(x, a, sw):
         # the bridge kernel as the solver assembles it: the block sweep on
@@ -158,6 +147,16 @@ class TestKernel:
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
         with pytest.raises(DomainError):
             kernel_K(0.5, 0.5, o)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    def test_zero_d_points_give_a_float(self, alpha):
+        # as every other point evaluator: a 0-d result is a float, a 1-d
+        # point array keeps its shape
+        for x, y in [(0.3, 0.7), (np.float64(0.3), 0.7), (np.array(0.3), np.array(0.7))]:
+            got = kernel_K(x, y, alpha)
+            assert type(got) is float
+            assert got == kernel_K(0.3, 0.7, alpha)
+        assert kernel_K(np.array([0.3]), 0.7, alpha).shape == (1,)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -485,11 +484,17 @@ class TestSolve:
             assert poisoned, ndim
 
     def test_rejects_small_alpha(self):
-        # the kernel diagonal needs alpha > 1/2, for either kind
+        # the kernel diagonal needs alpha > 1/2, for either kind; kernel_K
+        # keeps the same rule off the diagonal too, and the message names
+        # the value and the variant
         o = fs.FractionalOrder(0.4, fs.Variant.CAPUTO)
         for kind in KernelKind:
-            with pytest.raises(DomainError, match="alpha > 1/2"):
+            with pytest.raises(DomainError, match=r"alpha > 1/2, got alpha=0.4 \(caputo\)"):
                 KernelSpec(o, kind)
+        with pytest.raises(DomainError, match="alpha > 1/2"):
+            kernel_K(0.3, 0.7, o)
+        with pytest.raises(DomainError, match="alpha in \\(1/2, 1\\], got 0.5"):
+            kernel_K(0.3, 0.7, 0.5)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_spec_needs_a_fractional_order(self, kind):

@@ -81,6 +81,21 @@ def test_b_alpha_values():
         fs.b_alpha(0.5)
 
 
+@pytest.mark.parametrize(
+    "what, call",
+    [("theta0", lambda o: fs.theta0(1.0, o)),
+     ("b_alpha", fs.b_alpha),
+     ("a PhaseTable", fs.PhaseTable),
+     ("the eigenfunction asymptotics", lambda o: fs.eigenfunction_asymptotic(1, 0.5, o))],
+    ids=["theta0", "b_alpha", "PhaseTable", "eigenfunction_asymptotic"],
+)
+def test_rl_bridge_only(what, call):
+    # one rule, one message: b_alpha once took any order with alpha in
+    # (1/2, 1], a caputo one too
+    with pytest.raises(DomainError, match=f"^{what} exists for the rl-bridge variant only, got caputo$"):
+        call(fs.FractionalOrder(0.75, fs.Variant.CAPUTO))
+
+
 class TestXc0:
     def test_anchor_at_i(self):
         # closed form sqrt(a) e^{-i pi (1-a)/4}

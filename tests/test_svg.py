@@ -1,3 +1,5 @@
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,14 @@ def test_flat_series_has_ticks():
     svg = svg_line_chart([("flat", x, np.zeros(2), "#000000")],
                          title="t", xlabel="x", ylabel="y")
     assert "<polyline" in svg
+
+
+def test_labels_are_escaped_text():
+    # a label holding XML's special characters once gave a document that
+    # no XML parser accepts
+    x = np.linspace(0, 1, 5)
+    svg = svg_line_chart([("f < g & h", x, x, "#000000")],
+                         title="a<b & c", xlabel="x > 0", ylabel="<y>")
+    doc = minidom.parseString(svg)
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert {"a<b & c", "x > 0", "<y>", "f < g & h"} <= set(texts)
