@@ -10,15 +10,13 @@ serializes their comparisons.
 """
 
 from .asymptotics import (
-    Layer,
     Order,
     boundary_layer,
     eigenfunction_asymptotic,
     lambda_asymptotic,
     lambda_two_term,
     rho_asymptotic,
-    upsilon0,
-    upsilon1,
+    upsilons,
 )
 from .errors import (
     AccuracyError,
@@ -73,7 +71,6 @@ __all__ = [
     "FractionalOrder",
     "KernelKind",
     "KernelSpec",
-    "Layer",
     "NystromGrid",
     "Order",
     "PQRSolution",
@@ -102,8 +99,7 @@ __all__ = [
     "secular",
     "solve_pqr",
     "theta0",
-    "upsilon0",
-    "upsilon1",
+    "upsilons",
     "xc0",
     "__version__",
 ]

@@ -39,12 +39,10 @@ from .quadrature import half_line_grid
 
 __all__ = [
     "Order",
-    "Layer",
     "rho_asymptotic",
     "lambda_asymptotic",
     "lambda_two_term",
-    "upsilon0",
-    "upsilon1",
+    "upsilons",
     "boundary_layer",
     "eigenfunction_asymptotic",
 ]
@@ -53,11 +51,6 @@ __all__ = [
 class Order(Enum):
     FIRST = "first"
     SECOND = "second"
-
-
-class Layer(Enum):
-    AT_ZERO = "zero"
-    AT_ONE = "one"
 
 
 def rho_asymptotic(n: int, alpha, order: Order = Order.SECOND) -> float:
@@ -100,7 +93,7 @@ def _layer_densities(t, table: PhaseTable, k0, k1):
     """k0 v0 and k1 v1 on an array of t > 0 from one X_c0(-t) sweep, where
     v0 = (X_c0(-t)/t) sin(theta0 - a pi)/gamma0 and v1 = (X_c0(-t)/t)
     sin(theta0)/gamma0 are the factors both boundary layers share. A weight
-    k is multiplied in first, so Upsilon0 and Upsilon1 (_upsilons) round as
+    k is multiplied in first, so Upsilon0 and Upsilon1 (upsilons) round as
     their formulas read; integro.reconstruct_f_exact weights v0 by Psi0 and
     v1 by t^a Psi1.
     """
@@ -113,9 +106,17 @@ def _layer_densities(t, table: PhaseTable, k0, k1):
     return k0 * xt * s0 / gm, k1 * xt * np.sin(theta0(t, table.order)) / gm
 
 
-def _upsilons(t, table: PhaseTable):
-    """Upsilon0(t) and Upsilon1(t) from one _layer_densities call, each in
-    the shape of t (_shaped)."""
+def upsilons(t, table: PhaseTable):
+    """The layer densities (Upsilon0(t), Upsilon1(t)), each in the shape of
+    t, from one X_c0 sweep:
+
+    Upsilon0(t) = (sqrt(2a)/pi) (X_c0(-t)/t) sin(theta0(t) - a pi) / gamma0(t),
+    Upsilon1(t) = (sqrt(2a)/pi) t^a (b_a - t)/sqrt(b_a^2+1)
+                  (X_c0(-t)/t) sin(theta0(t)) / gamma0(t).
+
+    Since b_a = cot(pi/(2a)) < 0 for a in (1/2, 1), the factor (b_a - t)
+    is negative for all t > 0: Upsilon1 never changes sign through it.
+    """
     a = table.alpha
     tt = _check_positive(t)
     b = b_alpha(table.order)
@@ -123,26 +124,6 @@ def _upsilons(t, table: PhaseTable):
     k1 = c * (tt**a * (b - tt) / np.sqrt(b * b + 1.0))
     u0, u1 = _layer_densities(tt, table, c, k1)
     return _shaped(u0, t), _shaped(u1, t)
-
-
-def upsilon0(t, table: PhaseTable):
-    """Layer density at x=0:
-
-    Upsilon0(t) = (sqrt(2a)/pi) (X_c0(-t)/t) sin(theta0(t) - a pi) / gamma0(t).
-    """
-    return _upsilons(t, table)[0]
-
-
-def upsilon1(t, table: PhaseTable):
-    """Layer density at x=1:
-
-    Upsilon1(t) = (sqrt(2a)/pi) t^a (b_a - t)/sqrt(b_a^2+1)
-                  (X_c0(-t)/t) sin(theta0(t)) / gamma0(t).
-
-    Since b_a = cot(pi/(2a)) < 0 for a in (1/2, 1), the factor (b_a - t)
-    is negative for all t > 0: the density never changes sign through it.
-    """
-    return _upsilons(t, table)[1]
 
 
 def _layer_rule():
@@ -169,26 +150,27 @@ def _laplace_sum(d, rho: float, t, wu):
     return val
 
 
-def boundary_layer(x, rho: float, which: Layer, table: PhaseTable):
-    """int_0^inf Upsilon_j(t) exp(-rho t d) dt, d = x (AtZero) or 1-x (AtOne).
+def boundary_layer(x, rho: float, table: PhaseTable):
+    """(layer at 0, layer at 1), each in the shape of x, from one upsilons
+    sample: int_0^inf Upsilon_j(t) exp(-rho t d) dt, d = x (j = 0) or 1-x (j = 1).
 
     d = 0 needs no special handling: the densities are integrable at both
     ends of the half line and the grid covers (0, inf) in full.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
-    t, w = _layer_rule()
-    u0, u1 = _upsilons(t, table)
     xx = _check_unit(x)
-    d, u = (xx, u0) if which is Layer.AT_ZERO else (1.0 - xx, u1)
-    return _shaped(_laplace_sum(d, rho, t, w * u), x)
+    t, w = _layer_rule()
+    u0, u1 = upsilons(t, table)
+    return (_shaped(_laplace_sum(xx, rho, t, w * u0), x),
+            _shaped(_laplace_sum(1.0 - xx, rho, t, w * u1), x))
 
 
 def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
     """The uniform eigenfunction approximation at order Second (rl-bridge):
 
     sqrt(2) sin(rho_n x + (pi/4)(1-a))
-      [+ layer at 0 + (-1)^n layer at 1 when a table is passed]
+      [+ layer at 0 + (-1)^n layer at 1 (boundary_layer) when a table is passed]
 
     The table must be alpha's own. At alpha = 1 this is sqrt(2) sin(pi n x)
     with numerically vanishing layers. The residual O(1/n) term of the
@@ -202,8 +184,6 @@ def eigenfunction_asymptotic(n: int, x, alpha, table: PhaseTable | None = None):
     xx = _check_unit(x)
     val = np.sqrt(2.0) * np.sin(rho * xx + phi)
     if table is not None:
-        t, w = _layer_rule()
-        u0, u1 = _upsilons(t, table)  # one X_c0 sweep for both layers
-        val = val + _laplace_sum(xx, rho, t, w * u0)
-        val = val + (-1.0) ** n * _laplace_sum(1.0 - xx, rho, t, w * u1)
+        at0, at1 = boundary_layer(xx, rho, table)
+        val = val + at0 + (-1.0) ** n * at1
     return _shaped(val, x)

@@ -37,7 +37,7 @@ from .asymptotics import (
     rho_asymptotic,
 )
 from .errors import FracspecError, _check_count
-from .integro import PhaseTable, reconstruct_f_exact, refine_rho, refine_roots
+from .integro import PhaseTable, reconstruct_f_exact, refine_rho, refine_roots, _check_refinable
 from .nystrom import (
     KernelKind,
     KernelSpec,
@@ -141,12 +141,6 @@ def _check_modes(n: int, m: int, what: str) -> None:
         raise UsageError(f"need m >= {n} for {what}: an m-point grid has m modes, got m={m}")
 
 
-def _check_refinable(order: FractionalOrder, what: str) -> None:
-    """Refinement needs alpha < 1: at alpha = 1 the closed forms are exact."""
-    if order.alpha == 1.0:
-        raise UsageError(f"{what} requires alpha < 1, got alpha=1, where asym2 and f_asym_nolayers are exact")
-
-
 def _write_text(path: str, text: str) -> None:
     """Write text to path atomically: a failed write leaves path as it was.
 
@@ -164,22 +158,17 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _make_out_dir(out_dir: str) -> None:
-    """Create out_dir, before any solve: a bad --out fails at once."""
+def _write_outputs(out_dir: str, files=()) -> None:
+    """Create out_dir and write the (name, text) files under it; any failure
+    there is a usage error. Each command calls it with no files before any
+    solve, so a bad --out fails at once, and with its files at the end."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
-        raise UsageError(f"cannot write output to {out_dir}: {e}") from e
-
-
-def _write_outputs(out_dir: str, files) -> None:
-    """Write (name, text) files under out_dir; a failure there is a usage error."""
-    try:
         for name, text in files:
             path = os.path.join(out_dir, name)
             _write_text(path, text)
             print(f"wrote {path}")
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write output to {out_dir}: {e}") from e
 
 
@@ -272,11 +261,11 @@ def cmd_spectrum(alpha, variant, n_min, n_max, methods, m, out, reference) -> in
         NystromGrid(m)  # --m 1 is refused even when no solve reads the grid
         nystrom_ref = _reference(order, m) if "nystrom" in methods else None
         table = PhaseTable(order) if "integro" in methods else None
+        if table is not None:
+            _check_refinable(table)
     if nystrom_ref is not None:
         _check_modes(n_max, m, f"n_max={n_max}")
-    if table is not None:
-        _check_refinable(order, "integro refinement")
-    _make_out_dir(out)
+    _write_outputs(out)  # creates out: a bad --out fails before any solve
     spectrum_csv, integro_csv, failures = _build_spectrum(
         order, range(n_min, n_max + 1), methods, reference, nystrom_ref, table
     )
@@ -300,10 +289,10 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
         order = FractionalOrder(alpha)
         nystrom_ref = _reference(order, m)
         table = PhaseTable(order)
+        if exact:
+            _check_refinable(table)
     _check_modes(n, m, f"n={n}")
-    if exact:
-        _check_refinable(order, "--exact")
-    _make_out_dir(out)
+    _write_outputs(out)  # creates out: a bad --out fails before any solve
 
     x = np.linspace(0.0, 1.0, grid_points)
     f_ny = eigenfunction_at(_nystrom(nystrom_ref, n), n, x)

@@ -342,12 +342,16 @@ def _brentq(f, a, b, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations")
 
 
+def _check_refinable(table: PhaseTable) -> None:
+    """Refinement needs alpha < 1: at alpha = 1 the closed forms are exact."""
+    if not table.alpha < 1.0:
+        raise DomainError("refinement requires alpha < 1, got alpha=1, where the roots"
+                          " are pi n exactly: asym2 and f_asym_nolayers give them")
+
+
 def _bracket(n: int, table: PhaseTable):
     """rho_n's two-term asymptote and [lo, hi], the bracket searched around it."""
-    if not table.alpha < 1.0:
-        raise DomainError(
-            "refinement requires alpha in (1/2, 1); alpha = 1 has exact roots"
-        )
+    _check_refinable(table)
     rho0 = rho_asymptotic(n, table.order, Order.SECOND)
     return rho0, max(rho0 - np.pi / 2.0, 1e-3), rho0 + np.pi / 2.0
 

@@ -148,8 +148,6 @@ def _betainc(a: float, b: float, x, xc):
 def _kernel_raw(x, y, a: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if a == 1.0:
-        return np.minimum(x, y)
     return _kernel_sorted(np.minimum(x, y), np.maximum(x, y), a)
 
 
@@ -179,7 +177,8 @@ def kernel_K(x, y, alpha):
     """
     a = KernelSpec(_as_order(alpha), KernelKind.RL).alpha.alpha
     out = _kernel_raw(x, y, a)
-    return float(out) if np.ndim(out) == 0 else out
+    # at a = 1 the kernel is a read-only broadcast view of min(x, y)
+    return float(out) if np.ndim(out) == 0 else np.require(out, requirements="W")
 
 
 def _k11(a: float) -> float:

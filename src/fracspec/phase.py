@@ -19,6 +19,7 @@ values in their shape (_shaped), xc0 a complex for a scalar.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,7 +56,9 @@ class FractionalOrder:
 
     The rl-bridge problem needs alpha in (1/2, 1]; caputo allows (0, 1].
     alpha = 1 is admitted in both variants as the classical degeneration
-    (sine eigenfunctions), which several checks exercise directly.
+    (sine eigenfunctions), which several checks exercise directly. alpha is
+    stored as a float, so a float32 does not carry its precision into every
+    formula; a bool or any other non-real is refused.
     """
 
     alpha: float
@@ -63,6 +66,10 @@ class FractionalOrder:
 
     def __post_init__(self):
         a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+            raise DomainError(f"alpha must be a real number, got {a!r}")
+        a = float(a)
+        object.__setattr__(self, "alpha", a)
         if not np.isfinite(a):
             raise DomainError(f"alpha must be finite, got {a!r}")
         if self.variant is Variant.RL_BRIDGE:
@@ -78,7 +85,7 @@ class FractionalOrder:
 def _as_order(alpha) -> FractionalOrder:
     if isinstance(alpha, FractionalOrder):
         return alpha
-    return FractionalOrder(float(alpha))
+    return FractionalOrder(alpha)
 
 
 def _rl_bridge_order(alpha, what: str) -> FractionalOrder:

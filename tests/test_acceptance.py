@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracspec as fs
-from fracspec.asymptotics import Layer, Order
+from fracspec.asymptotics import Order
 from fracspec.cli import main
 from fracspec.integro import secular, solve_pqr
 from fracspec.nystrom import (

@@ -4,12 +4,10 @@ import pytest
 
 import fracspec as fs
 from fracspec.asymptotics import (
-    Layer,
     Order,
     _layer_rule,
     boundary_layer,
-    upsilon0,
-    upsilon1,
+    upsilons,
 )
 from fracspec.errors import DomainError
 
@@ -70,8 +68,9 @@ class TestFrequencies:
 class TestLayers:
     def test_upsilon_signs(self, table075):
         t = np.geomspace(1e-6, 1e6, 60)
-        assert np.all(upsilon0(t, table075) < 0)
-        assert np.all(upsilon1(t, table075) > 0)
+        u0, u1 = upsilons(t, table075)
+        assert np.all(u0 < 0)
+        assert np.all(u1 > 0)
 
     @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
     def test_upsilon_formulas(self, a):
@@ -96,14 +95,15 @@ class TestLayers:
         want0 = c * xt * s0 / gm
         want1 = c * t**a * (b - t) / np.sqrt(b * b + 1.0) * xt * np.sin(
             fs.theta0(t, o)) / gm
-        assert np.max(np.abs(upsilon0(t, table) / want0 - 1.0)) <= 1e-14
-        assert np.max(np.abs(upsilon1(t, table) / want1 - 1.0)) <= 1e-14
+        u0, u1 = upsilons(t, table)
+        assert np.max(np.abs(u0 / want0 - 1.0)) <= 1e-14
+        assert np.max(np.abs(u1 / want1 - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize(
         "t", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"]
     )
     @pytest.mark.parametrize(
-        "f", [fs.theta0, fs.gamma0, fs.pv_weight, fs.g0, upsilon0, upsilon1],
+        "f", [fs.theta0, fs.gamma0, fs.pv_weight, fs.g0, upsilons],
         ids=lambda f: f.__name__,
     )
     def test_nan_t_rejected(self, f, t, table075):
@@ -112,59 +112,62 @@ class TestLayers:
         with pytest.raises(DomainError, match="t must be positive"):
             f(t, arg)
 
+    def test_scalar_gives_a_pair_of_floats(self, table075):
+        pairs = (upsilons(2.0, table075), boundary_layer(0.5, 10.0, table075))
+        assert [type(v) for pair in pairs for v in pair] == [float] * 4
+
     def test_integral_upsilon0_closed_form(self):
         # int_0^inf Upsilon0 = -sqrt(2) sin(pi (1-a) / 4)
         for a in (0.7, 0.75, 0.85):
             table = fs.PhaseTable(fs.FractionalOrder(a))
-            got = boundary_layer(0.0, 30.0, Layer.AT_ZERO, table)
+            got = boundary_layer(0.0, 30.0, table)[0]
             want = -np.sqrt(2.0) * np.sin(np.pi * (1.0 - a) / 4.0)
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_integral_upsilon1_frozen(self, table075):
-        got = boundary_layer(1.0, 30.0, Layer.AT_ONE, table075)
+        got = boundary_layer(1.0, 30.0, table075)[1]
         assert got == pytest.approx(4.545835517841e-01, abs=1e-9)
 
     def test_layer_value_frozen(self, table075):
-        got = boundary_layer(0.5, 30.0, Layer.AT_ZERO, table075)
+        got = boundary_layer(0.5, 30.0, table075)[0]
         assert got == pytest.approx(-3.588864105407e-04, abs=1e-13)
 
     def test_decay_in_rho(self, table075):
         vals = [
-            abs(boundary_layer(0.3, rho, Layer.AT_ZERO, table075))
+            abs(boundary_layer(0.3, rho, table075)[0])
             for rho in (10.0, 20.0, 40.0, 80.0)
         ]
         assert vals[0] > vals[1] > vals[2] > vals[3]
 
     def test_decay_away_from_endpoint(self, table075):
         x = np.array([0.0, 0.1, 0.3, 0.7])
-        v = np.abs(boundary_layer(x, 25.0, Layer.AT_ZERO, table075))
+        v = np.abs(boundary_layer(x, 25.0, table075)[0])
         assert np.all(np.diff(v) < 0)
 
     def test_at_one_mirrors_at_zero(self, table075):
-        # AtOne decays toward x = 0 with the same exponential rate factor
-        near = boundary_layer(0.95, 40.0, Layer.AT_ONE, table075)
-        far = boundary_layer(0.05, 40.0, Layer.AT_ONE, table075)
+        # the layer at 1 decays toward x = 0 with the same exponential rate factor
+        near = boundary_layer(0.95, 40.0, table075)[1]
+        far = boundary_layer(0.05, 40.0, table075)[1]
         assert abs(near) > 100 * abs(far)
 
     def test_rho_domain(self, table075):
         # a NaN rho once passed rho <= 0 and gave a NaN layer
         for rho in (0.0, np.nan):
             with pytest.raises(DomainError, match="rho must be positive"):
-                boundary_layer(0.5, rho, Layer.AT_ZERO, table075)
+                boundary_layer(0.5, rho, table075)
 
-    @pytest.mark.parametrize("which", list(Layer))
+    @pytest.mark.parametrize("which", [0, 1], ids=["at0", "at1"])
     def test_blocks_agree_with_the_whole_grid(self, table075, which):
         # the layer integral on the whole (points x nodes) meshgrid; 32-row
         # blocks may round a gemv row differently, so not bit for bit
         rho = fs.rho_asymptotic(10, table075.order)
         t, w = _layer_rule()
-        ups = upsilon0 if which is Layer.AT_ZERO else upsilon1
-        wu = w * ups(t, table075)
+        wu = w * upsilons(t, table075)[which]
         for n in (1, 31, 32, 33, 501):
             x = (np.arange(n) + 0.5) / n
-            d = x if which is Layer.AT_ZERO else 1.0 - x
+            d = x if which == 0 else 1.0 - x
             want = np.exp(-rho * t[None, :] * d[:, None]) @ wu
-            got = boundary_layer(x, rho, which, table075)
+            got = boundary_layer(x, rho, table075)[which]
             assert np.max(np.abs(got - want)) <= 1e-15, n
 
     def test_no_points_by_nodes_temporary(self, table075, traced_peak):
@@ -207,6 +210,18 @@ class TestEigenfunction:
         assert np.array_equal(fs.eigenfunction_asymptotic(5, x, order075), sine)
         layers = fs.eigenfunction_asymptotic(5, x, order075, table075) - sine
         assert np.abs(layers).max() > 0.1
+
+    def test_layers_are_boundary_layer(self, table075, order075):
+        # the layered profile adds exactly the layers that boundary_layer
+        # gives, in the same order, so the pinned layers are the printed ones
+        x = np.linspace(0.0, 1.0, 101)
+        phi = (np.pi / 4) * (1.0 - order075.alpha)
+        for n in (9, 10, 30, 31):
+            rho = fs.rho_asymptotic(n, order075)
+            at0, at1 = boundary_layer(x, rho, table075)
+            want = np.sqrt(2.0) * np.sin(rho * x + phi) + at0 + (-1.0) ** n * at1
+            got = fs.eigenfunction_asymptotic(n, x, order075, table075)
+            assert np.array_equal(got, want), n
 
     def test_table_of_another_alpha_rejected(self, table075):
         # at n = 5, alpha = 0.6 the 0.75 table's layers are off by 0.49 at x = 1
@@ -260,7 +275,7 @@ def test_eigenfunctions_reject_x_outside_unit_interval(evaluate, x, table075):
     )
     call = {
         "eigenfunction_at": lambda x: fs.eigenfunction_at(spectrum, 1, x),
-        "boundary_layer": lambda x: boundary_layer(x, 10.0, Layer.AT_ZERO, table075),
+        "boundary_layer": lambda x: boundary_layer(x, 10.0, table075),
         "eigenfunction_asymptotic": lambda x: fs.eigenfunction_asymptotic(
             3, x, table075.order, table075
         ),

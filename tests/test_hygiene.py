@@ -104,11 +104,6 @@ def test_check_flags_an_unread_private_name():
     assert _unread_private_names({"m.py": mod, "n.py": other}) == unread
 
 
-# exported as the paper's formulas, which the solvers evaluate inside
-# eigenfunction_asymptotic rather than by name
-_PAPER_FORMULAS = {"boundary_layer", "upsilon0", "upsilon1"}
-
-
 def _unread_exports(exports, trees: dict[str, ast.Module]) -> list[str]:
     """Names of exports that no tree reads (dunders, such as __version__,
     are metadata and exempt)."""
@@ -127,7 +122,7 @@ def test_every_export_has_a_package_caller():
     trees = {p.name: ast.parse(p.read_text()) for p in SOURCES
              if p.name != "__init__.py"}
     unread = _unread_exports(fracspec.__all__, trees)
-    assert sorted(set(unread) - _PAPER_FORMULAS) == []
+    assert unread == []
 
 
 def test_check_flags_an_unread_export():
@@ -259,6 +254,12 @@ def test_the_cli_turns_library_refusals_into_usage_errors_in_one_place():
     # cli._usage maps their refusal to exit 2 and main any later one to 3,
     # so no command catches a FracspecError to restate a rule of its own
     assert _catches_by_function(CLI_TREE, "FracspecError") == ["_usage", "main"]
+
+
+def test_the_cli_reports_output_path_errors_in_one_place():
+    # _config_flags reads the --config file; every failure to create or
+    # write under --out is mapped to a usage error by _write_outputs alone
+    assert _catches_by_function(CLI_TREE, "OSError") == ["_config_flags", "_write_outputs"]
 
 
 def test_check_flags_a_catch_outside_its_function():

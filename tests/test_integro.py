@@ -545,7 +545,7 @@ class TestRefine:
         # a PhaseTable is rl-bridge only, so no caputo table reaches refine_rho
         with pytest.raises(DomainError):
             fs.PhaseTable(fs.FractionalOrder(0.75, fs.Variant.CAPUTO))
-        with pytest.raises(DomainError, match="alpha = 1 has exact roots"):
+        with pytest.raises(DomainError, match="requires alpha < 1, got alpha=1"):
             refine_rho(5, fs.PhaseTable(1.0))
         with pytest.raises(DomainError, match="n must be an integer >= 1"):
             refine_rho(0, table075)

@@ -120,7 +120,9 @@ class TestKernel:
     def test_alpha_one_is_min(self):
         x = np.array([0.1, 0.2, 0.5, 0.9, 1.0])
         X, Y = np.meshgrid(x, x, indexing="ij")
-        assert np.allclose(kernel_K(X, Y, 1.0), np.minimum(X, Y), atol=1e-14)
+        K = kernel_K(X, Y, 1.0)
+        assert np.allclose(K, np.minimum(X, Y), atol=1e-14)
+        assert K.flags.writeable  # not the solver's broadcast view
         got = self._bridge_matrix(x, 1.0, np.ones(x.size))
         assert np.allclose(got, np.minimum(X, Y) - X * Y, atol=1e-14)
 

@@ -31,6 +31,24 @@ class TestFractionalOrder:
         with pytest.raises(DomainError):
             fs.FractionalOrder(float("nan"))
 
+    def test_alpha_stored_as_float(self):
+        # a float32 alpha once kept every downstream formula in float32:
+        # rho_asymptotic(10, ...) gave np.float32(30.892326)
+        o = fs.FractionalOrder(np.float32(0.75))
+        assert type(o.alpha) is float and o == fs.FractionalOrder(0.75)
+        assert fs.rho_asymptotic(10, o) == fs.rho_asymptotic(10, 0.75) == 30.892327760299633
+        assert type(fs.PhaseTable(o).alpha) is float
+
+    def test_bool_rejected(self):
+        # True once passed as alpha = 1
+        with pytest.raises(DomainError, match="alpha must be a real number, got True"):
+            fs.FractionalOrder(True)
+
+    def test_string_rejected(self):
+        # a string once raised np.isfinite's TypeError
+        with pytest.raises(DomainError, match="alpha must be a real number, got '0.75'"):
+            fs.FractionalOrder("0.75")
+
 
 class TestTheta0:
     def test_value_at_one_closed_form(self):
@@ -357,14 +375,15 @@ class TestSinglePath:
                 assert f(t, table) == f(np.array([t]), table)[0], (f.__name__, t)
 
     @pytest.mark.parametrize("name", [
-        "theta0", "gamma0", "pv_weight", "g0", "xc0", "upsilon0", "upsilon1",
+        "theta0", "gamma0", "pv_weight", "g0", "xc0", "upsilons",
         "boundary_layer", "eigenfunction_at", "eigenfunction_asymptotic",
         "layered_asymptote", "reconstruct_f_exact", "analytic_extend",
     ])
     def test_points_keep_their_shape(self, name, table075):
         # a 2-d array of points gives the 1-d values reshaped, a 0-d array
         # the one-element array's value as a float (xc0: as a complex;
-        # analytic_extend: p, q, r as (2,) complex arrays, stacked here)
+        # analytic_extend: p, q, r as (2,) complex arrays; upsilons and
+        # boundary_layer: their pairs; each stacked here)
         tb = table075
         t = np.array([[0.5, 2.0], [3.0, 0.1]])
         x = np.array([[0.1, 0.4], [0.7, 1.0]])
@@ -377,10 +396,8 @@ class TestSinglePath:
             "pv_weight": (lambda p: fs.pv_weight(p, tb), t),
             "g0": (lambda p: fs.g0(p, tb), t),
             "xc0": (lambda p: fs.xc0(p, tb), t * (-1.0 + 1.0j)),
-            "upsilon0": (lambda p: fs.upsilon0(p, tb), t),
-            "upsilon1": (lambda p: fs.upsilon1(p, tb), t),
-            "boundary_layer": (
-                lambda p: fs.boundary_layer(p, 10.0, fs.Layer.AT_ONE, tb), x),
+            "upsilons": (lambda p: np.stack(fs.upsilons(p, tb)), t),
+            "boundary_layer": (lambda p: np.stack(fs.boundary_layer(p, 10.0, tb)), x),
             "eigenfunction_at": (lambda p: fs.eigenfunction_at(spectrum, 2, p), x),
             "eigenfunction_asymptotic": (
                 lambda p: fs.eigenfunction_asymptotic(3, p, tb.order), x),
@@ -392,13 +409,15 @@ class TestSinglePath:
                 lambda p: np.stack(fs.analytic_extend(fs.solve_pqr(28.0, tb), p)),
                 t * (1.0 + 1.0j)),
         }[name]
-        lead = (3, 2) if name == "analytic_extend" else ()
+        lead = {"analytic_extend": (3, 2), "upsilons": (2,),
+                "boundary_layer": (2,)}.get(name, ())
         got = f(pts)
         assert got.shape == lead + pts.shape
         assert np.array_equal(got, f(pts.ravel()).reshape(got.shape))
         one = f(np.asarray(pts[1, 0]))
         if lead:
-            assert (one.shape, one.dtype) == (lead, complex)
+            dtype = complex if name == "analytic_extend" else float
+            assert (one.shape, one.dtype) == (lead, dtype)
         else:
             assert type(one) is (complex if name == "xc0" else float)
         assert np.array_equal(one, f(pts[1:, :1].ravel())[..., 0])
