@@ -103,8 +103,10 @@ class TestLayers:
         "t", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"]
     )
     @pytest.mark.parametrize(
-        "f", [fs.theta0, fs.gamma0, fs.pv_weight, fs.g0, upsilons],
-        ids=lambda f: f.__name__,
+        "f",
+        [fs.theta0, fs.gamma0, fs.pv_weight, fs.g0,
+         lambda t, tb: upsilons(t, tb)[0], lambda t, tb: upsilons(t, tb)[1]],
+        ids=["theta0", "gamma0", "pv_weight", "g0", "upsilon0", "upsilon1"],
     )
     def test_nan_t_rejected(self, f, t, table075):
         # NaN fails t > 0 like a nonpositive t does, rather than propagating

@@ -375,15 +375,16 @@ class TestSinglePath:
                 assert f(t, table) == f(np.array([t]), table)[0], (f.__name__, t)
 
     @pytest.mark.parametrize("name", [
-        "theta0", "gamma0", "pv_weight", "g0", "xc0", "upsilons",
+        "theta0", "gamma0", "pv_weight", "g0", "xc0", "upsilon0", "upsilon1",
         "boundary_layer", "eigenfunction_at", "eigenfunction_asymptotic",
         "layered_asymptote", "reconstruct_f_exact", "analytic_extend",
     ])
     def test_points_keep_their_shape(self, name, table075):
         # a 2-d array of points gives the 1-d values reshaped, a 0-d array
         # the one-element array's value as a float (xc0: as a complex;
-        # analytic_extend: p, q, r as (2,) complex arrays; upsilons and
-        # boundary_layer: their pairs; each stacked here)
+        # analytic_extend: p, q, r as (2,) complex arrays; boundary_layer:
+        # its pair, stacked here; upsilon0 and upsilon1: the members of
+        # upsilons' pair)
         tb = table075
         t = np.array([[0.5, 2.0], [3.0, 0.1]])
         x = np.array([[0.1, 0.4], [0.7, 1.0]])
@@ -396,7 +397,8 @@ class TestSinglePath:
             "pv_weight": (lambda p: fs.pv_weight(p, tb), t),
             "g0": (lambda p: fs.g0(p, tb), t),
             "xc0": (lambda p: fs.xc0(p, tb), t * (-1.0 + 1.0j)),
-            "upsilons": (lambda p: np.stack(fs.upsilons(p, tb)), t),
+            "upsilon0": (lambda p: fs.upsilons(p, tb)[0], t),
+            "upsilon1": (lambda p: fs.upsilons(p, tb)[1], t),
             "boundary_layer": (lambda p: np.stack(fs.boundary_layer(p, 10.0, tb)), x),
             "eigenfunction_at": (lambda p: fs.eigenfunction_at(spectrum, 2, p), x),
             "eigenfunction_asymptotic": (
@@ -409,8 +411,7 @@ class TestSinglePath:
                 lambda p: np.stack(fs.analytic_extend(fs.solve_pqr(28.0, tb), p)),
                 t * (1.0 + 1.0j)),
         }[name]
-        lead = {"analytic_extend": (3, 2), "upsilons": (2,),
-                "boundary_layer": (2,)}.get(name, ())
+        lead = {"analytic_extend": (3, 2), "boundary_layer": (2,)}.get(name, ())
         got = f(pts)
         assert got.shape == lead + pts.shape
         assert np.array_equal(got, f(pts.ravel()).reshape(got.shape))
