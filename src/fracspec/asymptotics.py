@@ -84,7 +84,7 @@ def lambda_two_term(n: int, alpha) -> float:
     which is the right comparison curve for relative-error studies.
     """
     _check_count(n, "n")
-    a = _as_order(alpha).alpha
+    a = _rl_bridge_order(alpha, "lambda_two_term").alpha
     x = np.pi * n
     return x ** (2 * a) + np.pi * (a - 1.0) * x ** (2 * a - 1.0)
 
@@ -157,8 +157,8 @@ def boundary_layer(x, rho: float, table: PhaseTable):
     d = 0 needs no special handling: the densities are integrable at both
     ends of the half line and the grid covers (0, inf) in full.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise DomainError("rho must be positive and finite")
     xx = _check_unit(x)
     t, w = _layer_rule()
     u0, u1 = upsilons(t, table)

@@ -49,7 +49,7 @@ from .nystrom import (
     mercer_trace_gap,
     _mercer_head,
 )
-from .phase import FractionalOrder, Variant, xc0
+from .phase import FractionalOrder, Variant
 from .quadrature import gauss_legendre_01
 from .svg import svg_line_chart
 
@@ -350,7 +350,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
         for a in _ANCHOR_ALPHAS:
             table = PhaseTable(FractionalOrder(a))
             exact = np.sqrt(a) * np.exp(-1j * np.pi * (1.0 - a) / 4.0)
-            worst = max(worst, abs(xc0(1j, table) - exact))
+            worst = max(worst, abs(table.xc_i - exact))
         return worst < 1e-8, f"max deviation {worst:.3e} (5 alphas)"
 
     def check_alpha1():

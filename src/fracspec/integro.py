@@ -26,15 +26,15 @@ used here; non-contraction raises rather than looping.
 
 What does not depend on rho is built once per refine_roots call (or lone
 refine_rho), over the octaves of every rho in its brackets: g0 (one sweep of
-the costly PV weight), the Cauchy matrix 1/(t_i + t_j) and X_c0(i). Each
-evaluation slices its 240 nodes from there, bit for bit what a standalone
-solve_pqr builds. solve_pqr is the one place the operator exists: a sweep
-swaps the two components, scales them by e^{-rho t} w g0 / pi at the
-source nodes and multiplies by rho's window block of the Cauchy matrix, a
-view, so no per-rho matrix is built. The PQRSolution carries the kernel
-data (g0, the weights times e^{-rho t} and X_c0(i)), so secular and
-reconstruct_f_exact sample nothing again. refine_rho takes alpha from its
-PhaseTable and evaluates each rho once; a root typically takes six or
+the costly PV weight) and the Cauchy matrix 1/(t_i + t_j). Each evaluation
+slices its 240 nodes from there, bit for bit what a standalone solve_pqr
+builds. solve_pqr is the one place the operator exists: a sweep swaps the
+two components, scales them by e^{-rho t} w g0 / pi at the source nodes
+and multiplies by rho's window block of the Cauchy matrix, a view, so no
+per-rho matrix is built. The PQRSolution carries the kernel data (g0 and
+the weights times e^{-rho t}) and X_c0(i) is the PhaseTable's, so secular
+and reconstruct_f_exact sample nothing again. refine_rho takes alpha from
+its PhaseTable and evaluates each rho once; a root typically takes six or
 seven evaluations, and its RefinedRoot keeps the root's value.
 
 reconstruct_f_exact rebuilds the eigenfunction from one secular value, with
@@ -64,7 +64,6 @@ from .phase import (
     _shaped,
     b_alpha,
     g0,
-    xc0,
 )
 from .quadrature import gauss_legendre_01
 
@@ -106,12 +105,12 @@ def _octave_rule(lo: int, hi: int):
 
 
 def _sample_octaves(lo: float, hi: float, table: PhaseTable):
-    """(k0, t, w, g0, D, X_c0(i)) over octaves k0, ... of every rho in
-    [lo, hi], with D the Cauchy matrix 1/(t_i + t_j) of the nodes t."""
+    """(k0, t, w, g0, D) over octaves k0, ... of every rho in [lo, hi],
+    with D the Cauchy matrix 1/(t_i + t_j) of the nodes t."""
     k0 = _top_exponent(hi) - _OCTAVES
     t, w = _octave_rule(k0, _top_exponent(lo))
     D = 1.0 / (t[None, :] + t[:, None])
-    return k0, t, w, g0(t, table), D, xc0(1j, table)
+    return k0, t, w, g0(t, table), D
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +121,7 @@ class PQRSolution:
     is the number of sweeps. gv and e are the kernel data the system was
     solved with: g0, both off-diagonal blocks of M, and the weights times
     e^{-rho t}, all on the grid; the continuation reads them instead of
-    sampling g0 again. xc_i is X_c0(i), read by secular and
-    reconstruct_f_exact.
+    sampling g0 again.
     """
 
     rho: float
@@ -131,7 +129,6 @@ class PQRSolution:
     weights: np.ndarray
     gv: np.ndarray
     e: np.ndarray
-    xc_i: complex
     p: np.ndarray
     r: np.ndarray
     iterations: int
@@ -152,12 +149,12 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     components are swapped, scaled by e g0 / pi at the source nodes, and
     multiplied by the window's block of the shared Cauchy matrix, so no
     per-rho matrix is built. Stops when both families' sup-norm updates are
-    below 1e-12; raises ConvergenceError if the updates grow, or stay above
-    that after 100 sweeps.
+    below 1e-12; raises ConvergenceError if an update is not finite or
+    grows, or if the updates stay above that after 100 sweeps.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
-    k0, t, w, gv, D, xc_i = _samples or _sample_octaves(rho, rho, table)
+    if not 0 < rho < np.inf:
+        raise DomainError("rho must be positive and finite")
+    k0, t, w, gv, D = _samples or _sample_octaves(rho, rho, table)
     i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
     j = i + _OCTAVES * _PER_OCTAVE
     if i < 0 or j > t.size:
@@ -177,6 +174,8 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
         f = new
         if d < _STOP:
             break
+        if not math.isfinite(d):
+            raise ConvergenceError(f"fixed-point sweep {it}: non-finite update at rho={rho:g}")
         if d > 1.5 * prev and prev > _STOP:
             raise ConvergenceError(
                 f"fixed-point iteration is not contracting at rho={rho:g}"
@@ -194,7 +193,6 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
         weights=w,
         gv=gv,
         e=e,
-        xc_i=xc_i,
         p=f[0],
         r=f[1],
         iterations=it,
@@ -207,14 +205,15 @@ def analytic_extend(sol: PQRSolution, z):
     One point z gives three (2,) complex arrays, an array of points three
     (2,) + z.shape arrays of its dtype. On (-inf, 0] the kernel 1/(tau + z)
     hits the integration range, so the formula does not define a
-    continuation there. Values at conjugate points are conjugate (all grid
-    data is real); at a grid node the continuation reproduces the grid
-    value. The (M x N) kernel, from sol's data, is built in place.
+    continuation there, nor at a non-finite z. Values at conjugate points
+    are conjugate (all grid data is real); at a grid node the continuation
+    reproduces the grid value. The (M x N) kernel, from sol's data, is built
+    in place.
     """
     one = np.ndim(z) == 0
     zz = np.asarray([complex(z)]) if one else np.asarray(z).reshape(-1)
-    if np.any((zz.imag == 0.0) & (zz.real <= 0.0)):
-        raise DomainError("continuation undefined on (-inf, 0]")
+    if np.any(~np.isfinite(zz) | ((zz.imag == 0.0) & (zz.real <= 0.0))):
+        raise DomainError("continuation undefined on (-inf, 0] and at non-finite z")
     kg = sol.grid[None, :] + zz[:, None]
     np.divide(sol.e, kg, out=kg)
     kg /= np.pi
@@ -252,8 +251,8 @@ def secular(rho: float, table: PhaseTable, *, _samples=None):
 
     with X(rho i) = X_c0(i)/(rho i), Y(-rho i) = (rho i)^{a-1} X_c0(-i) and
     b = b_alpha. Im(xi conj(eta)) vanishes exactly at eigenvalue signatures
-    rho = lambda^{1/(2a)}. X_c0(i) comes with the solution; _samples is
-    handed on to solve_pqr.
+    rho = lambda^{1/(2a)}. X_c0(i) is the table's; _samples is handed on to
+    solve_pqr.
     """
     a = table.alpha
     sol = solve_pqr(rho, table, _samples=_samples)
@@ -261,7 +260,7 @@ def secular(rho: float, table: PhaseTable, *, _samples=None):
     # one-row products, which moves the last digits of condition_residual
     pm, qm, rm = analytic_extend(sol, -1j)
     pp, qp, rp = analytic_extend(sol, 1j)
-    x_i = sol.xc_i
+    x_i = table.xc_i
     x_mi = x_i.conjugate()  # X_c0(conj z) = conj X_c0(z)
     X = x_i / (rho * 1j)
     Y = (rho * 1j) ** (a - 1.0) * x_mi
@@ -469,7 +468,7 @@ def reconstruct_f_exact(x, value: SecularValue, table: PhaseTable):
         * rho ** (1.0 - a)
         * np.exp(-0.5j * np.pi * a)
         * (s_api / (a * np.pi))
-        * (sol.xc_i / (rho * 1j))
+        * (table.xc_i / (rho * 1j))
         * psi0_pole
     )
 

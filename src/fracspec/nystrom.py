@@ -35,10 +35,11 @@ correction compensates the |x-y|^{2a-1} diagonal kink, which otherwise
 limits Gauss-Legendre convergence far below the tolerances wanted here.
 The closed form is evaluated on the upper triangle only, in row blocks (K
 depends on (x, y) only through min and max). Each block is finished where
-it is evaluated: the bridge kernel's rank-one term, built from the one
-m-vector K(x_i, 1) that the row integral S reuses, is subtracted, and the
-entries are scaled by sqrt(w_i) sqrt(w_j). Only then is the block mirrored,
-so B is symmetric bit for bit. This is the solver's only kernel path.
+it is evaluated: the rank-one term c_i c_j / K(1,1), from the m-vector c
+that the row integral S reuses (_column: K(x_i, 1), or 0 for the RL kernel,
+which is not subtracted), is subtracted and the entries are scaled by
+sqrt(w_i) sqrt(w_j). Only then is the block mirrored, so B is symmetric bit
+for bit. This is the solver's only kernel path.
 
 The eigensolve computes only the leading modes a caller asks for, by one
 of two routes. A few modes of a large matrix (20 n_modes <= m) come from
@@ -182,20 +183,23 @@ def kernel_K(x, y, alpha):
 
 
 def _k11(a: float) -> float:
-    return float(_kernel_raw(1.0, 1.0, a))  # K(1, 1)
+    # K(1, 1), bit for bit _kernel_raw(1, 1, a), whose numerator is exactly 1
+    return 1.0 / ((2.0 * a - 1.0) * math.gamma(a) ** 2)
 
 
-def _bridge_term(kx1, ky1, k11: float):
-    # K(x,1) K(1,y) / K(1,1), the rank-one term that the bridge subtracts
-    return kx1 * ky1 / k11
+def _column(spec: KernelSpec, x):
+    # the rank-one column c of K(x,y) - c(x) c(y) / K(1,1): K(x, 1), or 0 (RL)
+    if spec.kind is KernelKind.BRIDGE:
+        return _kernel_raw(x, 1.0, spec.alpha.alpha)
+    return np.zeros(np.shape(x))
 
 
-def _row_integral(x, a: float, kx1=None):
+def _row_integral(x, a: float, kx1):
     # int_0^1 K(x,y) dy = J(x) / (a Gamma(a)^2) with J = int_0^x (x-t)^{a-1}
     # (1-t)^a dt = (1-x)^{2a} B_x(a, -2a); two steps of q B_z(p, q) =
-    # (p+q) B_z(p, q+1) - z^p (1-z)^q reach the kernel's I_x(a, 2-2a). Of
-    # the bridge kernel if kx1 = K(x,1) is given, whose rank-one part
-    # integrates to kx1 (2a-1)/(2a^2) = kx1 int K(y,1) dy / K(1,1)
+    # (p+q) B_z(p, q+1) - z^p (1-z)^q reach the kernel's I_x(a, 2-2a). The
+    # rank-one part of the column kx1 = c(x) integrates to kx1 (2a-1)/(2a^2)
+    # = kx1 int K(y,1) dy / K(1,1)
     x = np.asarray(x, dtype=float)
     if a == 1.0:
         s = x - x * x / 2
@@ -207,7 +211,7 @@ def _row_integral(x, a: float, kx1=None):
         ib = _betainc(a, b, x, 1.0 - x)
         J = xa / (2 * a) + (xa * (1 - x) - c * (1 - x) ** (2 * a) * ib) / (2 * (2 * a - 1))
         s = J / (a * math.gamma(a) ** 2)
-    return s if kx1 is None else s - kx1 * (2 * a - 1) / (2 * a * a)
+    return s - kx1 * (2 * a - 1) / (2 * a * a)
 
 
 # cells of one row block (_BLOCK_CELLS // m rows) of the kernel matrix and of
@@ -218,28 +222,29 @@ _BLOCK_CELLS = 32768
 _TILE = 128
 
 
-def _kernel_matrix(x, a: float, sw, kx1=None):
+def _kernel_matrix(x, a: float, sw, kx1):
     """(K(x_i, x_j) - kx1_i kx1_j / K(1,1)) (sw_i sw_j) on the sorted nodes x.
 
-    kx1 = K(x, 1) is the bridge kernel's rank-one column (None: no such
-    term), sw the square roots of the weights. The upper triangle is swept
-    in the blocks of _row_blocks(m, _BLOCK_CELLS // m), each entry finished
-    where it is evaluated, and each block then mirrored: the matrix is
-    symmetric bit for bit, and equals the formula on the full meshgrid bit
-    for bit, since _kernel_raw depends on (x, y) only through min and max.
-    Each block's rectangle right of its diagonal square (the last has none)
-    is one broadcast call, and the triangles of all diagonal squares one
-    gathered call.
+    kx1 = c(x) is the rank-one column (_column; the RL kernel's zeros are
+    not subtracted), sw the square roots of the weights. The upper triangle
+    is swept in the blocks of _row_blocks(m, _BLOCK_CELLS // m), each entry
+    finished where it is evaluated, and each block then mirrored: the matrix
+    is symmetric bit for bit, and equals the formula on the full meshgrid
+    bit for bit, since _kernel_raw depends on (x, y) only through min and
+    max. Each block's rectangle right of its diagonal square (the last has
+    none) is one broadcast call, and the triangles of all diagonal squares
+    one gathered call.
     """
     m = x.size
-    k11 = _k11(a) if kx1 is not None else None
+    # subtracting the RL kernel's zeros would keep every bit but cost time
+    rank_one = np.any(kx1)
 
     def finished(i, j):
         # the entries (i, j), i <= j, for index arrays or slices of x that
         # broadcast against each other
         out = _kernel_sorted(x[i], x[j], a)
-        if kx1 is not None:
-            out = out - _bridge_term(kx1[i], kx1[j], k11)
+        if rank_one:
+            out = out - kx1[i] * kx1[j] / _k11(a)
         return out * (sw[i] * sw[j])
 
     B = np.empty((m, m))
@@ -307,8 +312,8 @@ def _nystrom_matrix(spec: KernelSpec, grid: NystromGrid) -> np.ndarray:
     """The corrected symmetric Nystrom matrix B = sqrt(w) K sqrt(w) + diag(S - Q)."""
     a = spec.alpha.alpha
     x, w = grid.nodes, grid.weights
-    # K(x, 1): the bridge's rank-one column, shared by K and the row integral
-    kx1 = _kernel_raw(x, 1.0, a) if spec.kind is KernelKind.BRIDGE else None
+    # the rank-one column, shared by K and the row integral
+    kx1 = _column(spec, x)
     sw = np.sqrt(w)
     B = _kernel_matrix(x, a, sw, kx1)
     # Q = K @ w. Every sw_j > 0, so a non-finite entry of B makes its row's
@@ -424,7 +429,6 @@ def discretize_and_solve(
     or zero values are excluded from the spectrum. Fewer than n_modes
     positive modes raise DomainError.
     """
-    a = spec.alpha.alpha
     if n_modes is not None:
         n_modes = _check_count(n_modes, "n_modes")
     B = _nystrom_matrix(spec, grid)
@@ -442,12 +446,13 @@ def discretize_and_solve(
     mu = mu[:r]
     # de-scaled, weighted-orthonormal
     F = V[:, :r] / np.sqrt(w)[:, None] if vectors else np.empty((m, 0))
-    rho = (1.0 / mu) ** (1.0 / (2.0 * a))
+    spectrum = DiscreteSpectrum(mu=mu, vectors=F, grid=grid, spec=spec)
+    rho = spectrum.rho
     for k in range(F.shape[1]):
         F[:, k] *= _first_quarter_sign(x, w, F[:, k], rho[k])
     F.setflags(write=False)
     mu.setflags(write=False)
-    return DiscreteSpectrum(mu=mu, vectors=F, grid=grid, spec=spec)
+    return spectrum
 
 
 def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
@@ -466,17 +471,13 @@ def eigenfunction_at(spectrum: DiscreteSpectrum, k: int, x):
     xx = _check_unit(x)
     xg, w = spectrum.grid.nodes, spectrum.grid.weights
     wf = w * spectrum.vectors[:, k - 1]
-    kx1 = None
-    if spectrum.spec.kind is KernelKind.BRIDGE:
-        # K(., 1) at the points (shared with the row integral) and the nodes
-        kx1, kg1, k11 = _kernel_raw(xx, 1.0, a), _kernel_raw(xg, 1.0, a), _k11(a)
+    # the rank-one column at the points (shared with the row integral) and the nodes
+    kx1, kg1, k11 = _column(spectrum.spec, xx), _column(spectrum.spec, xg), _k11(a)
     S = _row_integral(xx, a, kx1)
     num, Q = np.empty(xx.size), np.empty(xx.size)
     # row blocks of points, so that no (points x m) array is made
     for i, j in _row_blocks(xx.size, max(1, _BLOCK_CELLS // xg.size)):
-        Kxy = _kernel_raw(xx[i:j, None], xg[None, :], a)
-        if kx1 is not None:
-            Kxy = Kxy - _bridge_term(kx1[i:j, None], kg1[None, :], k11)
+        Kxy = _kernel_raw(xx[i:j, None], xg[None, :], a) - kx1[i:j, None] * kg1[None, :] / k11
         num[i:j], Q[i:j] = Kxy @ wf, Kxy @ w
     return _shaped(num / (spectrum.mu[k - 1] - S + Q), x)
 
@@ -521,16 +522,13 @@ def mercer_trace_gap(spectrum: DiscreteSpectrum) -> float:
     5.1e-4 at m = 20, 5.2e-6 at m = 100, 1.5e-6 at m = 300 and 2.6e-8 at
     m = 2000. A spectrum shorter than the head raises DomainError.
     """
-    a = spectrum.spec.alpha.alpha
+    spec = spectrum.spec
+    a = spec.alpha.alpha
     trace_rl = 1.0 / (2 * a * (2 * a - 1) * math.gamma(a) ** 2)
-    if spectrum.spec.kind is KernelKind.BRIDGE:
-        u, w, _ = tanh_sinh_rule()
-        k1 = _kernel_raw(u, 1.0, a)
-        trace = trace_rl - float(w @ _bridge_term(k1, k1, _k11(a)))
-        shift = (np.pi / 2.0) * (1.0 - 1.0 / a)
-    else:
-        trace = trace_rl
-        shift = -np.pi / 2.0
+    u, w, _ = tanh_sinh_rule()
+    c = _column(spec, u)
+    trace = trace_rl - float(w @ (c * c / _k11(a)))
+    shift = (np.pi / 2.0) * (1.0 - 1.0 / a) if spec.kind is KernelKind.BRIDGE else -np.pi / 2.0
     head = _mercer_head(spectrum.grid.m)
     if head > spectrum.mu.size:
         raise DomainError(

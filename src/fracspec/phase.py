@@ -99,8 +99,8 @@ def _rl_bridge_order(alpha, what: str) -> FractionalOrder:
 def _check_positive(t):
     tt = np.asarray(t, dtype=float)
     tt = tt if tt.ndim == 1 else tt.reshape(-1)  # as in _check_unit
-    if np.any(~(tt > 0.0)):  # NaN is not positive either
-        raise DomainError("t must be positive")
+    if not np.all((tt > 0.0) & (tt < np.inf)):  # NaN fails both
+        raise DomainError("t must be positive and finite")
     return tt
 
 
@@ -171,7 +171,7 @@ def b_alpha(alpha) -> float:
 
 
 class PhaseTable:
-    """Quadrature data for one alpha, read-only: a tanh-sinh rule and phases.
+    """Quadrature data for one alpha, read-only: a tanh-sinh rule, phases, X_c0(i).
 
     The Cauchy integral over (0, inf) is split as t = x^2 on (0,1] and
     t = 1/x on [1, inf); both pieces and the PV integral use one tanh-sinh
@@ -210,6 +210,7 @@ class PhaseTable:
         self._expm1_hi = np.expm1(-2 * a * lo)
         self._expm1_lo = np.expm1(2 * a * lo)
         self._pv_den = xc * (1.0 + x)
+        self.xc_i = xc0(1j, self)  # read by integro's secular and exact eigenfunction
 
     # -- Cauchy transform ------------------------------------------------
 
@@ -261,7 +262,7 @@ class PhaseTable:
 
 
 def _check_tol(err, table: PhaseTable, what: str) -> None:
-    if err.size and float(err.max()) > table.tol:
+    if err.size and not float(err.max()) <= table.tol:  # a NaN estimate fails
         raise AccuracyError(
             f"{what} quadrature error estimate {float(err.max()):.3e} > tol"
         )
@@ -281,8 +282,8 @@ def xc0(z, table: PhaseTable):
     """
     scalar = np.ndim(z) == 0
     zz = np.asarray([complex(z)]) if scalar else np.asarray(z).reshape(-1)
-    if np.any((zz.imag == 0.0) & (zz.real >= 0.0)):
-        raise DomainError("xc0 is undefined on the cut [0, inf)")
+    if np.any(~np.isfinite(zz) | ((zz.imag == 0.0) & (zz.real >= 0.0))):
+        raise DomainError("xc0 is undefined on the cut [0, inf) and at non-finite z")
     val, err = table._cauchy(zz)
     _check_tol(err, table, "xc0")
     out = np.exp(val)

@@ -100,7 +100,8 @@ class TestLayers:
         assert np.max(np.abs(u1 / want1 - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize(
-        "t", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"]
+        "t", [np.nan, np.array([1.0, np.nan]), np.inf, np.array([1.0, np.inf])],
+        ids=["scalar", "array", "inf", "inf-array"],
     )
     @pytest.mark.parametrize(
         "f",
@@ -109,7 +110,8 @@ class TestLayers:
         ids=["theta0", "gamma0", "pv_weight", "g0", "upsilon0", "upsilon1"],
     )
     def test_nan_t_rejected(self, f, t, table075):
-        # NaN fails t > 0 like a nonpositive t does, rather than propagating
+        # NaN and inf are refused like a nonpositive t, rather than propagating
+        # (inf once gave pv_weight and g0 nan, gamma0 inf)
         arg = table075.order if f in (fs.theta0, fs.gamma0) else table075
         with pytest.raises(DomainError, match="t must be positive"):
             f(t, arg)
@@ -153,8 +155,9 @@ class TestLayers:
         assert abs(near) > 100 * abs(far)
 
     def test_rho_domain(self, table075):
-        # a NaN rho once passed rho <= 0 and gave a NaN layer
-        for rho in (0.0, np.nan):
+        # a NaN rho once passed rho <= 0 and gave a NaN layer; an infinite rho
+        # gave a zero layer
+        for rho in (0.0, np.nan, np.inf):
             with pytest.raises(DomainError, match="rho must be positive"):
                 boundary_layer(0.5, rho, table075)
 

@@ -2,6 +2,8 @@
 nothing reads, and import cost."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -156,6 +158,65 @@ def test_check_finds_the_package_reads():
     mod = ast.parse("import fracspec as fs\nimport numpy as np\n"
                     "fs.a(np.b, fs.c.d)\nx = fs\n")
     assert _package_reads(mod, "fracspec") == {"a", "c"}
+
+
+def _required_spans(tree: ast.Module) -> set[str]:
+    """Every span name that a LayerMetric call in tree requires, with the
+    module-level string constants it names resolved."""
+    consts = {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant) for t in node.targets
+              if isinstance(t, ast.Name)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LayerMetric":
+            kw = {k.arg: k.value for k in node.keywords}
+            req = node.args[2] if len(node.args) > 2 else kw["requires"]
+            names |= {e.value if isinstance(e, ast.Constant) else consts[e.id] for e in req.elts}
+    return names
+
+
+def _untraceable(names) -> list[str]:
+    """The names the benchmark's tracer cannot wrap: it wraps the public
+    functions that each fracspec submodule defines, and PhaseTable."""
+    bad = []
+    for name in names:
+        short, _, attr = name.partition(".")
+        try:
+            obj = getattr(importlib.import_module(f"fracspec.{short}"), attr, None)
+        except ImportError:
+            obj = None
+        if not (name == "phase.PhaseTable" or (
+                inspect.isfunction(obj) and not attr.startswith("_")
+                and obj.__module__ == f"fracspec.{short}")):
+            bad.append(name)
+    return sorted(bad)
+
+
+# required by the benchmark but gone from the program (ROADMAP item 1): their
+# metrics read 0 and are listed as absent
+_STALE_SPANS = ["cli.ThreadPoolExecutor", "phase.h0"]
+
+
+def test_benchmark_layers_trace_existing_functions():
+    # a traced function deleted or made private would silently zero the
+    # per-layer metric that requires it; the stale names must still be
+    # required, so this exemption goes when the benchmark drops them
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench/layers.py").read_text())
+    assert _untraceable(_required_spans(tree)) == _STALE_SPANS
+
+
+def test_check_flags_an_untraceable_span():
+    mod = ast.parse(
+        'S = "nystrom.discretize_and_solve"\n'
+        'M = (LayerMetric("a", "s", (S, "phase.PhaseTable"), f),\n'
+        '     LayerMetric("b", "s", requires=("phase._row_blocks", "nystrom.np"), compute=f),\n'
+        '     LayerMetric("c", "s", ("nosuch.f", "phase.xc0", "integro.g0"), f))\n'
+    )
+    required = _required_spans(mod)
+    assert required == {"nystrom.discretize_and_solve", "phase.PhaseTable", "phase._row_blocks",
+                        "nystrom.np", "nosuch.f", "phase.xc0", "integro.g0"}
+    # integro.g0 is phase's function, imported
+    assert _untraceable(required) == ["integro.g0", "nosuch.f", "nystrom.np", "phase._row_blocks"]
 
 
 def _owners(tree: ast.Module) -> dict:

@@ -86,8 +86,9 @@ class TestGridAndOperator:
         assert np.array_equal(w2[:-18], w1[18:])
 
     def test_grid_rejects_nonpositive_rho(self, table075):
-        # a NaN rho once passed rho <= 0 and ran 100 sweeps to a ConvergenceError
-        for rho in (0.0, -1.0, np.nan):
+        # a NaN rho once passed rho <= 0 and ran 100 sweeps to a ConvergenceError;
+        # an infinite rho once gave a solution after one sweep
+        for rho in (0.0, -1.0, np.nan, np.inf):
             for f in (solve_pqr, secular):
                 with pytest.raises(DomainError, match="rho must be positive"):
                     f(rho, table075)
@@ -109,6 +110,15 @@ class TestSolvePqr:
         monkeypatch.setattr(integro, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="did not converge in 2 sweeps"):
             solve_pqr(40.0, table075)
+
+    def test_non_finite_update_raises_at_once(self, table075):
+        # a NaN update is neither below the stop nor growing: it once ran all
+        # 100 sweeps before the ConvergenceError
+        k0, t, w, gv, D = integro._sample_octaves(20.0, 20.0, table075)
+        gv = gv.copy()
+        gv[gv.size // 2] = np.nan
+        with pytest.raises(ConvergenceError, match="sweep 1: non-finite update"):
+            solve_pqr(20.0, table075, _samples=(k0, t, w, gv, D))
 
     def test_fixed_point(self):
         # p = A p + (1, 0) and r = A r + (0, t) against the dense solve, on
@@ -185,6 +195,14 @@ class TestExtension:
                 analytic_extend(sol, z)
         for z in (np.array([0.5, 0.0]), np.array([1j, -2.0 + 0j])):
             with pytest.raises(DomainError):
+                analytic_extend(sol, z)
+
+    def test_rejects_non_finite_z(self, table075):
+        # complex(inf, 1) once gave p = [1, 0]
+        sol = solve_pqr(28.0, table075)
+        for z in (complex(np.inf, 1.0), complex(np.nan, 1.0), complex(1.0, np.inf),
+                  np.array([1j, complex(np.nan, 0.0)])):
+            with pytest.raises(DomainError, match="non-finite z"):
                 analytic_extend(sol, z)
 
     def test_array_matches_points(self, table075):
@@ -265,13 +283,13 @@ class TestKernelData:
         # and every value agrees bit for bit with a sweep of its own grid
         lo, hi = refine_rho(3, table075).bracket
         samples = integro._sample_octaves(lo, hi, table075)
-        t, D, xc_i = samples[1], samples[4], samples[5]
-        assert xc_i == fs.xc0(1j, table075)
+        t, D = samples[1], samples[4]
+        assert len(samples) == 5  # (k0, t, w, g0, D): X_c0(i) is the table's
         for rho in (lo, 10.0, hi):
             shared = secular(rho, table075, _samples=samples)
             alone = secular(rho, table075)
             assert shared.xi == alone.xi and shared.eta == alone.eta
-            for name in ("grid", "weights", "gv", "e", "xc_i", "p", "q", "r"):
+            for name in ("grid", "weights", "gv", "e", "p", "q", "r"):
                 got = getattr(shared.solution, name)
                 assert np.array_equal(got, getattr(alone.solution, name))
             # the Cauchy matrix of rho's window, sliced from the bracket's
@@ -280,7 +298,6 @@ class TestKernelData:
             j = i + own[1].size
             assert np.array_equal(t[i:j], own[1])
             assert np.array_equal(D[i:j, i:j], own[4])
-            assert own[5] == xc_i
         # a rho whose window is not sampled is refused, never mis-sliced
         for rho in (lo / 4.0, 2.0 * hi):
             with pytest.raises(DomainError):
@@ -333,24 +350,26 @@ class TestRefine:
         assert root.rho == pytest.approx(14.6550723, abs=2e-6)
 
     def test_one_xc0_per_root(self, table075, monkeypatch):
-        # X_c0(i) is sampled with the bracket's g0, never per evaluation;
-        # the layer densities sample X_c0 in asymptotics, so both are spied
+        # X_c0(i) is the table's, evaluated once when it is built; a root
+        # evaluates X_c0 nowhere, and the layer densities sample it in
+        # asymptotics, so both modules are spied
+        assert table075.xc_i == fs.xc0(1j, table075)
         calls = []
-        original = integro.xc0
+        original = fs.phase.xc0
 
         def spy(z, table):
             calls.append(z)
             return original(z, table)
 
-        monkeypatch.setattr("fracspec.integro.xc0", spy)
+        monkeypatch.setattr("fracspec.phase.xc0", spy)
         monkeypatch.setattr("fracspec.asymptotics.xc0", spy)
         for n in (1, 3, 10):
             calls.clear()
             root = refine_rho(n, table075)
-            assert calls == [1j]
+            assert calls == []
             reconstruct_f_exact(0.5, root.value, table075)
-            # the layers' array of points only, no second X_c0(i)
-            assert len(calls) == 2 and not np.isscalar(calls[1])
+            # the layers' array of points only, no X_c0(i)
+            assert len(calls) == 1 and not np.isscalar(calls[0])
 
     def test_roots_increasing_and_near_asymptote(self, roots075, order075):
         rhos = [roots075[n].rho for n in sorted(roots075)]

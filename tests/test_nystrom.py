@@ -117,6 +117,12 @@ class TestKernel:
         # the sorted nodes x with the rank-one column K(x, 1)
         return nystrom._kernel_matrix(x, a, sw, kernel_K(x, 1.0, a))
 
+    @pytest.mark.parametrize("a", [np.nextafter(0.5, 1.0), 0.501, 0.55, 0.6, 0.75, 0.9,
+                                   0.99, np.nextafter(1.0, 0.0), 1.0])
+    def test_k11_is_the_kernel_at_one(self, a):
+        # the closed form that the rank-one term divides by, bit for bit
+        assert nystrom._k11(a) == float(_kernel_raw(1.0, 1.0, a))
+
     def test_alpha_one_is_min(self):
         x = np.array([0.1, 0.2, 0.5, 0.9, 1.0])
         X, Y = np.meshgrid(x, x, indexing="ij")
@@ -199,7 +205,7 @@ class TestKernelMatrix:
             # sweep itself is held to the oracle on these nodes
             x = np.array([0.2, 0.5, 0.5 * (1 + 5e-9), 0.5 * (1 + 2e-8), 0.9])
             sw = np.sqrt(np.array([2, 1, 2, 1, 2]) / 8)
-            kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
+            kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else np.zeros(x.size)
             B = nystrom._kernel_matrix(x, a, sw, kx1)
         else:
             grid = build_grid(int(nodes[1:]))
@@ -223,11 +229,12 @@ class TestKernelMatrix:
         monkeypatch.setattr(nystrom, "_BLOCK_CELLS", 300)
         # m = 40: five blocks of 7 rows and one of 5; m = 43: blocks of 6
         # rows, whose lone last row folds into a block of 7
-        for m, want in ((40, 861), (43, 990)):
+        for m, want in ((40, 860), (43, 989)):
             cells.clear()
             discretize_and_solve(KernelSpec(order075, KernelKind.BRIDGE), build_grid(m))
-            # the upper triangle, the column K(x, 1) and K(1, 1), each once
-            assert sum(cells) == m * (m + 1) // 2 + m + 1 == want
+            # the upper triangle and the column K(x, 1), each once; K(1, 1)
+            # is the closed form _k11
+            assert sum(cells) == m * (m + 1) // 2 + m == want
 
 
 class TestNystromMatrix:
@@ -262,7 +269,7 @@ class TestNystromMatrix:
         x, sw, a = grid.nodes, np.sqrt(grid.weights), 0.75
         X, Y = np.meshgrid(x, x, indexing="ij")
         B0 = _kernel_of_kind(X, Y, a, kind) * (sw[:, None] * sw[None, :])
-        kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else None
+        kx1 = _kernel_raw(x, 1.0, a) if kind is KernelKind.BRIDGE else np.zeros(x.size)
         S = nystrom._row_integral(x, a, kx1)
         want = np.diag(B0) + (S - (B0 @ sw) / sw)
         B = nystrom._nystrom_matrix(KernelSpec(order075, kind), grid)
@@ -315,12 +322,13 @@ class TestRowIntegral:
             want = float(
                 mp.quad(lambda y: _kernel_oracle(x, float(y), a), [0, x, 1])
             )
-            got = float(nystrom._row_integral(np.array([x]), a)[0])
+            got = float(nystrom._row_integral(np.array([x]), a, np.zeros(1))[0])
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_rl_alpha_one(self):
         x = np.linspace(0.1, 1.0, 5)
-        assert np.allclose(nystrom._row_integral(x, 1.0), x - x**2 / 2, atol=1e-13)
+        got = nystrom._row_integral(x, 1.0, np.zeros(x.size))
+        assert np.allclose(got, x - x**2 / 2, atol=1e-13)
 
     def test_bridge_alpha_one(self):
         from fracspec.nystrom import _kernel_raw, _row_integral
@@ -377,7 +385,7 @@ class TestSpecialFunctions:
         )
         with mp.workdps(40):
             want = np.array([_mp_row_integral(v, a) for v in x])
-        assert np.max(np.abs(nystrom._row_integral(x, a) / want - 1)) < tol
+        assert np.max(np.abs(nystrom._row_integral(x, a, np.zeros(x.size)) / want - 1)) < tol
 
     @pytest.mark.parametrize("s", [1.001, 1.2, 1.5, 1.75, 2.0])
     def test_hurwitz_zeta(self, s):

@@ -104,12 +104,14 @@ def test_b_alpha_values():
     [("theta0", lambda o: fs.theta0(1.0, o)),
      ("b_alpha", fs.b_alpha),
      ("a PhaseTable", fs.PhaseTable),
-     ("the eigenfunction asymptotics", lambda o: fs.eigenfunction_asymptotic(1, 0.5, o))],
-    ids=["theta0", "b_alpha", "PhaseTable", "eigenfunction_asymptotic"],
+     ("the eigenfunction asymptotics", lambda o: fs.eigenfunction_asymptotic(1, 0.5, o)),
+     ("lambda_two_term", lambda o: fs.lambda_two_term(5, o))],
+    ids=["theta0", "b_alpha", "PhaseTable", "eigenfunction_asymptotic", "lambda_two_term"],
 )
 def test_rl_bridge_only(what, call):
     # one rule, one message: b_alpha once took any order with alpha in
-    # (1/2, 1], a caputo one too
+    # (1/2, 1], a caputo one too, and lambda_two_term gave a caputo order
+    # the rl-bridge expansion (25.07 at n = 5, a = 0.6, against asym2's 24.01)
     with pytest.raises(DomainError, match=f"^{what} exists for the rl-bridge variant only, got caputo$"):
         call(fs.FractionalOrder(0.75, fs.Variant.CAPUTO))
 
@@ -156,6 +158,13 @@ class TestXc0:
                 fs.xc0(z, table075)
         with pytest.raises(DomainError):
             fs.xc0(np.array([1j, 0.5 + 0j]), table075)
+
+    def test_non_finite_z_rejected(self, table075):
+        # complex(nan, 1) and complex(-inf, 1) once returned nan+nanj
+        for z in (complex(np.nan, 1.0), complex(-np.inf, 1.0), complex(-1.0, np.inf),
+                  np.array([1j, complex(np.nan, 0.0)])):
+            with pytest.raises(DomainError, match="non-finite z"):
+                fs.xc0(z, table075)
 
     def test_scalar_calls_memoized(self, table075):
         # repeat calls are bit-identical; nothing is stored between them
@@ -268,6 +277,11 @@ class TestPvSweep:
         strict.tol = 1e-30
         with pytest.raises(AccuracyError):
             fs.pv_weight(np.geomspace(0.1, 10.0, 70), strict)
+
+    def test_nan_estimate_fails_the_tolerance(self, table075):
+        # a NaN estimate once passed err.max() > tol
+        with pytest.raises(AccuracyError, match="xc0 quadrature error estimate nan"):
+            fs.phase._check_tol(np.array([0.0, np.nan]), table075, "xc0")
 
 
 def _cauchy_unblocked(table, z):
