@@ -3,6 +3,8 @@ a count argument."""
 
 import numbers
 
+__all__ = ["FracspecError", "DomainError", "AccuracyError", "ConvergenceError", "BracketError"]
+
 
 class FracspecError(Exception):
     """Base class for all package errors."""

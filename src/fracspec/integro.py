@@ -226,12 +226,15 @@ def analytic_extend(sol: PQRSolution, z):
 
 @dataclass(frozen=True, eq=False)
 class SecularValue:
-    """Boundary functionals at one rho; condition is Im(xi conj(eta))."""
+    """Boundary functionals at the solution's rho; condition is Im(xi conj(eta))."""
 
-    rho: float
     xi: complex
     eta: complex
     solution: PQRSolution
+
+    @property
+    def rho(self) -> float:
+        return self.solution.rho
 
     @property
     def condition(self) -> float:
@@ -243,7 +246,7 @@ class SecularValue:
 
 
 def secular(rho: float, table: PhaseTable, *, _samples=None):
-    """Assemble xi and eta from the continuations at -+i.
+    """Assemble xi and eta from the continuation at -i and its conjugate at +i.
 
     xi  = X(rho i) p1(-i) + rho^-a e^{-rho i} Y(-rho i) p2(i)
     eta = X(rho i) rho^a [rho b q1(-i) - rho r1(-i)]
@@ -256,10 +259,10 @@ def secular(rho: float, table: PhaseTable, *, _samples=None):
     """
     a = table.alpha
     sol = solve_pqr(rho, table, _samples=_samples)
-    # one point per call: a two-row product rounds differently from two
-    # one-row products, which moves the last digits of condition_residual
+    # all grid data is real, so the continuation at +i is the conjugate of
+    # the one at -i, bit for bit, and is not evaluated again
     pm, qm, rm = analytic_extend(sol, -1j)
-    pp, qp, rp = analytic_extend(sol, 1j)
+    pp, qp, rp = pm.conj(), qm.conj(), rm.conj()
     x_i = table.xc_i
     x_mi = x_i.conjugate()  # X_c0(conj z) = conj X_c0(z)
     X = x_i / (rho * 1j)
@@ -270,18 +273,21 @@ def secular(rho: float, table: PhaseTable, *, _samples=None):
     eta = X * rho**a * (rho * bal * qm[0] - rho * rm[0]) + ph * Y * (
         rho * bal * qp[1] - rho * rp[1]
     )
-    return SecularValue(float(rho), complex(xi), complex(eta), sol)
+    return SecularValue(complex(xi), complex(eta), sol)
 
 
 @dataclass(frozen=True, eq=False)
 class RefinedRoot:
-    """A polished root of the secular condition near the n-th asymptote."""
+    """A polished root of the secular condition near the n-th asymptote; rho is its value's."""
 
     n: int
-    rho: float
     value: SecularValue
     bracket: tuple
     order: FractionalOrder  # the table's, which rho belongs to
+
+    @property
+    def rho(self) -> float:
+        return self.value.rho
 
     @property
     def condition_residual(self) -> float:
@@ -396,8 +402,7 @@ def refine_rho(n: int, table: PhaseTable, *, _samples=None) -> RefinedRoot:
             f" for n={n}, alpha={table.alpha:g} ({_SCAN_POINTS} samples)"
         )
     root = _brentq(fn, rs[i], rs[i + 1], xtol=1e-13)
-    rt = RefinedRoot(n=n, rho=root, value=seen[root], bracket=(float(lo), float(hi)),
-                     order=table.order)
+    rt = RefinedRoot(n=n, value=seen[root], bracket=(float(lo), float(hi)), order=table.order)
     if rt.condition_residual >= 1e-10:
         raise AccuracyError(
             f"root at rho={root:.12g} fails the residual contract:"

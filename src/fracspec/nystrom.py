@@ -171,12 +171,14 @@ def _kernel_sorted(lo, hi, a: float):
 
 
 def kernel_K(x, y, alpha):
-    """The covariance kernel K(x,y); symmetric, nonnegative on [0,1]^2.
+    """The covariance kernel K(x,y) on [0,1]^2, DomainError off it; symmetric, nonnegative.
 
     alpha > 1/2 (KernelSpec's rule; below it K diverges on the diagonal), a
     FractionalOrder or a float. x and y broadcast; a 0-d result is a float.
     """
     a = KernelSpec(_as_order(alpha), KernelKind.RL).alpha.alpha
+    _check_unit(x)
+    _check_unit(y)
     out = _kernel_raw(x, y, a)
     # at a = 1 the kernel is a read-only broadcast view of min(x, y)
     return float(out) if np.ndim(out) == 0 else np.require(out, requirements="W")
@@ -393,8 +395,8 @@ def _certify_psd(B: np.ndarray, mu1: float) -> None:
     # pivot is not positive, and the trailing update by column tiles
     m = B.shape[0]
     B[np.diag_indices(m)] += 1e-10 * mu1
-    for k0 in range(0, m, _TILE):
-        k1 = k0 + _TILE
+    tiles = list(_row_blocks(m, _TILE))
+    for t, (k0, k1) in enumerate(tiles):
         try:
             L = cholesky(B[k0:k1, k0:k1])
         except LinAlgError:
@@ -405,8 +407,8 @@ def _certify_psd(B: np.ndarray, mu1: float) -> None:
         B[k0:k1, k0:k1] = L
         P = B[k1:, k0:k1]
         P[...] = P @ inv(L).T
-        for j0 in range(k1, m, _TILE):
-            B[j0:, j0 : j0 + _TILE] -= P[j0 - k1 :] @ P[j0 - k1 : j0 - k1 + _TILE].T
+        for j0, j1 in tiles[t + 1 :]:
+            B[j0:, j0:j1] -= P[j0 - k1 :] @ P[j0 - k1 : j1 - k1].T
 
 
 def discretize_and_solve(

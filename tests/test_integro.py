@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -180,13 +181,12 @@ class TestExtension:
             assert r[1] == pytest.approx(sol.r[1, j], abs=1e-11)
 
     def test_conjugate_symmetry(self, table075):
+        # all grid data is real: conjugate points give conjugate values, bit
+        # for bit, which secular relies on at -+i
         sol = solve_pqr(28.0, table075)
-        z = 0.4 + 0.9j
-        pa, qa, ra = analytic_extend(sol, z)
-        pb, qb, rb = analytic_extend(sol, np.conj(z))
-        assert pa[0] == pytest.approx(np.conj(pb[0]), abs=1e-13)
-        assert qa[1] == pytest.approx(np.conj(qb[1]), abs=1e-13)
-        assert ra[1] == pytest.approx(np.conj(rb[1]), abs=1e-13)
+        for z in (0.4 + 0.9j, 1j, -1j):
+            for a, b in zip(analytic_extend(sol, z), analytic_extend(sol, np.conj(z))):
+                assert np.array_equal(a, np.conj(b))
 
     def test_rejects_cut(self, table075):
         sol = solve_pqr(28.0, table075)
@@ -248,19 +248,29 @@ class TestKernelData:
         assert sweeps == []
 
     def test_secular_continues_at_plus_minus_i(self, table075, monkeypatch):
+        # secular continues at -i alone and takes +i as its conjugate; xi and
+        # eta are the formula with both points continued, bit for bit
         used = []
 
         def spy(s, z):
-            out = analytic_extend(s, z)
-            used.append((complex(z), out))
-            return out
+            used.append(complex(z))
+            return analytic_extend(s, z)
 
         monkeypatch.setattr("fracspec.integro.analytic_extend", spy)
-        sol = secular(28.0, table075).solution
-        assert [z for z, _ in used] == [-1j, 1j]
-        for z, out in used:
-            for got, want in zip(out, analytic_extend(sol, z)):
-                assert np.array_equal(got, want)
+        rho, a = 28.0, table075.alpha
+        value = secular(rho, table075)
+        assert used == [-1j]
+        pm, qm, rm = analytic_extend(value.solution, -1j)
+        pp, qp, rp = analytic_extend(value.solution, 1j)
+        X = table075.xc_i / (rho * 1j)
+        Y = (rho * 1j) ** (a - 1.0) * table075.xc_i.conjugate()
+        ph = np.exp(-1j * rho)
+        bal = fs.b_alpha(table075.order)
+        xi = X * pm[0] + rho ** (-a) * ph * Y * pp[1]
+        eta = X * rho**a * (rho * bal * qm[0] - rho * rm[0]) + ph * Y * (
+            rho * bal * qp[1] - rho * rp[1]
+        )
+        assert (value.xi, value.eta) == (complex(xi), complex(eta))
 
     def test_continuation_matches_fresh_kernel(self, table075):
         # the stored data give the continuation bit for bit as a kernel
@@ -348,6 +358,14 @@ class TestRefine:
         # (14.6550729 at m = 500); the alpha = 0.75 root is 15.1825
         root = refine_rho(5, fs.PhaseTable(0.6))
         assert root.rho == pytest.approx(14.6550723, abs=2e-6)
+
+    def test_rho_is_the_solutions(self, roots075):
+        # the value types keep no rho of their own: a root's is its
+        # value's, which is the solution's
+        for cls in (fs.SecularValue, fs.RefinedRoot):
+            assert "rho" not in {f.name for f in dataclasses.fields(cls)}
+        for root in (roots075[7], refine_rho(3, fs.PhaseTable(0.9))):
+            assert root.rho == root.value.rho == root.value.solution.rho
 
     def test_one_xc0_per_root(self, table075, monkeypatch):
         # X_c0(i) is the table's, evaluated once when it is built; a root

@@ -166,6 +166,14 @@ class TestKernel:
             assert got == kernel_K(0.3, 0.7, alpha)
         assert kernel_K(np.array([0.3]), 0.7, alpha).shape == (1,)
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan, np.inf])
+    def test_points_outside_the_square_rejected(self, bad):
+        # K is defined on [0,1]^2; off it the formula gives 0, nan or a
+        # finite value, none of them K
+        for x, y in [(bad, 0.3), (0.3, bad), (np.array([0.2, bad]), 0.3)]:
+            with pytest.raises(DomainError):
+                kernel_K(x, y, 0.75)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(min_value=0.02, max_value=1.0),
@@ -285,7 +293,8 @@ class TestNystromMatrix:
         certificate = traced_peak(nystrom._certify_psd, B, mu1)[1]
         assert certificate < B.nbytes / 4
 
-    @pytest.mark.parametrize("m", [nystrom._TILE + 1, 300, 800])
+    # m = 1 mod _TILE folds its lone last row into a wider last tile
+    @pytest.mark.parametrize("m", [nystrom._TILE + 1, 2 * nystrom._TILE + 1, 300, 800])
     def test_certificate_agrees_with_lapack(self, order075, m):
         B = nystrom._nystrom_matrix(KernelSpec(order075, KernelKind.RL), build_grid(m))
         ev, V = np.linalg.eigh(B)
