@@ -157,8 +157,7 @@ def boundary_layer(x, rho: float, table: PhaseTable):
     d = 0 needs no special handling: the densities are integrable at both
     ends of the half line and the grid covers (0, inf) in full.
     """
-    if not 0 < rho < np.inf:
-        raise DomainError("rho must be positive and finite")
+    _check_positive(rho, "rho")
     xx = _check_unit(x)
     t, w = _layer_rule()
     u0, u1 = upsilons(t, table)

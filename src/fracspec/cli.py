@@ -9,14 +9,15 @@ before the command line's own, so argparse checks file values exactly as
 flags, and the command line wins.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
-failure. Output files, all formatted here, are deterministic for a fixed
-configuration: floats %.12e, comma-separated, LF endings. The per-n root
-refinements of one spectrum run share one PhaseTable and one g0 sample
-(refine_roots). Each command builds its run objects from the library's
-types inside _usage, which makes a type's refusal a usage error, then
-creates its output directory, computes with those objects, and writes its
-files once, at the end, each through a temporary file that then replaces
-the target. _reference picks the kernel for the variant, _nystrom solves.
+failure or an array too large to allocate. Output files, all formatted
+here, are deterministic for a fixed configuration: floats %.12e,
+comma-separated, LF endings. The per-n root refinements of one spectrum run
+share one PhaseTable and one g0 sample (refine_roots). Each command builds
+its run objects from the library's types inside _usage, which makes a
+type's refusal a usage error, then creates its output directory, computes
+with those objects, and writes its files once, at the end, each through a
+temporary file that then replaces the target. _reference returns the run's
+reference solve: the solver bound to the variant's kernel and to the grid.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from .svg import svg_line_chart
 __all__ = ["UsageError", "main"]
 
 _METHODS = ("asym1", "asym2", "nystrom", "integro")
+# From this mode on the asymptotic starting guesses are trusted: below it a
+# spectrum row reads regime=unverified and a failed refinement exits 0.
+_TRUSTED_N = 3
 _ANCHOR_ALPHAS = (0.55, 0.65, 0.75, 0.85, 0.95)
 
 
@@ -177,15 +181,11 @@ def _fmt(v) -> str:
 
 
 def _reference(order: FractionalOrder, m: int):
-    """The (KernelSpec, grid) pair: bridge kernel for rl-bridge, RL for caputo."""
+    """The CLI's one reference solve, called as ref(n_modes=..., vectors=...):
+    discretize_and_solve on the m-point grid, with the bridge kernel for
+    rl-bridge and the RL kernel for caputo."""
     kind = KernelKind.BRIDGE if order.variant is Variant.RL_BRIDGE else KernelKind.RL
-    return KernelSpec(order, kind), build_grid(m)
-
-
-def _nystrom(reference, n_modes: int, vectors: bool = True):
-    """The CLI's one reference solve, of a _reference pair."""
-    spec, grid = reference
-    return discretize_and_solve(spec, grid, n_modes=n_modes, vectors=vectors)
+    return functools.partial(discretize_and_solve, KernelSpec(order, kind), build_grid(m))
 
 
 def _integro_csv(roots) -> str:
@@ -204,45 +204,32 @@ def _integro_csv(roots) -> str:
 def _build_spectrum(order: FractionalOrder, ns: range, methods: tuple, reference: str,
                     nystrom_ref=None, table: PhaseTable | None = None):
     """Compute everything cmd_spectrum serializes, for the mode indices ns,
-    from the run's _reference pair and PhaseTable (None: method not run).
+    from the run's _reference solve and PhaseTable (None: method not run).
 
     Returns (spectrum_csv, integro_csv or None, failures) where failures is
     a list of (n, message) for integro refinements that raised.
     """
-    a = order.alpha
-    rl_bridge = order.variant is Variant.RL_BRIDGE
-
     lam_ny = {}
     if nystrom_ref is not None:
-        lam = _nystrom(nystrom_ref, ns[-1], vectors=False).lam
+        lam = nystrom_ref(n_modes=ns[-1], vectors=False).lam
         lam_ny = {n: float(lam[n - 1]) for n in ns}
 
-    refined, failures = [], []
-    if table is not None:
-        refined, failures = refine_roots(ns, table)
-    lam_int = {rt.n: rt.rho ** (2.0 * a) for rt in refined}
+    refined, failures = refine_roots(ns, table) if table is not None else ([], [])
+    lam_int = {rt.n: rt.rho ** (2.0 * order.alpha) for rt in refined}
     lam_ref = lam_ny if reference == "nystrom" else lam_int
-
-    def asym1(n):
-        return lambda_asymptotic(n, order, Order.FIRST) if "asym1" in methods else None
-
-    def asym2(n):
-        if "asym2" not in methods:
-            return None
-        if rl_bridge:
-            return lambda_two_term(n, order)
-        return lambda_asymptotic(n, order, Order.SECOND)
+    asym2 = lambda_two_term if order.variant is Variant.RL_BRIDGE else lambda_asymptotic
 
     lines = [
         "n,lambda_asym1,lambda_asym2,lambda_nystrom,lambda_integro,"
         "relerr_asym1,relerr_asym2,regime"
     ]
     for n in ns:
-        l1, l2 = asym1(n), asym2(n)
+        l1 = lambda_asymptotic(n, order, Order.FIRST) if "asym1" in methods else None
+        l2 = asym2(n, order) if "asym2" in methods else None
         ref = lam_ref.get(n)
         r1 = ref / l1 - 1.0 if ref is not None and l1 is not None else None
         r2 = ref / l2 - 1.0 if ref is not None and l2 is not None else None
-        regime = "unverified" if n < 3 else ""
+        regime = "unverified" if n < _TRUSTED_N else ""
         lines.append(
             f"{n},{_fmt(l1)},{_fmt(l2)},{_fmt(lam_ny.get(n))},"
             f"{_fmt(lam_int.get(n))},{_fmt(r1)},{_fmt(r2)},{regime}"
@@ -275,7 +262,7 @@ def cmd_spectrum(alpha, variant, n_min, n_max, methods, m, out, reference) -> in
     _write_outputs(out, files)
     for n, msg in failures:
         print(f"integro refinement failed at n={n}: {msg}", file=sys.stderr)
-    return 3 if any(n >= 3 for n, _ in failures) else 0
+    return 3 if any(n >= _TRUSTED_N for n, _ in failures) else 0
 
 
 # -- eigenfunction ---------------------------------------------------------
@@ -289,30 +276,26 @@ def cmd_eigenfunction(alpha, m, grid_points, out, n, exact) -> int:
         order = FractionalOrder(alpha)
         nystrom_ref = _reference(order, m)
         table = PhaseTable(order)
+        # each approximation's column: its values on x and the colour of
+        # its error curve against f_nystrom
+        approx = {
+            "f_asym_nolayers": (lambda x: eigenfunction_asymptotic(n, x, order), "#d62728"),
+            "f_asym_layers": (lambda x: eigenfunction_asymptotic(n, x, order, table), "#1f77b4"),
+        }
         if exact:
             _check_refinable(table)
+            approx["f_exact"] = (
+                lambda x: reconstruct_f_exact(x, refine_rho(n, table).value, table), "#2ca02c")
     _check_modes(n, m, f"n={n}")
     _write_outputs(out)  # creates out: a bad --out fails before any solve
 
     x = np.linspace(0.0, 1.0, grid_points)
-    f_ny = eigenfunction_at(_nystrom(nystrom_ref, n), n, x)
-
-    f_nolayers = eigenfunction_asymptotic(n, x, order)
-    f_layers = eigenfunction_asymptotic(n, x, order, table)
-    if exact:
-        root = refine_rho(n, table)
-        f_exact = reconstruct_f_exact(x, root.value, table)
-
-    header = "x,f_nystrom,f_asym_nolayers,f_asym_layers" + (",f_exact" if exact else "")
-    cols = [x, f_ny, f_nolayers, f_layers] + ([f_exact] if exact else [])
-    lines = [header] + [",".join(_fmt(c[i]) for c in cols) for i in range(x.size)]
-
-    series = [
-        ("f_asym_nolayers - f_nystrom", x, f_nolayers - f_ny, "#d62728"),
-        ("f_asym_layers - f_nystrom", x, f_layers - f_ny, "#1f77b4"),
-    ]
-    if exact:
-        series.append(("f_exact - f_nystrom", x, f_exact - f_ny, "#2ca02c"))
+    f_ny = eigenfunction_at(nystrom_ref(n_modes=n), n, x)
+    cols = {"x": x, "f_nystrom": f_ny} | {name: f(x) for name, (f, _) in approx.items()}
+    lines = [",".join(cols)]
+    lines += [",".join(_fmt(c[i]) for c in cols.values()) for i in range(x.size)]
+    series = [(f"{name} - f_nystrom", x, cols[name] - f_ny, colour)
+              for name, (_, colour) in approx.items()]
     svg = svg_line_chart(
         series,
         title=f"eigenfunction error, n={n}, alpha={order.alpha:g}",
@@ -355,17 +338,17 @@ def cmd_validate(alpha, variant, m, out) -> int:
 
     def check_alpha1():
         ns = np.arange(1, 21)
-        lam_b = _nystrom(_reference(FractionalOrder(1.0), 800), 20, vectors=False).lam
+        lam_b = _reference(FractionalOrder(1.0), 800)(n_modes=20, vectors=False).lam
         worst_b = float(np.max(np.abs(lam_b / (np.pi * ns) ** 2 - 1.0)))
         caputo = FractionalOrder(1.0, Variant.CAPUTO)
-        rho_r = _nystrom(_reference(caputo, 800), 20, vectors=False).rho
+        rho_r = _reference(caputo, 800)(n_modes=20, vectors=False).rho
         worst_r = float(np.max(np.abs(rho_r / (np.pi * ns - np.pi / 2) - 1.0)))
         worst = max(worst_b, worst_r)
         return worst < 1e-4, f"max relative error {worst:.3e} (m=800, n<=20)"
 
     def check_caputo_endpoint():
         target = np.sqrt(2.0 * alpha)
-        sp = _nystrom(_reference(FractionalOrder(alpha, Variant.CAPUTO), m), 20)
+        sp = _reference(FractionalOrder(alpha, Variant.CAPUTO), m)(n_modes=20)
         v = abs(eigenfunction_at(sp, 20, 1.0))
         rel = abs(v - target) / target
         return rel < 0.01, f"|f_20(1)| = {v:.6f} vs sqrt(2a) = {target:.6f} ({rel:.2%})"
@@ -373,7 +356,7 @@ def cmd_validate(alpha, variant, m, out) -> int:
     @functools.cache  # orthonormality and mercer_trace share one solve
     def reference_spectrum():
         # orthonormality reads 10 vectors, mercer its head's values
-        return _nystrom(nystrom_ref, max(10, _mercer_head(m)))
+        return nystrom_ref(n_modes=max(10, _mercer_head(m)))
 
     def check_orthonormality():
         sp = reference_spectrum()
@@ -448,16 +431,14 @@ def main(argv=None) -> int:
             return int(e.code or 0)
         kwargs = vars(args)
         command, _ = kwargs.pop("command"), kwargs.pop("config")
-        if command == "spectrum":
-            return cmd_spectrum(**kwargs)
-        if command == "eigenfunction":
-            return cmd_eigenfunction(**kwargs)
-        return cmd_validate(**kwargs)
+        cmd = {"spectrum": cmd_spectrum, "eigenfunction": cmd_eigenfunction,
+               "validate": cmd_validate}[command]
+        return cmd(**kwargs)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except FracspecError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (FracspecError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
 
 

@@ -59,6 +59,7 @@ from .errors import (
 from .phase import (
     FractionalOrder,
     PhaseTable,
+    _check_positive,
     _check_unit,
     _first_quarter_sign,
     _shaped,
@@ -152,8 +153,7 @@ def solve_pqr(rho: float, table: PhaseTable, *, _samples=None) -> PQRSolution:
     below 1e-12; raises ConvergenceError if an update is not finite or
     grows, or if the updates stay above that after 100 sweeps.
     """
-    if not 0 < rho < np.inf:
-        raise DomainError("rho must be positive and finite")
+    _check_positive(rho, "rho")
     k0, t, w, gv, D = _samples or _sample_octaves(rho, rho, table)
     i = (_top_exponent(rho) - _OCTAVES - k0) * _PER_OCTAVE
     j = i + _OCTAVES * _PER_OCTAVE

@@ -178,7 +178,7 @@ def kernel_K(x, y, alpha):
     """
     a = KernelSpec(_as_order(alpha), KernelKind.RL).alpha.alpha
     _check_unit(x)
-    _check_unit(y)
+    _check_unit(y, "y")
     out = _kernel_raw(x, y, a)
     # at a = 1 the kernel is a read-only broadcast view of min(x, y)
     return float(out) if np.ndim(out) == 0 else np.require(out, requirements="W")

@@ -96,20 +96,21 @@ def _rl_bridge_order(alpha, what: str) -> FractionalOrder:
     return order
 
 
-def _check_positive(t):
+def _check_positive(t, name: str = "t"):
+    """t flattened to a 1-d float array, all positive and finite; a refusal names name."""
     tt = np.asarray(t, dtype=float)
     tt = tt if tt.ndim == 1 else tt.reshape(-1)  # as in _check_unit
     if not np.all((tt > 0.0) & (tt < np.inf)):  # NaN fails both
-        raise DomainError("t must be positive and finite")
+        raise DomainError(f"{name} must be positive and finite")
     return tt
 
 
-def _check_unit(x):
-    """x flattened to a 1-d float array, which must lie in [0, 1]; NaN does not."""
+def _check_unit(x, name: str = "x"):
+    """x flattened to a 1-d float array in [0, 1] (NaN is not); a refusal names name."""
     xx = np.asarray(x, dtype=float)
     xx = xx if xx.ndim == 1 else xx.reshape(-1)  # no new view of a 1-d x
     if np.any(~((xx >= 0) & (xx <= 1))):
-        raise DomainError("x must lie in [0, 1]")
+        raise DomainError(f"{name} must lie in [0, 1]")
     return xx
 
 

@@ -237,11 +237,23 @@ class TestEigenfunction:
         )
         assert rc == 0
         header, rows = _rows(tmp_path / "eigenfunction_n8.csv")
-        assert header.endswith(",f_exact")
+        assert header == "x,f_nystrom,f_asym_nolayers,f_asym_layers,f_exact"
         data = np.array([[float(v) for v in r] for r in rows])
         assert np.max(np.abs(data[:, 4] - data[:, 1])) < 1e-2
         # the reconstruction reuses the refined root's solution
         assert len(rhos) == len(set(rhos))
+        # one error curve per approximation, in column order, each with its
+        # colour on the polyline and on the legend entry
+        svg = _read(tmp_path / "eigenfunction_n8.svg")
+        curves = [
+            ("f_asym_nolayers - f_nystrom", "#d62728"),
+            ("f_asym_layers - f_nystrom", "#1f77b4"),
+            ("f_exact - f_nystrom", "#2ca02c"),
+        ]
+        assert re.findall(r'<polyline points="[^"]*" fill="none" stroke="([^"]*)"', svg) == [
+            colour for _, colour in curves]
+        legend = re.findall(r'stroke="([^"]*)" stroke-width="2"/>\n<text[^>]*>([^<]*)</text>', svg)
+        assert legend == [(colour, label) for label, colour in curves]
 
     def test_caputo_rejected(self, tmp_path):
         rc = main(
@@ -249,6 +261,22 @@ class TestEigenfunction:
              "--alpha", "0.75", "--out", str(tmp_path)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 22.4 GiB for an array", "Unable to allocate 22.4 GiB for an array"),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_allocation_failure_exits_three(self, message, shown, tmp_path, monkeypatch,
+                                            capsys):
+        # an array the machine cannot hold, as a huge --grid-points asks for,
+        # ends in one error line; the failure is simulated, nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("fracspec.cli.eigenfunction_at", refuse)
+        rc = main(["eigenfunction", "--m", "100", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {shown}\n"
 
 
 class TestWriteText:

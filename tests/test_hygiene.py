@@ -296,16 +296,16 @@ def test_check_flags_a_stepped_loop():
     assert _stepped_loops({"m.py": mod}) == ["m.py: None", "m.py: f", "m.py: h"]
 
 
-def _calls_by_function(tree: ast.Module, names: set) -> list[str]:
-    """'function: name' for each call of one of names, bare or as an
-    attribute, by the innermost function around it (None at module level)."""
+def _uses_by_function(tree: ast.Module, names: set) -> list[str]:
+    """'function: name' for each use of one of names, bare or as an
+    attribute, called or not, by the innermost function around it (None at
+    module level). Import statements are not uses."""
     owner = _owners(tree)
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in names:
-                found.append(f"{owner.get(id(node))}: {name}")
+        name = getattr(node, "id", getattr(node, "attr", None))  # of a Name or an Attribute
+        if name in names:
+            found.append(f"{owner.get(id(node))}: {name}")
     return sorted(found)
 
 
@@ -313,22 +313,22 @@ CLI_TREE = ast.parse((Path(fracspec.__file__).parent / "cli.py").read_text())
 
 
 def test_the_cli_builds_its_reference_solve_in_one_place():
-    # the variant's kernel and the grid are chosen in cli._reference alone,
-    # and solved in cli._nystrom alone, so a change of reference route
-    # touches one function
-    calls = _calls_by_function(CLI_TREE, {"KernelSpec", "build_grid", "discretize_and_solve"})
-    assert calls == ["_nystrom: discretize_and_solve", "_reference: KernelSpec",
-                     "_reference: build_grid"]
+    # the variant's kernel, the grid and the solver are named in
+    # cli._reference alone, so a change of reference route touches one function
+    uses = _uses_by_function(CLI_TREE, {"KernelSpec", "build_grid", "discretize_and_solve"})
+    assert uses == ["_reference: KernelSpec", "_reference: build_grid",
+                    "_reference: discretize_and_solve"]
 
 
 def test_check_flags_a_call_outside_its_function():
     mod = ast.parse(
-        "def _nystrom(o):\n    return solve(Spec(o))\n"
+        "from m import Spec, solve\n"
+        "def _ref(o):\n    return partial(solve, Spec(o))\n"
         "def f():\n    def g():\n        return m.Spec(1)\n    return Spec(2)\n"
-        "Spec(3)\n"
+        "Spec(3)\nrun = solve\n"
     )
-    assert _calls_by_function(mod, {"Spec", "solve"}) == [
-        "None: Spec", "_nystrom: Spec", "_nystrom: solve", "f: Spec", "g: Spec",
+    assert _uses_by_function(mod, {"Spec", "solve"}) == [
+        "None: Spec", "None: solve", "_ref: Spec", "_ref: solve", "f: Spec", "g: Spec",
     ]
 
 

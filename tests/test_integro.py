@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import math
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -703,6 +705,62 @@ class TestCrossSolver:
         for n in sorted(roots075):
             gap = roots075[n].rho - rho_ny[n - 1]
             assert abs(gap) < 1e-5
+
+
+@functools.cache
+def _bridge_slope(n: int) -> float:
+    """d rho_n / da at a = 1, from first-order perturbation of the Brownian
+    bridge, in mpmath alone.
+
+    At a = 1, K_b = min(x, y) - x y, f_n = sqrt(2) sin(pi n x) and
+    mu_n = (pi n)^-2. With D(x, y) = x ln x + y ln y - |x-y| ln|x-y|
+    + 2 (gamma - 1) min(x, y), the kernel's a-derivative at a = 1 is
+    D(x, y) - D(x, 1) y - x D(y, 1) + 2 (gamma - 1) x y; mu_n' is its
+    quadratic form in f_n, and d rho_n / da = pi n (-ln(pi n) - (pi n)^2 mu_n' / 2).
+    """
+    def xlogx(x):
+        return x * mp.log(x) if x > 0 else mp.zero
+
+    with mp.workdps(15):
+        pn = mp.pi * n
+        g1 = 2 * (mp.euler - 1)
+        halves = mp.linspace(0, 1, n + 1)  # one quadrature panel per half period
+        A = mp.quad(lambda x: xlogx(x) * mp.sqrt(2) * mp.sin(pn * x), halves)  # <f, x ln x>
+        B = mp.sqrt(2) * (1 - (-1) ** n) / pn  # <f, 1>
+        G = mp.sqrt(2) * (-1) ** (n + 1) / pn  # <f, x>
+        # <f, |x-y| ln|x-y| f>, through f's autocorrelation at lag s
+        phi = mp.quad(lambda s: xlogx(s) * (2 * (1 - s) * mp.cos(pn * s)
+                                            + 2 * mp.sin(pn * s) / pn), halves)
+        # <f, D(., 1)>; x -> 1 - x turns <f, (1-x) ln(1-x)> into (-1)^(n+1) A
+        E = (1 + (-1) ** n) * A + g1 * G
+        # <f, min f> is mu_n + G^2, not mu_n
+        dmu = 2 * A * B - phi + g1 * (1 / pn**2 + G**2) - 2 * E * G + g1 * G**2
+        return float(pn * (-mp.log(pn) - pn**2 * dmu / 2))
+
+
+class TestBrownianBridgePerturbation:
+    """The integro roots near a = 1 against the first-order slope at a = 1."""
+
+    def test_slope_oracle(self):
+        # the slopes minus pi/2 at 20 digits; the integro roots' finite
+        # difference at a = 1 - 1e-4, 1 - 2e-4 gives 0.04970612 at n = 1
+        table = {1: 0.0497061539, 2: -0.0108919323, 3: 0.0038724173,
+                 10: -1.2600237e-4, 30: -4.7651603e-6}
+        for n, want in table.items():
+            assert _bridge_slope(n) - math.pi / 2 == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("h", [1e-3, 2e-3])
+    def test_refined_roots_follow_the_slope(self, h):
+        # rho2(1 - h) - h (slope_n - pi/2) is rho_n(1 - h) to O(h^2). C is
+        # 1.25 times the largest residual / h^2 measured at h = 1e-3 and 2e-3:
+        # 0.0656, 0.0111, 0.0038, 1.10e-4 and 3.96e-6 at n = 1, 2, 3, 10, 30
+        bound = {1: 0.082, 2: 0.014, 3: 0.0048, 10: 1.4e-4, 30: 5e-6}
+        a = 1.0 - h
+        table = fs.PhaseTable(fs.FractionalOrder(a))
+        for n, c in bound.items():
+            rho2 = math.pi * n + math.pi / 2 * (1.0 - 1.0 / a)
+            want = rho2 - h * (_bridge_slope(n) - math.pi / 2)
+            assert abs(refine_rho(n, table).rho - want) < c * h**2 * want
 
 
 class TestReconstruct:

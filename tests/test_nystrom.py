@@ -169,9 +169,10 @@ class TestKernel:
     @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan, np.inf])
     def test_points_outside_the_square_rejected(self, bad):
         # K is defined on [0,1]^2; off it the formula gives 0, nan or a
-        # finite value, none of them K
-        for x, y in [(bad, 0.3), (0.3, bad), (np.array([0.2, bad]), 0.3)]:
-            with pytest.raises(DomainError):
+        # finite value, none of them K. The refusal names the bad argument.
+        for x, y, name in [(bad, 0.3, "x"), (0.3, bad, "y"), (np.array([0.2, bad]), 0.3, "x"),
+                           (0.5, np.array([bad, 0.2]), "y")]:
+            with pytest.raises(DomainError, match=rf"{name} must lie in \[0, 1\]"):
                 kernel_K(x, y, 0.75)
 
     @settings(max_examples=60, deadline=None)
