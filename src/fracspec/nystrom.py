@@ -21,10 +21,12 @@ has a > 1/2 (KernelSpec), where the diagonal is finite.
 
 The special functions need numpy and math alone. I_x(a, b) is the power
 series x^a sum_k (1-b)_k/k! x^k/(a+k) / B(a, b) (DLMF 8.17.7-8.17.8) for
-x <= 1/2 and its reflection 1 - I_{1-x}(b, a) (DLMF 8.17.20) above, each
-cut where the term at 1/2 drops below 2^-60 and evaluated by Horner on the
-whole array; the kernel passes 1 - R as d/hi, which keeps the digits next
-to the diagonal. B and Gamma come from math.gamma. The row integral
+x <= 1/2 and its reflection 1 - I_{1-x}(b, a) (DLMF 8.17.20) above. Each
+sum is cut where the term at 1/2 drops below 2^-60 and then economized,
+once per (a, b): a Chebyshev truncation on [0, 1/2] leaves a polynomial of
+degree 22 or less in s = 4x - 1, evaluated by Horner on the whole array.
+The kernel passes 1 - R as d/hi, which keeps the digits next to the
+diagonal. B and Gamma come from math.gamma. The row integral
 int_0^1 K(x,y) dy reuses the same I_x(a, 2-2a), and the Mercer tail's
 Hurwitz zeta is an Euler-Maclaurin sum.
 
@@ -58,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, eigh, eigvalsh, inv
@@ -105,11 +108,20 @@ def _beta(a: float, b: float) -> float:
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
-def _series(z, p: float, q: float, beta: float):
-    # z^p sum_k (1-q)_k / k! z^k / (p+k) / beta, the sum by Horner on the
-    # array z <= 1/2, which is overwritten; cut where the term at z = 1/2
-    # drops below 2^-60; for 0 < q <= 2 the terms after it shrink at least
-    # by 1/2 each, so the tail is below 2^-59
+@lru_cache(maxsize=16)
+def _economized(p: float, q: float) -> tuple:
+    """sum_k (1-q)_k / k! z^k / (p+k) / B(p, q) on 0 <= z <= 1/2 as a
+    polynomial in s = 4z - 1, economized: its coefficients of s^0, s^1, ...
+
+    The Taylor series in z is cut where the term at z = 1/2 drops below
+    2^-60; for 0 < q <= 2 the terms after it shrink at least by 1/2 each, so
+    the tail is below 2^-59. The cut series (41-56 terms) is shifted to s,
+    converted to Chebyshev coefficients by the exact identity
+    s^j = 2^-j sum_i C(j, i) T_|j-2i|(s), cut after the last coefficient at
+    or above 2^-60 |c_0| (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, ch. 8), and converted back to monomials in s: degree
+    13-22 for both orders of the kernel's (a, 2-2a), a from 0.501 to 0.999.
+    """
     coef = []
     poch = 1.0  # (1-q)_k / k!
     while True:
@@ -118,13 +130,37 @@ def _series(z, p: float, q: float, beta: float):
         if abs(coef[-1]) * 0.5**k < 2.0**-60:
             break
         poch *= (k + 1 - q) / (k + 1)
-    acc = np.full(z.shape, coef.pop())
-    for c in reversed(coef):
-        acc *= z
+    n = len(coef)
+    pascal = np.zeros((n, n))  # pascal[j, i] = C(j, i)
+    pascal[:, 0] = 1.0
+    for j in range(1, n):
+        pascal[j, 1:] = pascal[j - 1, 1:] + pascal[j - 1, :-1]
+    # z^k = 4^-k (1 + s)^k = 4^-k sum_j C(k, j) s^j
+    mono = (np.array(coef) * 0.25 ** np.arange(n)) @ pascal
+    cheb = np.zeros(n)
+    j, i = np.tril_indices(n)
+    np.add.at(cheb, np.abs(j - 2 * i), (mono * 0.5 ** np.arange(n))[j] * pascal[j, i])
+    deg = np.flatnonzero(np.abs(cheb) >= 2.0**-60 * abs(cheb[0]))[-1]
+    # back to monomials in s: row k of T holds T_k, from T_0 = 1, T_1 = s
+    # and T_{k+1} = 2 s T_k - T_{k-1}
+    T = np.eye(deg + 1)
+    for k in range(1, deg):
+        T[k + 1] = np.append(0.0, 2.0 * T[k, :-1]) - T[k - 1]
+    return tuple((cheb[: deg + 1] @ T / _beta(p, q)).tolist())
+
+
+def _series(z, p: float, q: float):
+    # z^p sum_k (1-q)_k / k! z^k / (p+k) / B(p, q) on the array z <= 1/2,
+    # which is overwritten; the sum is _economized's polynomial, by Horner in s
+    coef = _economized(p, q)
+    s = z * 4.0
+    s -= 1.0
+    acc = np.full(z.shape, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= s
         acc += c
     z **= p
     acc *= z
-    acc /= beta
     return acc
 
 
@@ -137,12 +173,11 @@ def _betainc(a: float, b: float, x, xc):
     the reflection I = 1 - xc^b S(b, a, xc) / B(a, b) (DLMF 8.17.20), so
     the series argument never exceeds 1/2.
     """
-    beta = _beta(a, b)
     out = np.empty(x.shape)
     low = x <= 0.5
-    out[low] = _series(x[low], a, b, beta)
+    out[low] = _series(x[low], a, b)
     high = ~low  # NaN x (0/0 in the kernel) lands here and stays NaN
-    out[high] = 1.0 - _series(xc[high], b, a, beta)
+    out[high] = 1.0 - _series(xc[high], b, a)
     return out
 
 
@@ -268,7 +303,8 @@ def _kernel_matrix(x, a: float, sw, kx1):
 class NystromGrid:
     """The m-point Gauss-Legendre rule on (0,1), m an integer >= 2. Its nodes
     and weights are the read-only cached rule of ``gauss_legendre_01``
-    (Newton on the Legendre recurrence, O(m^2))."""
+    (one pass of the Legendre recurrence, O(m^2), then Newton on each
+    node's local Taylor polynomial)."""
 
     m: int
 

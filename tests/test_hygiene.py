@@ -405,7 +405,9 @@ def test_jobs_load_no_numpy_random(tmp_path):
     # importing numpy.random costs about 15 ms and 5.5 MB of RSS; the
     # Lanczos start vector is plain arithmetic so that no job needs it.
     # numpy.polynomial costs about 4 ms and 0.8 MB; the Gauss-Legendre rule
-    # is its own Newton iteration, not leggauss's O(m^3) eigensolve
+    # is one recurrence pass and Newton on local Taylor polynomials, not
+    # leggauss's O(m^3) eigensolve, and the kernel series is economized by
+    # its own Chebyshev identities, not by numpy.polynomial.chebyshev
     code = (
         "import sys\n"
         "from fracspec.cli import main\n"

@@ -381,6 +381,35 @@ class TestSpecialFunctions:
             want = [float(mp.betainc(a, b, 0, mp.mpf(x), regularized=True)) for x in self.X]
         assert np.max(np.abs(got / np.array(want) - 1)) < tol
 
+    @pytest.mark.parametrize("a", [0.501, 0.55, 0.75, 0.9, 0.99, 0.999])
+    def test_economized_degree(self, a):
+        # the kernel's two series, (a, 2-2a) below 1/2 and (2-2a, a) above,
+        # from 41-56 Taylor terms down to degree 22 or less
+        b = 2 - 2 * a
+        assert len(nystrom._economized(a, b)) - 1 <= 22
+        assert len(nystrom._economized(b, a)) - 1 <= 22
+
+    @pytest.mark.parametrize("a", [0.501, 0.55, 0.75, 0.9, 0.99, 0.999])
+    def test_betainc_random_points(self, a):
+        # 200 random x in (0, 1) for I_x(a, 2-2a): below 1/2 the series in
+        # (a, b) itself, above it the series in (b, a) that the reflection
+        # reads, I_{1-x}(b, a) = 1 - I_x(a, b). The complement is compared,
+        # not 1 - (1 - I), whose cancellation is test_betainc's 6e-14 case;
+        # measured at most 8.9e-16
+        b = 2 - 2 * a
+        x = np.random.default_rng(7).uniform(0, 1, 200)
+        low = x <= 0.5
+        xs = np.where(low, x, 1 - x)  # exact above 1/2
+        got = np.where(
+            low, nystrom._betainc(a, b, xs, 1 - xs), nystrom._betainc(b, a, xs, 1 - xs)
+        )
+        with mp.workdps(40):
+            want = [
+                float(mp.betainc(*((a, b) if lo else (b, a)), 0, mp.mpf(v), regularized=True))
+                for v, lo in zip(xs, low)
+            ]
+        assert np.max(np.abs(got / np.array(want) - 1)) < 2e-15
+
     @pytest.mark.parametrize(
         "a, tol",
         # the two 1/(2a-1) terms cancel as a -> 1/2: measured 4.1e-14 at

@@ -84,6 +84,89 @@ def _mp_gauss_legendre(m, u):
     return u, 2 / ((1 - u * u) * dp * dp)
 
 
+def _parent_rule(m):
+    """The multi-pass rule that the one-pass rule replaced, kept as the
+    reference for its weights: three Newton steps on the recurrence from
+    Tricomi's guesses, a fourth recurrence pass for P_m' at the rounded
+    nodes. Nodes u >= 0, largest first, and their weights on (0,1)."""
+    k = np.arange(1, (m + 1) // 2 + 1)
+    u = np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
+    u *= 1.0 - 1.0 / (8 * m**2) + 1.0 / (8 * m**3)
+    if m % 2:
+        u[-1] = 0.0
+    for _ in range(3):
+        p, dp = quadrature._legendre(m, u)
+        u -= p / dp
+    _, dp = quadrature._legendre(m, u)
+    return u, 1.0 / ((1.0 - u) * (1.0 + u) * dp**2)
+
+
+# fixed-point bits of _exact_roots' recurrence: its rounding, at most about
+# m^2 2^-160, stays far below the 2^-53 that the tests resolve
+_BITS = 160
+
+
+def _exact_roots(m, u):
+    """The roots of P_m next to the doubles u >= 0 and their weights on
+    (0,1), as mpmath numbers: one pass of the recurrence in 160-bit fixed
+    point (Python integers; mpmath itself would take half a minute for
+    every node at m = 2000), then one Newton step with its P'' term, in
+    mpmath, from the double to within about m^2 |du|^3 of the root."""
+    one = 1 << _BITS
+    U = np.array([(n << _BITS) // d for n, d in map(float.as_integer_ratio, u)], dtype=object)
+    p0, p1 = np.full(u.size, one, dtype=object), U.copy()
+    for j in range(1, m):
+        p0, p1 = p1, (((2 * j + 1) * U * p1 >> _BITS) - j * p0) // (j + 1)
+    roots, weights = [], []
+    for v, pm1, p in zip(u, p0, p1):
+        v, pm1, p = mp.mpf(v), mp.mpf(pm1) / one, mp.mpf(p) / one
+        s = 1 - v * v
+        dp = m * (pm1 - v * p) / s
+        d2p = (2 * v * dp - m * (m + 1) * p) / s
+        d = -p / dp
+        d = -p / (dp + d2p * d / 2)
+        r = v + d
+        roots.append(r)
+        weights.append(1 / ((1 - r * r) * (dp + d2p * d) ** 2))
+    return roots, weights
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 50, 400, 2000])
+def test_gauss_legendre_01_every_node_against_an_exact_newton(m):
+    # every node within 2 eps of its root in u = 2x - 1, and no weight error
+    # above the parent rule's largest at the same m; at small m both are
+    # rounding, so either may be a few ulps off (measured at m = 2000: the
+    # largest weight error 4.8e-12, the parent rule's 1.6e-11)
+    x, w = gauss_legendre_01(m)
+    h = m // 2
+    # the roots u >= 0, ascending, against the nodes x >= 1/2; the nodes
+    # below 1/2 are their mirror images and share their weights
+    _, wp = _parent_rule(m)
+    with mp.workdps(40):
+        roots, weights = _exact_roots(m, 2.0 * x[h:] - 1.0)
+        for i in range(m):
+            r = roots[i - h] if i >= h else -roots[m - 1 - i - h]
+            assert abs(2 * mp.mpf(x[i]) - 1 - r) <= 2 * 2.0**-52, i
+        err = np.array([float(abs(a / b - 1)) for a, b in zip(w[h:], weights)])
+        err_parent = np.array([float(abs(a / b - 1)) for a, b in zip(wp[::-1], weights)])
+    assert err.max() <= max(err_parent.max(), 4 * 2.0**-52)
+
+
+def test_gauss_legendre_01_runs_the_recurrence_once(monkeypatch):
+    # one O(m^2) pass at the guesses; Newton runs on the local Taylor
+    # polynomials, never on the recurrence again
+    calls = []
+    legendre = quadrature._legendre
+
+    def counted(m, u):
+        calls.append(m)
+        return legendre(m, u)
+
+    monkeypatch.setattr(quadrature, "_legendre", counted)
+    quadrature._gl_cached.__wrapped__(400)
+    assert calls == [400]
+
+
 @pytest.mark.parametrize("m", [0, -1, 2.0, 2.5, 7.9, "3", None])
 def test_gauss_legendre_01_needs_an_integral_count(m):
     # a float is never truncated to a smaller rule; DomainError is a ValueError
@@ -100,9 +183,9 @@ def test_gauss_legendre_01_takes_numpy_integers():
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 50, 301, 800, 2000])
 def test_gauss_legendre_01_against_mpmath(m):
     # both end nodes, their neighbours, the middle and a few interior nodes;
-    # the weight error grows toward the ends as 2 |du| / (1 - u^2), du being
-    # the node's rounding, so the end weights are the ones that can fail
-    # (measured: 2.1e-12 at m = 800, 1.6e-11 at m = 2000)
+    # the weights are those of the unrounded roots, but the recurrence's
+    # rounding moves them most at the ends, so the end weights are the ones
+    # that can fail (measured: 6.4e-13 at m = 800, 4.8e-12 at m = 2000)
     wtol = 1e-10 if m > 800 else 1e-11
     x, w = gauss_legendre_01(m)
     idx = sorted({0, 1, m // 7, m // 3, m // 2, m - 1 - m // 5, m - 2, m - 1} & set(range(m)))
